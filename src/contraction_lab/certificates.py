@@ -8,6 +8,8 @@ keys keep insertion order and floats are printed with 17 significant digits.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -20,7 +22,8 @@ def dumps_fixed(obj) -> str:
     """Serialize dicts/lists/scalars to JSON with deterministic float text.
 
     Unlike ``json.dumps`` this prints every float via :func:`format_float`
-    so output bytes do not depend on repr shortening heuristics.
+    so output bytes do not depend on repr shortening heuristics.  Raises
+    ``ValueError`` on NaN or infinity, which JSON cannot represent.
     """
     if obj is None:
         return "null"
@@ -29,11 +32,12 @@ def dumps_fixed(obj) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{escaped}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"JSON cannot represent the float {obj!r}")
         return format_float(obj)
     if isinstance(obj, dict):
         items = ", ".join(f"{dumps_fixed(str(k))}: {dumps_fixed(v)}" for k, v in obj.items())
@@ -47,9 +51,9 @@ def dumps_fixed(obj) -> str:
 
 def write_json(path, obj) -> None:
     """Write ``obj`` as UTF-8, newline-terminated JSON."""
+    text = dumps_fixed(obj) + "\n"  # serialize first: a refused value leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_fixed(obj))
-        fh.write("\n")
+        fh.write(text)
 
 
 @dataclass

@@ -3,21 +3,22 @@
 Every experiment writes a machine-readable JSON verdict (UTF-8, newline
 terminated, fixed key order, 17-significant-digit floats) and exits 0 only
 when its claim is confirmed.  Exit codes: 0 confirmed, 1 claim refuted,
-2 numerical failure, 64 usage error.  CONTRACTION_LAB_THREADS caps worker
-parallelism for the sweeps that support it.
+2 numerical failure, 64 usage error.  Flag values are validated at parse
+time, so a bad value exits 64 before anything runs or is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import constant_metric, contraction, counterexample, entrainment, flowspace
-from .certificates import dumps_fixed
+from .certificates import write_json
 from .dynamics import PeriodicInput, VectorField, concat, integrate, shift_signal
 from .errors import ContractionLabError, NoRootFoundError
 
@@ -75,20 +76,41 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(64)
 
 
-def _interval(text: str):
-    try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from exc
+def _flag(convert, ok, expected: str):
+    """argparse type: ``convert`` the text and require ``ok`` of the value."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
 
 
-def _grid_axis(text: str):
-    try:
-        lo, hi, count = text.split(":")
-        return float(lo), float(hi), int(count)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected LO:HI:COUNT, got {text!r}") from exc
+def _split_grid(text: str):
+    lo, hi, count = text.split(":")
+    return float(lo), float(hi), int(count)
+
+
+# Comparisons with NaN are false, so each check below also rejects NaN.
+_positive = _flag(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_nonnegative = _flag(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_periods = _flag(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _flag(int, lambda v: v >= 0, "an integer >= 0")
+_interval = _flag(
+    lambda text: tuple(map(float, text.split(":"))),
+    lambda v: len(v) == 2 and 0 < v[0] < v[1] < math.inf,
+    "LO:HI with 0 < LO < HI",
+)
+_grid_axis = _flag(
+    _split_grid,
+    lambda v: -math.inf < v[0] <= v[1] < math.inf and v[2] >= 1,
+    "LO:HI:COUNT with finite LO <= HI and COUNT >= 1",
+)
 
 
 def _build_parser() -> _Parser:
@@ -97,32 +119,36 @@ def _build_parser() -> _Parser:
 
     p_rstar = sub.add_parser("find-rstar", help="certify the critical forcing radius")
     p_rstar.add_argument("--interval", type=_interval, default=(0.1, 4.0))
-    p_rstar.add_argument("--tol", type=float, default=1e-13)
+    p_rstar.add_argument("--tol", type=_positive, default=1e-13)
     p_rstar.add_argument("--out", default=None)
     p_rstar.add_argument("--format", choices=("json", "csv", "both"), default="json")
 
     p_run = sub.add_parser("run", help="run a named experiment")
     p_run.add_argument("experiment", choices=EXPERIMENTS)
     p_run.add_argument("--grid", type=_grid_axis, action="append", default=None)
-    p_run.add_argument("--tol", type=float, default=None)
-    p_run.add_argument("--horizon", type=float, default=None)
-    p_run.add_argument("--periods", type=int, default=None)
-    p_run.add_argument("--rate", type=float, default=None)
-    p_run.add_argument("--delta", type=float, default=None)
+    p_run.add_argument("--tol", type=_positive, default=None)
+    p_run.add_argument("--horizon", type=_positive, default=None)
+    p_run.add_argument("--periods", type=_periods, default=None)
+    p_run.add_argument("--rate", type=_positive, default=None)
+    p_run.add_argument("--delta", type=_nonnegative, default=None)
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--format", choices=("json", "csv", "both"), default="json")
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=_seed, default=0)
 
     p_rep = sub.add_parser("report", help="summarize experiment outputs")
     p_rep.add_argument("dir", nargs="?", default="out")
     return parser
 
 
-def _reject_unknown_params(parser, args) -> None:
+def _check_params(parser, args) -> None:
     allowed = _ALLOWED_FLAGS[args.experiment]
     for flag in ("grid", "tol", "horizon", "periods", "rate", "delta"):
         if getattr(args, flag) is not None and flag not in allowed:
             parser.error(f"experiment {args.experiment!r} does not take --{flag}")
+    if args.grid is not None and len(args.grid) > 1:
+        parser.error(f"experiment {args.experiment!r} takes one --grid axis, got {len(args.grid)}")
+    if args.delta is not None and not args.delta < (r_star := _rstar_value()):
+        parser.error(f"--delta must be below r_star = {r_star!r}, got {args.delta!r}")
 
 
 def _rstar_value() -> float:
@@ -164,11 +190,13 @@ def _exp_divergence(args):
         "verdict": verdict.status,
         "verdict_iterations": verdict.iterations,
     }
-    csvs = [
-        ("divergence_perturbed.csv", lambda path: report.export_csv(path, os.devnull)),
-        ("divergence_orbit.csv", lambda path: report.export_csv(os.devnull, path)),
-    ]
-    return confirmed, payload, csvs
+
+    def write_csvs(out_dir):
+        report.export_csv(
+            os.path.join(out_dir, "divergence_perturbed.csv"), os.path.join(out_dir, "divergence_orbit.csv")
+        )
+
+    return confirmed, payload, [write_csvs]
 
 
 def _exp_entrainment_linear(args):
@@ -187,7 +215,7 @@ def _exp_entrainment_linear(args):
 
 def _default_grid(args, lo, hi, count):
     if args.grid:
-        g = args.grid[0]
+        (g,) = args.grid
         return (g[0], g[1]), g[2]
     return (lo, hi), count
 
@@ -332,13 +360,10 @@ _RUNNERS = {
 def _write_artifact(out_dir: str, name: str, doc: dict, fmt: str, csvs) -> None:
     os.makedirs(out_dir, exist_ok=True)
     if fmt in ("json", "both"):
-        path = os.path.join(out_dir, f"{name}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dumps_fixed(doc))
-            fh.write("\n")
+        write_json(os.path.join(out_dir, f"{name}.json"), doc)
     if fmt in ("csv", "both"):
-        for filename, writer in csvs:
-            writer(os.path.join(out_dir, filename))
+        for write_csvs in csvs:
+            write_csvs(out_dir)
 
 
 def _cmd_find_rstar(args) -> int:
@@ -365,7 +390,7 @@ def _cmd_find_rstar(args) -> int:
 
 
 def _cmd_run(parser, args) -> int:
-    _reject_unknown_params(parser, args)
+    _check_params(parser, args)
     try:
         confirmed, payload, csvs = _RUNNERS[args.experiment](args)
     except ContractionLabError as exc:

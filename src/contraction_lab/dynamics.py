@@ -277,17 +277,17 @@ class Trajectory:
                 fh.write(format_float(t) + "," + ",".join(format_float(v) for v in row) + "\n")
 
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.5).  Row i of _A gives stage i; row 6 is also the 5th-order solution, so
+# the last stage state is the accepted step (first same as last).
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = np.zeros((7, 7))
+_A[1, :1] = [1 / 5]
+_A[2, :2] = [3 / 40, 9 / 40]
+_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
 # Difference between the 5th-order weights and the embedded 4th-order weights.
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
@@ -298,89 +298,104 @@ _FAC_MIN = 0.2
 _FAC_MAX = 10.0
 
 
+def _rms(v):
+    """Root mean square over the last axis: one norm per trajectory."""
+    return np.sqrt(np.square(v).sum(axis=-1) / v.shape[-1])
+
+
 def _hinit(rhs, t0, x0, f0, seg_span, config):
     if config.initial_step is not None:
         return min(config.initial_step, seg_span, config.max_step)
     sc = config.abs_tol + config.rel_tol * np.abs(x0)
-    d0 = np.sqrt(np.mean(np.square(x0 / sc)))
-    d1 = np.sqrt(np.mean(np.square(f0 / sc)))
+    # A batch takes its smallest state scale and its largest derivative scales.
+    d0, d1 = np.min(_rms(x0 / sc)), np.max(_rms(f0 / sc))
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, seg_span)
     f1 = rhs(t0 + h0, x0 + h0 * f0)
-    d2 = np.sqrt(np.mean(np.square((f1 - f0) / sc))) / h0
+    d2 = np.max(_rms((f1 - f0) / sc)) / h0
     dm = max(d1, d2)
     h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.2
     return min(100 * h0, h1, seg_span, config.max_step)
 
 
-def _integrate_segment(field, signal, t_start, t_end, x0, config, full_span, out):
-    """Advance one smooth segment [t_start, t_end]; append steps to ``out``."""
+def _steps(field, signal, x0, t_span, config=None):
+    """Accepted steps of x' = f(x, u(t)) over ``t_span`` as (t, x, k_start, k_end).
 
-    def u_at(t):
-        # The only stage evaluated at the segment end must see the left
-        # limit of the input, so a breakpoint never leaks across a step.
-        if t >= t_end:
-            return signal.eval_left(t_end)
-        return signal.eval(t)
+    ``x0`` is one state ``(n,)`` or a batch ``(N, n)`` advanced in lockstep
+    on one step size; a step is accepted only when the largest
+    per-trajectory error norm is at most 1.  ``k_start`` and ``k_end``, the
+    derivatives at the step ends, are views of the stage buffer that the
+    next step overwrites.
+    """
+    config = config or IntegratorConfig()
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not t1 > t0:
+        raise ValueError("t_span must satisfy t1 > t0")
+    x = np.asarray(x0, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError("initial state has non-finite entries")
+    if x.ndim > 2 or x.shape[-1] != field.state_dim:
+        raise ValueError(f"initial state has dimension {x.shape[-1]}, field expects {field.state_dim}")
+    if signal.dim != field.input_dim:
+        raise ValueError(f"input signal has dimension {signal.dim}, field expects {field.input_dim}")
 
-    def rhs(t, x):
-        return field(x, u_at(t))
+    cuts = [t0] + signal.breakpoints_in(t0, t1) + [t1]
+    min_step = 1e-14 * (t1 - t0)
+    k = np.empty((7,) + x.shape)
+    k_flat = k.reshape(7, -1)
+    for t, t_end in zip(cuts[:-1], cuts[1:]):
 
-    ts, xs, d0s, d1s = out
-    t, x = t_start, np.asarray(x0, dtype=float)
-    k1 = rhs(t, x)
-    if not np.all(np.isfinite(k1)):
-        raise NonFiniteError(f"dynamics non-finite at t={t}")
-    h = _hinit(rhs, t, x, k1, t_end - t_start, config)
-    facold = 1e-4
-    min_step = 1e-14 * full_span
-    nonfinite_streak = 0
-    while t < t_end:
-        if h < min_step:
-            if nonfinite_streak > 0:
-                raise NonFiniteError(f"state blew up near t={t}")
-            raise StepSizeUnderflowError(f"step size {h:.3e} underflowed at t={t}")
-        final = h >= (t_end - t) * (1 - 1e-12)
-        t_next = t_end if final else t + h
-        h_eff = t_next - t
-        if h_eff <= 0:
-            raise StepSizeUnderflowError(f"step no longer advances time at t={t}")
-        k = [k1]
-        bad = False
-        for i in range(1, 7):
-            ti = t_next if _C[i] == 1.0 else t + _C[i] * h_eff
-            xi = x + h_eff * (np.stack(k, axis=0).T @ _A[i])
-            ki = rhs(ti, xi)
-            if not np.all(np.isfinite(ki)):
-                bad = True
-                break
-            k.append(ki)
-        if not bad:
-            x_next = x + h_eff * (np.stack(k[:6], axis=0).T @ _A[6])
-            err_vec = h_eff * (np.stack(k, axis=0).T @ _E)
-            sc = config.abs_tol + config.rel_tol * np.maximum(np.abs(x), np.abs(x_next))
-            err = float(np.sqrt(np.mean(np.square(err_vec / sc))))
-            bad = not (np.all(np.isfinite(x_next)) and math.isfinite(err))
-        if bad:
-            nonfinite_streak += 1
-            h *= 0.25
-            continue
+        def rhs(s, y, t_end=t_end):
+            # The only stage evaluated at the segment end must see the left
+            # limit of the input, so a breakpoint never leaks across a step.
+            return field(y, signal.eval_left(t_end) if s >= t_end else signal.eval(s))
+
+        k[0] = rhs(t, x)
+        if not np.all(np.isfinite(k[0])):
+            raise NonFiniteError(f"dynamics non-finite at t={t}")
+        h = _hinit(rhs, t, x, k[0], t_end - t, config)
+        facold = 1e-4
         nonfinite_streak = 0
-        if err <= 1.0:
-            ts.append(t_next)
-            xs.append(x_next)
-            d0s.append(k[0])
-            d1s.append(k[6])
-            t, x, k1 = t_next, x_next, k[6]
-            fac11 = err ** _EXPO if err > 0 else _FAC_MIN ** (1 / _PI_BETA)
-            fac = fac11 / (facold ** _PI_BETA)
-            fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFETY))
-            facold = max(err, 1e-4)
-            h = min(h_eff / fac, config.max_step)
-        else:
-            fac11 = err ** _EXPO
-            h = h_eff / min(1.0 / _FAC_MIN, fac11 / _SAFETY)
-    return x
+        while t < t_end:
+            if h < min_step:
+                if nonfinite_streak > 0:
+                    raise NonFiniteError(f"state blew up near t={t}")
+                raise StepSizeUnderflowError(f"step size {h:.3e} underflowed at t={t}")
+            final = h >= (t_end - t) * (1 - 1e-12)
+            t_next = t_end if final else t + h
+            h_eff = t_next - t
+            if h_eff <= 0:
+                raise StepSizeUnderflowError(f"step no longer advances time at t={t}")
+            bad = False
+            for i in range(1, 7):
+                xi = x + h_eff * (_A[i, :i] @ k_flat[:i]).reshape(x.shape)
+                k[i] = rhs(t_next if _C[i] == 1.0 else t + _C[i] * h_eff, xi)
+                if not np.isfinite(k[i]).all():
+                    bad = True
+                    break
+            if not bad:
+                # xi is now the stage-6 state, which is the 5th-order solution.
+                err_vec = h_eff * (_E @ k_flat).reshape(x.shape)
+                sc = config.abs_tol + config.rel_tol * np.maximum(np.abs(x), np.abs(xi))
+                err = float(np.max(_rms(err_vec / sc)))
+                bad = not (np.isfinite(xi).all() and math.isfinite(err))
+            if bad:
+                nonfinite_streak += 1
+                h *= 0.25
+                continue
+            nonfinite_streak = 0
+            if err <= 1.0:
+                yield t_next, xi, k[0], k[6]
+                t, x = t_next, xi
+                k[0] = k[6]
+                fac11 = err ** _EXPO if err > 0 else _FAC_MIN ** (1 / _PI_BETA)
+                fac = fac11 / (facold ** _PI_BETA)
+                fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFETY))
+                facold = max(err, 1e-4)
+                h = min(h_eff / fac, config.max_step)
+            else:
+                fac11 = err ** _EXPO
+                h = h_eff / min(1.0 / _FAC_MIN, fac11 / _SAFETY)
 
 
 def integrate(field: VectorField, signal: InputSignal, x0, t_span, config: IntegratorConfig | None = None) -> Trajectory:
@@ -389,22 +404,11 @@ def integrate(field: VectorField, signal: InputSignal, x0, t_span, config: Integ
     Integration restarts exactly at every input discontinuity inside the
     span, so each Runge-Kutta step sees a smooth right-hand side.
     """
-    config = config or IntegratorConfig()
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ValueError("t_span must satisfy t1 > t0")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if not np.all(np.isfinite(x0)):
-        raise NonFiniteError("initial state has non-finite entries")
-    if x0.shape[0] != field.state_dim:
-        raise ValueError(f"initial state has dimension {x0.shape[0]}, field expects {field.state_dim}")
-    if signal.dim != field.input_dim:
-        raise ValueError(f"input signal has dimension {signal.dim}, field expects {field.input_dim}")
-
-    cuts = [t0] + signal.breakpoints_in(t0, t1) + [t1]
-    out = ([t0], [x0.copy()], [], [])
-    x = x0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        x = _integrate_segment(field, signal, a, b, x, config, t1 - t0, out)
-    ts, xs, d0s, d1s = out
+    ts, xs, d0s, d1s = [float(t_span[0])], [x0.copy()], [], []
+    for t, x, k_start, k_end in _steps(field, signal, x0, t_span, config):
+        ts.append(t)
+        xs.append(x)
+        d0s.append(k_start.copy())
+        d1s.append(k_end.copy())
     return Trajectory(np.array(ts), np.array(xs), np.array(d0s), np.array(d1s))

@@ -4,10 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import contraction_lab
+from contraction_lab import counterexample
 from contraction_lab.cli import EXPERIMENTS, main
+from contraction_lab.dynamics import ConstantInput, _steps, integrate
 
 
 def run_cli(*argv):
@@ -50,6 +53,31 @@ class TestRun:
         assert code == 1
         doc = json.loads((tmp_path / "ges-check.json").read_text())
         assert doc["confirmed"] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ges-check", "--rate", "nan"],
+            ["ges-check", "--rate", "0"],
+            ["ges-check", "--horizon", "-1"],
+            ["ges-check", "--horizon", "inf"],
+            ["ges-check", "--seed", "-1"],
+            ["circle-orbit", "--tol", "nan"],
+            ["circle-orbit", "--tol=-1e-10"],
+            ["divergence", "--periods", "0"],
+            ["divergence", "--delta", "-0.1"],
+            ["divergence", "--delta", "3.0"],
+            ["entrainment-linear", "--tol", "inf"],
+            ["metric-certify", "--grid", "0:1:0"],
+            ["metric-certify", "--grid", "nan:1:5"],
+            ["metric-violate", "--grid", "1:0:5"],
+            ["uniform-contraction", "--grid", "0:1:5", "--grid", "0:2:5"],
+        ],
+    )
+    def test_bad_flag_value_exits_64_and_writes_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli("run", *argv, "--out", str(out), "--format", "both") == 64
+        assert not out.exists()
 
     def test_circle_orbit_confirms(self, tmp_path, capsys):
         assert run_cli("run", "circle-orbit", "--out", str(tmp_path)) == 0
@@ -145,10 +173,21 @@ class TestInterface:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["r_star"] == pytest.approx(2.79098840365914, abs=1e-10)
 
-    def test_thread_cap_does_not_change_results(self, tmp_path, monkeypatch, capsys):
-        a, b = tmp_path / "serial", tmp_path / "threaded"
-        monkeypatch.setenv("CONTRACTION_LAB_THREADS", "1")
-        run_cli("run", "ges-check", "--horizon", "2", "--out", str(a))
-        monkeypatch.setenv("CONTRACTION_LAB_THREADS", "4")
-        run_cli("run", "ges-check", "--horizon", "2", "--out", str(b))
+    def test_lockstep_and_single_runs_agree(self, tmp_path, capsys):
+        # verify_ges advances all starts in lockstep on shared steps; each
+        # start alone must end where integrate takes it, within 1e-9 of the
+        # start's norm (the scale of the GES bound), and give the same verdict.
+        starts = np.array([[0.0, 0.0], [1.0, 0.0], [-3.0, 2.5], [0.2, -7.0], [6.0, 6.0]])
+        field, zero = counterexample.circle_field(), ConstantInput.zero(2)
+        for _, lockstep, _, _ in _steps(field, zero, starts, (0.0, 20.0)):
+            pass
+        for start, final in zip(starts, lockstep):
+            alone = integrate(field, zero, start, (0.0, 20.0)).final_state
+            assert np.linalg.norm(final - alone) <= 1e-9 * np.linalg.norm(start)
+        for rate in (0.5, 0.6):
+            batch = counterexample.verify_ges(starts, 20.0, rate).holds
+            assert batch == all(counterexample.verify_ges([x], 20.0, rate).holds for x in starts)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli("run", "ges-check", "--out", str(a)) == 0
+        assert run_cli("run", "ges-check", "--out", str(b)) == 0
         assert (a / "ges-check.json").read_bytes() == (b / "ges-check.json").read_bytes()

@@ -154,9 +154,14 @@ class TestVerifyGes:
         r = math.sqrt(math.pi / 2 + 2 * math.pi * 20)
         assert radial_f(r) + 0.6 * r == pytest.approx(0.1 * r, abs=1e-12)
 
-    def test_rejects_nonpositive_rate(self):
+    @pytest.mark.parametrize(
+        "horizon, rate",
+        [(1.0, 0.0), (1.0, math.nan), (1.0, math.inf), (math.nan, 0.5), (math.inf, 0.5), (0.0, 0.5), (-1.0, 0.5)],
+        ids=["rate-zero", "rate-nan", "rate-inf", "horizon-nan", "horizon-inf", "horizon-zero", "horizon-negative"],
+    )
+    def test_rejects_nonpositive_rate(self, horizon, rate):
         with pytest.raises(ValueError):
-            verify_ges([[1.0, 0.0]], 1.0, 0.0)
+            verify_ges([[1.0, 0.0]], horizon, rate)
 
 
 class TestRadialRate:
