@@ -22,51 +22,17 @@ from .certificates import write_json
 from .dynamics import PeriodicInput, VectorField, concat, integrate, shift_signal
 from .errors import ContractionLabError, NoRootFoundError
 
-EXPERIMENTS = (
-    "ges-check",
-    "circle-orbit",
-    "divergence",
-    "entrainment-linear",
-    "metric-certify",
-    "metric-violate",
-    "uniform-contraction",
-    "bounded-metric",
-    "thm3-example1",
-    "thm3-example2",
-    "flow-compose",
-    "flow-limit",
-)
+# name -> (claim, flags taken beyond the common out/format/seed set, runner),
+# in the order the experiments are defined below.
+_EXPERIMENTS = {}
 
-# Flags each experiment accepts beyond the common out/format/seed set.
-_ALLOWED_FLAGS = {
-    "ges-check": {"rate", "horizon"},
-    "circle-orbit": {"tol"},
-    "divergence": {"delta", "periods"},
-    "entrainment-linear": {"tol"},
-    "metric-certify": {"grid"},
-    "metric-violate": {"grid"},
-    "uniform-contraction": {"grid"},
-    "bounded-metric": set(),
-    "thm3-example1": set(),
-    "thm3-example2": set(),
-    "flow-compose": set(),
-    "flow-limit": set(),
-}
 
-_CLAIMS = {
-    "ges-check": "unforced trajectories decay at rate 1/2 and f(r) <= -r/2 on [0, 50]",
-    "circle-orbit": "the circle of radius r_star is an exact periodic trajectory of the forced system",
-    "divergence": "a start just inside the forced orbit moves away from it and never returns",
-    "entrainment-linear": "x' = -x + sin t entrains with return-map fixed point -1/2",
-    "metric-certify": "the oscillatory scalar system contracts in its stock metric at rate 1/3",
-    "metric-violate": "constant input 27/16 breaks the scalar metric certificate near x = 4*sqrt(2*pi)",
-    "uniform-contraction": "x' = -x + u contracts uniformly over |u| <= 1 in the non-constant bump metric",
-    "bounded-metric": "a non-constant metric certifies contraction for all inputs bounded by 1",
-    "thm3-example1": "the diagonal 3-D example satisfies both constancy-forcing conditions",
-    "thm3-example2": "the additive simplex example satisfies both constancy-forcing conditions",
-    "flow-compose": "flow maps compose along concatenated signals and commute with time shifts",
-    "flow-limit": "schedule contraction passes to the limit signal through dyadic refinement",
-}
+def _experiment(name: str, claim: str, *flags: str):
+    def register(run):
+        _EXPERIMENTS[name] = (claim, set(flags), run)
+        return run
+
+    return register
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,7 +107,7 @@ def _build_parser() -> _Parser:
 
 
 def _check_params(parser, args) -> None:
-    allowed = _ALLOWED_FLAGS[args.experiment]
+    _, allowed, _ = _EXPERIMENTS[args.experiment]
     for flag in ("grid", "tol", "horizon", "periods", "rate", "delta"):
         if getattr(args, flag) is not None and flag not in allowed:
             parser.error(f"experiment {args.experiment!r} does not take --{flag}")
@@ -155,6 +121,7 @@ def _rstar_value() -> float:
     return counterexample.find_r_star().r_star
 
 
+@_experiment("ges-check", "unforced trajectories decay at rate 1/2 and f(r) <= -r/2 on [0, 50]", "rate", "horizon")
 def _exp_ges_check(args):
     rate = 0.5 if args.rate is None else args.rate
     horizon = 20.0 if args.horizon is None else args.horizon
@@ -164,12 +131,19 @@ def _exp_ges_check(args):
     return bool(cert.holds), payload, []
 
 
+@_experiment("circle-orbit", "the circle of radius r_star is an exact periodic trajectory of the forced system", "tol")
 def _exp_circle_orbit(args):
     tol = 1e-10 if args.tol is None else args.tol
     residual = counterexample.circle_orbit_residual(_rstar_value(), 1000)
     return residual <= tol, {"residual": residual, "tolerance": tol, "samples": 1000}, []
 
 
+@_experiment(
+    "divergence",
+    "a start just inside the forced orbit moves away from it and never returns",
+    "delta",
+    "periods",
+)
 def _exp_divergence(args):
     delta = 0.1 if args.delta is None else args.delta
     periods = 10 if args.periods is None else args.periods
@@ -199,6 +173,7 @@ def _exp_divergence(args):
     return confirmed, payload, [write_csvs]
 
 
+@_experiment("entrainment-linear", "x' = -x + sin t entrains with return-map fixed point -1/2", "tol")
 def _exp_entrainment_linear(args):
     tol = 1e-8 if args.tol is None else args.tol
     field = VectorField(lambda x, u: -x + u, 1, 1, jacobian=lambda x, u: np.array([[-1.0]]))
@@ -220,6 +195,7 @@ def _default_grid(args, lo, hi, count):
     return (lo, hi), count
 
 
+@_experiment("metric-certify", "the oscillatory scalar system contracts in its stock metric at rate 1/3", "grid")
 def _exp_metric_certify(args):
     field, metric = contraction.scalar_example_system()
     region, count = _default_grid(args, -20.0, 20.0, 40001)
@@ -234,6 +210,11 @@ def _exp_metric_certify(args):
     return confirmed, {"certificate": cert.to_dict(), "identity_max_rel_err": identity_err}, []
 
 
+@_experiment(
+    "metric-violate",
+    "constant input 27/16 breaks the scalar metric certificate near x = 4*sqrt(2*pi)",
+    "grid",
+)
 def _exp_metric_violate(args):
     field, metric = contraction.scalar_example_system()
     c = 27.0 / 16.0
@@ -263,6 +244,11 @@ def _exp_metric_violate(args):
     return confirmed, payload, []
 
 
+@_experiment(
+    "uniform-contraction",
+    "x' = -x + u contracts uniformly over |u| <= 1 in the non-constant bump metric",
+    "grid",
+)
 def _exp_uniform_contraction(args):
     m, m_cert = contraction.bounded_metric_m_parameter(1.0)
     metric = contraction.bounded_example_metric(m)
@@ -274,6 +260,7 @@ def _exp_uniform_contraction(args):
     return bool(cert.holds), payload, []
 
 
+@_experiment("bounded-metric", "a non-constant metric certifies contraction for all inputs bounded by 1")
 def _exp_bounded_metric(args):
     m, cert = contraction.bounded_metric_m_parameter(1.0)
     metric = contraction.bounded_example_metric(m)
@@ -292,17 +279,20 @@ def _thm3_common(field, family, directions):
     return report.certified, payload, []
 
 
+@_experiment("thm3-example1", "the diagonal 3-D example satisfies both constancy-forcing conditions")
 def _exp_thm3_example1(args):
     field, family = constant_metric.example_3d_system()
     dirs = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [-1.0, -1.0, -1.0] / np.sqrt(3)])
     return _thm3_common(field, family, dirs)
 
 
+@_experiment("thm3-example2", "the additive simplex example satisfies both constancy-forcing conditions")
 def _exp_thm3_example2(args):
     field, family = constant_metric.example_additive_3d()
     return _thm3_common(field, family, constant_metric.simplex_directions(3))
 
 
+@_experiment("flow-compose", "flow maps compose along concatenated signals and commute with time shifts")
 def _exp_flow_compose(args):
     field = counterexample.circle_field()
     rng = np.random.default_rng(args.seed)
@@ -330,6 +320,7 @@ def _exp_flow_compose(args):
     return worst <= 1e-7, {"max_deviation": worst, "tolerance": 1e-7}, []
 
 
+@_experiment("flow-limit", "schedule contraction passes to the limit signal through dyadic refinement")
 def _exp_flow_limit(args):
     flow = flowspace.flow_from_field(contraction.linear_additive_field(1))
     target = PeriodicInput(2 * np.pi, lambda t: [float(np.clip(np.sin(t), -1.0, 1.0))])
@@ -341,20 +332,7 @@ def _exp_flow_limit(args):
     return bool(cert.holds and halving), {"certificate": cert.to_dict()}, []
 
 
-_RUNNERS = {
-    "ges-check": _exp_ges_check,
-    "circle-orbit": _exp_circle_orbit,
-    "divergence": _exp_divergence,
-    "entrainment-linear": _exp_entrainment_linear,
-    "metric-certify": _exp_metric_certify,
-    "metric-violate": _exp_metric_violate,
-    "uniform-contraction": _exp_uniform_contraction,
-    "bounded-metric": _exp_bounded_metric,
-    "thm3-example1": _exp_thm3_example1,
-    "thm3-example2": _exp_thm3_example2,
-    "flow-compose": _exp_flow_compose,
-    "flow-limit": _exp_flow_limit,
-}
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def _write_artifact(out_dir: str, name: str, doc: dict, fmt: str, csvs) -> None:
@@ -391,21 +369,22 @@ def _cmd_find_rstar(args) -> int:
 
 def _cmd_run(parser, args) -> int:
     _check_params(parser, args)
+    claim, _, run = _EXPERIMENTS[args.experiment]
     try:
-        confirmed, payload, csvs = _RUNNERS[args.experiment](args)
+        confirmed, payload, csvs = run(args)
     except ContractionLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     doc = {
         "experiment": args.experiment,
-        "claim": _CLAIMS[args.experiment],
+        "claim": claim,
         "confirmed": bool(confirmed),
         "seed": args.seed,
     }
     doc.update(payload)
     _write_artifact(args.out, args.experiment, doc, args.format, csvs)
     status = "confirmed" if confirmed else "REFUTED"
-    print(f"{args.experiment}: {status} -- {_CLAIMS[args.experiment]}")
+    print(f"{args.experiment}: {status} -- {claim}")
     return 0 if confirmed else 1
 
 

@@ -168,15 +168,9 @@ def _axes(region, resolution):
     return region, counts, axes
 
 
-def _grid_points(axes):
-    if len(axes) == 1:
-        for v in axes[0]:
-            yield np.array([v])
-        return
-    mesh = np.meshgrid(*axes, indexing="ij")
-    stacked = np.stack([m.ravel() for m in mesh], axis=-1)
-    for row in stacked:
-        yield row
+def _grid_points(axes) -> np.ndarray:
+    """Every grid point as one row of an (N, n) array, first axis slowest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def check_contraction_region(
@@ -198,18 +192,18 @@ def check_contraction_region(
     if region.shape[0] != field.state_dim:
         raise DimensionMismatchError("region dimension must match the state dimension")
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    worst = -np.inf
-    witness_x = None
-    for x in _grid_points(axes):
-        m = metric.eval(x)
-        val = max_eigenvalue(contraction_matrix(field, metric, x, c) + beta * m)
-        if val > worst:
-            worst = val
-            witness_x = x.copy()
+    grid = _grid_points(axes)
+    values = np.fromiter(
+        (max_eigenvalue(contraction_matrix(field, metric, x, c) + beta * metric.eval(x)) for x in grid),
+        dtype=float,
+        count=len(grid),
+    )
+    i = int(np.argmax(values))
+    worst = values[i]
     return Certificate(
         holds=bool(worst <= 0.0),
         margin=float(worst),
-        witness={"x": [float(v) for v in witness_x], "c": [float(v) for v in c]},
+        witness={"x": [float(v) for v in grid[i]], "c": [float(v) for v in c]},
         grid_spec={
             "lo": [float(v) for v in region[:, 0]],
             "hi": [float(v) for v in region[:, 1]],
@@ -241,24 +235,17 @@ def check_uniform_contraction(
     input_box, input_counts, input_axes = _axes(input_box, input_resolution)
     if input_box.shape[0] != field.input_dim:
         raise DimensionMismatchError("input box dimension must match the input dimension")
-    worst = -np.inf
-    witness = None
-    state_grid = None
-    for c in _grid_points(input_axes):
-        cert = check_contraction_region(field, metric, region, resolution, beta, c)
-        state_grid = cert.grid_spec
-        if cert.margin > worst:
-            worst = cert.margin
-            witness = cert.witness
+    certs = [check_contraction_region(field, metric, region, resolution, beta, c) for c in _grid_points(input_axes)]
+    worst = max(certs, key=lambda cert: cert.margin)
     return Certificate(
-        holds=bool(worst <= 0.0),
-        margin=float(worst),
-        witness=witness,
+        holds=bool(worst.margin <= 0.0),
+        margin=float(worst.margin),
+        witness=worst.witness,
         grid_spec={
             "input_lo": [float(v) for v in input_box[:, 0]],
             "input_hi": [float(v) for v in input_box[:, 1]],
             "input_counts": [int(v) for v in input_counts],
-            "state_grid": state_grid,
+            "state_grid": certs[-1].grid_spec,
         },
         note=(
             "holds uniformly over sampled constant inputs; for additive "
@@ -315,8 +302,9 @@ def find_violating_input(
     if region.shape[0] != n:
         raise DimensionMismatchError("x_search must have one (lo, hi) pair per state dimension")
 
-    xs = list(_grid_points(axes))
-    grad_scale = max(float(np.max(np.abs(metric.grad(x)))) for x in xs)
+    xs = _grid_points(axes)
+    grads = [metric.grad(x) for x in xs]
+    grad_scale = max(float(np.max(np.abs(g))) for g in grads)
     if grad_scale < 1e-10:
         raise MetricAppearsConstantError(
             f"all sampled metric gradients are below 1e-10 (max {grad_scale:.3e})"
@@ -334,16 +322,15 @@ def find_violating_input(
     c_dirs = unit_samples(c_direction_samples)
     zs = unit_samples(z_search)
 
-    best = None  # (|alpha|, x, c0, z, alpha)
-    for x in xs:
-        g = metric.grad(x)
+    best = None  # (|alpha|, x, grad M(x), c0, z, alpha)
+    for x, g in zip(xs, grads):
         for c0 in c_dirs:
             mdot2 = g @ c0
             for z in zs:
                 alpha = float(z @ mdot2 @ z)
                 if best is None or abs(alpha) > best[0]:
-                    best = (abs(alpha), x, c0, z, alpha)
-    abs_alpha, x, c0, z, alpha = best
+                    best = (abs(alpha), x, g, c0, z, alpha)
+    abs_alpha, x, g, c0, z, alpha = best
     if abs_alpha < 1e-12:
         raise MetricAppearsConstantError("no sampled direction produces a nonzero metric drift")
     if alpha < 0:
@@ -353,7 +340,7 @@ def find_violating_input(
     zero = np.zeros(n)
     jac = field.jacobian_x(x, zero)
     m = metric.eval(x)
-    mdot1 = metric.grad(x) @ field(x, zero)
+    mdot1 = g @ field(x, zero)
     beta_val = float(z @ (jac.T @ m + m @ jac + mdot1) @ z)
 
     big_n = 1.0
@@ -401,9 +388,7 @@ def bounded_metric_m_parameter(bound_B: float) -> tuple[float, Certificate]:
         xs = np.linspace(-half_width, half_width, _BOUNDED_GRID)
         eps = np.exp(-xs * xs / m)
         eps_prime = -2.0 * xs / m * eps
-        worst = -np.inf
-        for c in (-bound_B, 0.0, bound_B):
-            worst = max(worst, float(np.max(np.abs((c - xs) * eps_prime) - (1.0 + eps))))
+        worst = max(float(np.max(np.abs((c - xs) * eps_prime) - (1.0 + eps))) for c in (-bound_B, 0.0, bound_B))
         y = _TAIL_MULTIPLE  # scaled tail coordinate |x|/sqrt(m)
         tail_bound = (2 * y * y + 2 * y * bound_B / np.sqrt(m)) * np.exp(-y * y)
         if worst <= 0.0 and tail_bound <= 1.0:

@@ -129,6 +129,8 @@ def find_r_star(search_interval=(0.1, 4.0), tol: float = 1e-13) -> RStarCertific
         flo = radial_f_slope(lo)
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):  # lo and hi are adjacent floats; the bracket cannot shrink
+                break
             fmid = radial_f_slope(mid)
             if flo * fmid <= 0:
                 hi = mid
@@ -219,14 +221,13 @@ def circle_orbit_residual(r_star: float, sample_count: int, forcing_radius: floa
     if sample_count < 8:
         raise ValueError("sample_count must be at least 8")
     field, signal = build_counterexample(forcing_radius if forcing_radius is not None else _canonical_radius())
-    ts = np.linspace(0.0, TWO_PI, sample_count, endpoint=False)
-    worst = 0.0
-    for t in ts:
+
+    def residual(t):
         gamma = np.array([r_star * np.cos(t), r_star * np.sin(t)])
         gamma_dot = np.array([-r_star * np.sin(t), r_star * np.cos(t)])
-        res = field(gamma, signal.eval(t)) - gamma_dot
-        worst = max(worst, float(np.linalg.norm(res)))
-    return worst
+        return float(np.linalg.norm(field(gamma, signal.eval(t)) - gamma_dot))
+
+    return max(map(residual, np.linspace(0.0, TWO_PI, sample_count, endpoint=False)))
 
 
 def random_initial_conditions(count: int, radius: float, seed: int = 0) -> np.ndarray:
@@ -324,25 +325,23 @@ def polar_equivalence_check(grid_points) -> Certificate:
     """
     field = circle_field()
     zero = np.zeros(2)
-    worst = 0.0
-    witness = None
-    count = 0
-    for r, theta in grid_points:
-        count += 1
+
+    def deviation(r, theta):
         if r <= 0:
             raise ValueError("polar grid requires r > 0")
         x = np.array([r * np.cos(theta), r * np.sin(theta)])
         dx = field(x, zero)
         r_dot = float((x @ dx) / r)
         theta_dot = float((x[0] * dx[1] - x[1] * dx[0]) / (r * r))
-        dev = max(abs(r_dot - radial_f(r)), abs(theta_dot - 1.0))
-        if dev > worst:
-            worst = dev
-            witness = {"r": float(r), "theta": float(theta)}
+        return max(abs(r_dot - radial_f(r)), abs(theta_dot - 1.0))
+
+    points = list(grid_points)
+    devs = [deviation(r, theta) for r, theta in points]
+    worst, (r, theta) = max(zip(devs, points), key=lambda pair: pair[0], default=(0.0, (None, None)))
     holds = worst <= 1e-12
     return Certificate(
         holds=holds,
         margin=worst,
-        witness=None if holds else witness,
-        grid_spec={"points": count, "tolerance": 1e-12},
+        witness=None if holds else {"r": float(r), "theta": float(theta)},
+        grid_spec={"points": len(points), "tolerance": 1e-12},
     )

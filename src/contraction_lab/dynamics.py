@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import format_float
 from .errors import NonFiniteError, StepSizeUnderflowError
 
 __all__ = [
@@ -266,15 +265,6 @@ class Trajectory:
             + (h11 * h)[:, None] * self._d1[idx]
         )
         return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
-
-    def export_csv(self, path) -> None:
-        """Write `t,x1,...,xn` rows (17 significant digits, one per step)."""
-        n = self.states.shape[1]
-        header = "t," + ",".join(f"x{i + 1}" for i in range(n))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-            for t, row in zip(self.times, self.states):
-                fh.write(format_float(t) + "," + ",".join(format_float(v) for v in row) + "\n")
 
 
 # Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,

@@ -138,6 +138,20 @@ def schedule_contraction_factor(lam: float, schedule: PiecewiseSchedule) -> floa
     return product
 
 
+def _worst_ratio(flow: FlowMap, starts, ends) -> tuple[float, int]:
+    """Largest d(x', y') / d(x, y) over the start pairs at positive distance.
+
+    Returns the ratio and the index of the first pair attaining it; ``ends``
+    holds the image pair (x', y') of each start pair (x, y).
+    """
+    ratios = [
+        (flow.distance(*end) / d0, i)
+        for i, (start, end) in enumerate(zip(starts, ends))
+        if (d0 := flow.distance(*start)) > 0
+    ]
+    return max(ratios, key=lambda ratio: ratio[0])
+
+
 def check_piecewise_contraction(
     flow: FlowMap,
     box,
@@ -154,27 +168,18 @@ def check_piecewise_contraction(
     """
     if not schedule.values_within(box):
         raise ValueError("schedule values leave the declared input box")
-    point_pairs = list(point_pairs)
-    if not any(flow.distance(x, y) > 0 for x, y in point_pairs):
+    pairs = [(x, y) for x, y in point_pairs if flow.distance(x, y) > 0]
+    if not pairs:
         raise ValueError("need at least one pair of distinct points")
     signal = schedule.as_signal()
     bound = float(np.exp(lam * schedule.span)) * (1.0 + 1e-6)
-    worst = -np.inf
-    witness = None
-    for x, y in point_pairs:
-        d0 = flow.distance(x, y)
-        if d0 == 0:
-            continue
-        x1 = flow.apply(signal, schedule.t1, schedule.t2, x)
-        y1 = flow.apply(signal, schedule.t1, schedule.t2, y)
-        ratio = flow.distance(x1, y1) / d0
-        if ratio > worst:
-            worst = ratio
-            witness = {"x": [float(v) for v in np.atleast_1d(x)], "y": [float(v) for v in np.atleast_1d(y)]}
+    ends = [tuple(flow.apply(signal, schedule.t1, schedule.t2, p) for p in pair) for pair in pairs]
+    worst, i = _worst_ratio(flow, pairs, ends)
+    x, y = pairs[i]
     return Certificate(
         holds=bool(worst <= bound),
         margin=float(worst),
-        witness=witness,
+        witness={"x": [float(v) for v in np.atleast_1d(x)], "y": [float(v) for v in np.atleast_1d(y)]},
         grid_spec={
             "pieces": schedule.piece_count(),
             "span": [schedule.t1, schedule.t2],
@@ -222,28 +227,21 @@ def check_limit_contraction(
         if np.any(v < box_arr[:, 0] - 1e-12) or np.any(v > box_arr[:, 1] + 1e-12):
             raise ValueError(f"target signal leaves the input box at t={t}")
 
-    points = []
-    for x, y in point_pairs:
-        points.append(np.atleast_1d(np.asarray(x, dtype=float)))
-        points.append(np.atleast_1d(np.asarray(y, dtype=float)))
-    if not any(
-        flow.distance(points[i], points[i + 1]) > 0 for i in range(0, len(points), 2)
-    ):
+    pairs = [tuple(np.atleast_1d(np.asarray(p, dtype=float)) for p in pair) for pair in point_pairs]
+    if not any(flow.distance(x, y) > 0 for x, y in pairs):
         raise ValueError("need at least one pair of distinct points")
+    points = [p for pair in pairs for p in pair]
+
+    def paired(outs):
+        return list(zip(outs[0::2], outs[1::2]))
 
     span = t2 - t1
     bound_approx = float(np.exp(lam * span)) * (1.0 + 1e-6)
     outputs = []
-    worst_approx = -np.inf
     for level in range(refinement_levels + 1):
         signal = _dyadic_schedule(target_signal, level, t1, t2).as_signal()
-        outs = [flow.apply(signal, t1, t2, p) for p in points]
-        outputs.append(outs)
-        for i in range(0, len(outs), 2):
-            d0 = flow.distance(points[i], points[i + 1])
-            if d0 == 0:
-                continue
-            worst_approx = max(worst_approx, flow.distance(outs[i], outs[i + 1]) / d0)
+        outputs.append([flow.apply(signal, t1, t2, p) for p in points])
+    worst_approx = max(_worst_ratio(flow, pairs, paired(outs))[0] for outs in outputs)
     gaps = []
     for level in range(refinement_levels):
         gap = max(flow.distance(a, b) for a, b in zip(outputs[level], outputs[level + 1]))
@@ -264,24 +262,12 @@ def check_limit_contraction(
         )
 
     bound_target = float(np.exp(lam * span))
-    worst_target = -np.inf
-    witness = None
-    for i in range(0, len(points), 2):
-        d0 = flow.distance(points[i], points[i + 1])
-        if d0 == 0:
-            continue
-        ratio = flow.distance(target_outs[i], target_outs[i + 1]) / d0
-        if ratio > worst_target:
-            worst_target = ratio
-            witness = {
-                "x": [float(v) for v in points[i]],
-                "y": [float(v) for v in points[i + 1]],
-            }
+    worst_target, i = _worst_ratio(flow, pairs, paired(target_outs))
     holds = worst_approx <= bound_approx and worst_target <= bound_target * (1.0 + 1e-4)
     return Certificate(
         holds=bool(holds),
         margin=float(worst_target),
-        witness=witness,
+        witness={"x": [float(v) for v in pairs[i][0]], "y": [float(v) for v in pairs[i][1]]},
         grid_spec={
             "refinement_levels": int(refinement_levels),
             "cauchy_gaps": gaps,

@@ -29,6 +29,9 @@ class TestFindRstar:
     def test_bad_flag_value_exits_64(self, capsys):
         assert run_cli("find-rstar", "--tol", "bogus") == 64
 
+    def test_tolerance_below_float_spacing_exits_0(self, capsys):
+        assert run_cli("find-rstar", "--tol", "1e-300") == 0
+
     def test_malformed_interval_exits_64(self, capsys):
         assert run_cli("find-rstar", "--interval", "nope") == 64
 

@@ -82,6 +82,12 @@ class TestFindRStar:
         with pytest.raises(ValueError):
             find_r_star((-1.0, 2.0), 1e-13)
 
+    @pytest.mark.parametrize("tol", [1e-16, 1e-300])
+    def test_tolerance_below_float_spacing(self, r_star_cert, tol):
+        # No bracket narrower than two adjacent floats exists near the root;
+        # bisection must stop there instead of looping forever.
+        assert abs(find_r_star((0.1, 4.0), tol).r_star - r_star_cert.r_star) <= 1e-12
+
     def test_json_has_all_fields_at_full_precision(self, r_star_cert):
         doc = json.loads(r_star_cert.to_json())
         assert list(doc) == ["r_star", "first_order_residual", "second_order_value", "f_at_rstar"]

@@ -132,17 +132,6 @@ class TestTrajectory:
         out = traj.dense_eval(np.array([0.1, 0.2, 0.3]))
         assert out.shape == (3, 1)
 
-    def test_csv_export_roundtrip(self, tmp_path):
-        traj = integrate(decay_field(), ConstantInput([0.0]), [1.0], (0.0, 1.0))
-        path = tmp_path / "traj.csv"
-        traj.export_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,x1"
-        assert len(lines) == len(traj.times) + 1
-        t_back, x_back = zip(*(map(float, line.split(",")) for line in lines[1:]))
-        assert np.array_equal(np.array(t_back), traj.times)
-        assert np.array_equal(np.array(x_back), traj.states[:, 0])
-
 
 class TestInputSignals:
     def test_concat_before_boundary(self):

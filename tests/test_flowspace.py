@@ -3,11 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from contraction_lab.contraction import linear_additive_field
+from contraction_lab.contraction import (
+    RiemannianMetric,
+    check_contraction_region,
+    check_uniform_contraction,
+    linear_additive_field,
+)
 from contraction_lab.counterexample import circle_field
 from contraction_lab.dynamics import ConstantInput, PeriodicInput, VectorField, concat
 from contraction_lab.errors import ApproximationNotConvergingError
 from contraction_lab.flowspace import (
+    FlowMap,
     PiecewiseSchedule,
     check_limit_contraction,
     check_piecewise_contraction,
@@ -234,3 +240,58 @@ class TestRateConventionBridge:
         out = check_piecewise_contraction(flow, (-1.0, 1.0), -1.0, sched, [([1.0], [-1.0])])
         assert out.holds
         assert out.margin == pytest.approx(math.exp(-2.0), rel=1e-8)
+
+
+# Tie-breaking: when several grid points, inputs or pairs share the largest
+# value exactly, the certificate's witness is the first of them in grid
+# order (first axis slowest) or in the order the pairs were given.
+
+UNIT_METRIC = RiemannianMetric.constant([[1.0]])
+
+
+def cubic_drift_field(dim):
+    # x' = -x + x^3/3 per coordinate; Jacobian diag(x_i^2 - 1) is even in each x_i.
+    return VectorField(lambda x, u: -x + x**3 / 3.0, dim, dim, jacobian=lambda x, u: np.diag(x * x - 1.0))
+
+
+def region_tie_1d():
+    # Values 2(x^2 - 1) at x = -1, 0, 1: the two ends tie at 0.
+    cert = check_contraction_region(cubic_drift_field(1), UNIT_METRIC, (-1.0, 1.0), 3, 0.0, [0.0])
+    return cert, 0.0, {"x": [-1.0], "c": [0.0]}
+
+
+def region_tie_2d():
+    # (0, 1), (1, 0) and (1, 1) tie at 0; (0, 1) comes first only when x1 is the slowest axis.
+    metric = RiemannianMetric.constant(np.eye(2))
+    cert = check_contraction_region(cubic_drift_field(2), metric, [(0.0, 1.0), (0.0, 1.0)], 2, 0.0, [0.0, 0.0])
+    return cert, 0.0, {"x": [0.0, 1.0], "c": [0.0, 0.0]}
+
+
+def uniform_tie():
+    # x' = (u^2 - 1) x: inputs -1 and 1 tie at 2(u^2 - 1) + beta = 1 at every state.
+    field = VectorField(lambda x, u: (u * u - 1.0) * x, 1, 1, jacobian=lambda x, u: np.array([[u[0] * u[0] - 1.0]]))
+    cert = check_uniform_contraction(field, UNIT_METRIC, (-1.0, 1.0), 3, (-1.0, 1.0), 3, 1.0)
+    return cert, 1.0, {"x": [-1.0], "c": [-1.0]}
+
+
+def piecewise_tie():
+    # Doubling the first coordinate: the last two pairs tie at ratio 2; the
+    # zero-distance pair in front is skipped and never flowed.
+    applied = []
+
+    def stretch(signal, t1, t2, point):
+        applied.append(point)
+        return np.array([2.0 * point[0], point[1]])
+
+    pairs = [([1.0, 1.0], [1.0, 1.0]), ([0.0, 0.0], [0.0, 1.0]), ([0.0, 0.0], [1.0, 0.0]), ([5.0, 5.0], [6.0, 5.0])]
+    schedule = PiecewiseSchedule([0.0], [1.0], 0.0, 1.0)
+    cert = check_piecewise_contraction(FlowMap(stretch), (-1.0, 1.0), math.log(2.0), schedule, pairs)
+    assert len(applied) == 6
+    return cert, 2.0, {"x": [0.0, 0.0], "y": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize("case", [region_tie_1d, region_tie_2d, uniform_tie, piecewise_tie])
+def test_tied_maximum_reports_first_witness(case):
+    cert, margin, witness = case()
+    assert cert.margin == margin
+    assert cert.witness == witness

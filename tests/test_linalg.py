@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,17 @@ class TestMaxEigenvalue:
             expected = np.linalg.eigvalsh(a)
             got = symmetric_eigenvalues(a)
             assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
+
+    def test_matches_mpmath_oracle(self, rng):
+        # Independent of LAPACK: mpmath's symmetric eigensolver at 40 digits
+        # on the same entries, which convert to mpf exactly.
+        for _ in range(30):
+            n = int(rng.integers(2, 9))
+            a = random_symmetric(rng, n, scale=rng.uniform(0.1, 10))
+            with mp.workdps(40):
+                exact = np.sort([float(v) for v in mp.eigsy(mp.matrix(a.tolist()), eigvals_only=True)])
+            got = symmetric_eigenvalues(a)
+            assert np.max(np.abs(got - exact)) <= 1e-12 * np.max(np.abs(exact))
 
     def test_similarity_invariance(self, rng):
         # QR of a random matrix gives a random orthogonal Q; the largest
