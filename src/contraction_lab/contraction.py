@@ -22,7 +22,7 @@ import numpy as np
 
 from .certificates import Certificate
 from .dynamics import VectorField
-from .errors import DimensionMismatchError, MetricAppearsConstantError
+from .errors import DimensionMismatchError, MetricAppearsConstantError, NonFiniteError
 from .linalg import max_eigenvalue, symmetric_part
 
 __all__ = [
@@ -93,20 +93,35 @@ class RiemannianMetric:
         return cls(1, lambda x: np.array([[m_fn(float(x[0]))]]), grad_fn, lower_bound, name)
 
 
+def _check_dimensions(field: VectorField, metric: RiemannianMetric, state_dim: int, input_dim: int) -> None:
+    if state_dim != field.state_dim or metric.dim != field.state_dim:
+        raise DimensionMismatchError(
+            f"state dim {state_dim}, field dim {field.state_dim}, metric dim {metric.dim}"
+        )
+    if input_dim != field.input_dim:
+        raise DimensionMismatchError(f"input dim {input_dim}, field expects {field.input_dim}")
+
+
+def _contraction_terms(field: VectorField, metric: RiemannianMetric, x: np.ndarray, c: np.ndarray):
+    """Symmetrized J^T M + M J + Mdot at x under c, and the M(x) it used.
+
+    Unchecked: the caller has validated the dimensions of x and c.
+    """
+    jac = field.jacobian_x(x, c)
+    m = metric.eval(x)
+    a = jac.T @ m + m @ jac + metric.grad(x) @ field(x, c)
+    return (a + a.T) / 2.0, m
+
+
 def contraction_matrix(field: VectorField, metric: RiemannianMetric, x, c) -> np.ndarray:
     """Symmetrized J^T M + M J + Mdot at state x under constant input c."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    if x.shape[0] != field.state_dim or metric.dim != field.state_dim:
-        raise DimensionMismatchError(
-            f"state dim {x.shape[0]}, field dim {field.state_dim}, metric dim {metric.dim}"
-        )
-    if c.shape[0] != field.input_dim:
-        raise DimensionMismatchError(f"input dim {c.shape[0]}, field expects {field.input_dim}")
-    jac = field.jacobian_x(x, c)
-    m = metric.eval(x)
-    mdot = metric.grad(x) @ field(x, c)
-    return symmetric_part(jac.T @ m + m @ jac + mdot)
+    _check_dimensions(field, metric, x.shape[0], c.shape[0])
+    sym, _ = _contraction_terms(field, metric, x, c)
+    if not np.all(np.isfinite(sym)):
+        raise NonFiniteError("contraction matrix has non-finite entries")
+    return sym
 
 
 def scalar_metric(x):
@@ -185,19 +200,22 @@ def check_contraction_region(
 
     Holds iff the value is <= 0 at every grid point; the margin is the
     largest value seen and the witness the first grid point attaining it.
+    Dimensions are checked once, before any field or metric call
+    (``DimensionMismatchError``); a non-finite value at any grid point
+    raises ``NonFiniteError``.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     region, counts, axes = _axes(region, resolution)
-    if region.shape[0] != field.state_dim:
-        raise DimensionMismatchError("region dimension must match the state dimension")
     c = np.atleast_1d(np.asarray(c, dtype=float))
+    _check_dimensions(field, metric, region.shape[0], c.shape[0])
+
+    def value(x):
+        sym, m = _contraction_terms(field, metric, x, c)
+        return max_eigenvalue(sym + beta * m)
+
     grid = _grid_points(axes)
-    values = np.fromiter(
-        (max_eigenvalue(contraction_matrix(field, metric, x, c) + beta * metric.eval(x)) for x in grid),
-        dtype=float,
-        count=len(grid),
-    )
+    values = np.fromiter((value(x) for x in grid), dtype=float, count=len(grid))
     i = int(np.argmax(values))
     worst = values[i]
     return Certificate(
@@ -294,6 +312,14 @@ def find_violating_input(
     N*alpha exceeds |z^T (J^T M + M J + Mdot1) z|, which makes the quadratic
     form positive.  Requires an additive-shaped system (input_dim ==
     state_dim).
+
+    The candidates are the x grid (first axis slowest), the unit vectors
+    followed by ``c_direction_samples`` random unit directions, and the unit
+    vectors followed by ``z_search`` random unit vectors, all drawn from
+    ``seed``.  The winner is the first triple attaining the largest |alpha|
+    in the order x slowest, then c0, then z.  Raises ``NonFiniteError`` when
+    a sampled metric gradient, or the winner's alpha or unforced quadratic
+    form, is not finite.
     """
     n = field.state_dim
     if field.input_dim != n:
@@ -303,8 +329,10 @@ def find_violating_input(
         raise DimensionMismatchError("x_search must have one (lo, hi) pair per state dimension")
 
     xs = _grid_points(axes)
-    grads = [metric.grad(x) for x in xs]
-    grad_scale = max(float(np.max(np.abs(g))) for g in grads)
+    grads = np.array([metric.grad(x) for x in xs])
+    if not np.all(np.isfinite(grads)):
+        raise NonFiniteError("a sampled metric gradient has non-finite entries")
+    grad_scale = float(np.max(np.abs(grads)))
     if grad_scale < 1e-10:
         raise MetricAppearsConstantError(
             f"all sampled metric gradients are below 1e-10 (max {grad_scale:.3e})"
@@ -317,21 +345,25 @@ def find_violating_input(
         for _ in range(count):
             v = rng.normal(size=n)
             vecs.append(v / np.linalg.norm(v))
-        return vecs
+        return np.array(vecs)
 
     c_dirs = unit_samples(c_direction_samples)
     zs = unit_samples(z_search)
+    zz = np.einsum("zi,zj->ijz", zs, zs).reshape(n * n, len(zs))  # column z is z (x) z
 
-    best = None  # (|alpha|, x, grad M(x), c0, z, alpha)
-    for x, g in zip(xs, grads):
-        for c0 in c_dirs:
-            mdot2 = g @ c0
-            for z in zs:
-                alpha = float(z @ mdot2 @ z)
-                if best is None or abs(alpha) > best[0]:
-                    best = (abs(alpha), x, g, c0, z, alpha)
-    abs_alpha, x, g, c0, z, alpha = best
-    if abs_alpha < 1e-12:
+    # One (c0, z) block of |alpha| per state; the flat argmax is the first
+    # maximum with z fastest, and the strict > keeps the earliest state.
+    best_abs, best = -1.0, (0, 0)
+    for i, g in enumerate(grads):
+        block = np.abs(c_dirs @ g.reshape(n * n, n).T @ zz)
+        k = int(np.argmax(block))
+        if block.flat[k] > best_abs:
+            best_abs, best = block.flat[k], (i, k)
+    i, k = best
+    x, g = xs[i], grads[i]
+    c0, z = c_dirs[k // len(zs)], zs[k % len(zs)]
+    alpha = float(z @ (g @ c0) @ z)
+    if abs(alpha) < 1e-12:
         raise MetricAppearsConstantError("no sampled direction produces a nonzero metric drift")
     if alpha < 0:
         c0 = -c0
@@ -342,6 +374,8 @@ def find_violating_input(
     m = metric.eval(x)
     mdot1 = g @ field(x, zero)
     beta_val = float(z @ (jac.T @ m + m @ jac + mdot1) @ z)
+    if not (np.isfinite(alpha) and np.isfinite(beta_val)):
+        raise NonFiniteError(f"violation terms are not finite at x={x.tolist()}: alpha {alpha}, form {beta_val}")
 
     big_n = 1.0
     while not big_n * alpha > abs(beta_val):

@@ -16,10 +16,61 @@ from contraction_lab.contraction import (
     scalar_metric_derivative,
 )
 from contraction_lab.dynamics import PiecewiseConstantInput, VectorField, integrate
-from contraction_lab.errors import DimensionMismatchError, MetricAppearsConstantError
+from contraction_lab.errors import DimensionMismatchError, MetricAppearsConstantError, NonFiniteError
 
 X_PAPER = 4.0 * math.sqrt(2.0 * math.pi)
 BETA = 1.0 / 3.0
+
+
+def coupled_metric(n):
+    """M(x) = 3 I + sin(x_i + x_j)/2: every entry depends on the state."""
+    eye = np.eye(n)
+
+    def evaluate(x):
+        return 3.0 * eye + 0.5 * np.sin(x[:, None] + x[None, :])
+
+    def gradient(x):
+        return 0.5 * np.cos(x[:, None] + x[None, :])[:, :, None] * (eye[:, None, :] + eye[None, :, :])
+
+    return RiemannianMetric(n, evaluate, gradient, lower_bound=2.0, name="coupled sine metric")
+
+
+def reference_violating_input(field, metric, x_search, x_resolution, seed, z_search=16, c_direction_samples=16):
+    """The streaming (x, c0, z) triple loop that find_violating_input must match exactly."""
+    n = field.state_dim
+    axes = [np.linspace(lo, hi, x_resolution) for lo, hi in np.asarray(x_search, dtype=float).reshape(-1, 2)]
+    xs = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    rng = np.random.default_rng(seed)
+
+    def unit_samples(count):
+        vecs = [np.eye(n)[i] for i in range(n)]
+        for _ in range(count):
+            v = rng.normal(size=n)
+            vecs.append(v / np.linalg.norm(v))
+        return vecs
+
+    c_dirs = unit_samples(c_direction_samples)
+    zs = unit_samples(z_search)
+    best = None
+    for x in xs:
+        g = metric.grad(x)
+        for c0 in c_dirs:
+            mdot2 = g @ c0
+            for z in zs:
+                alpha = float(z @ mdot2 @ z)
+                if best is None or abs(alpha) > best[0]:
+                    best = (abs(alpha), x, g, c0, z, alpha)
+    _, x, g, c0, z, alpha = best
+    if alpha < 0:
+        c0, alpha = -c0, -alpha
+    zero = np.zeros(n)
+    jac = field.jacobian_x(x, zero)
+    m = metric.eval(x)
+    beta_val = float(z @ (jac.T @ m + m @ jac + g @ field(x, zero)) @ z)
+    big_n = 1.0
+    while not big_n * alpha > abs(beta_val):
+        big_n *= 2.0
+    return x, big_n * c0, z, beta_val + big_n * alpha
 
 
 class TestContractionMatrix:
@@ -117,6 +168,38 @@ class TestCheckContractionRegion:
         with pytest.raises(ValueError):
             check_contraction_region(field, metric, (-1.0, 1.0), 11, -0.1, [0.0])
 
+    @pytest.mark.parametrize(
+        "metric_dim, c, region",
+        [(2, [0.0], (-1.0, 1.0)), (1, [0.0, 0.0], (-1.0, 1.0)), (1, [0.0], [(-1.0, 1.0), (-1.0, 1.0)])],
+        ids=["metric", "input", "region"],
+    )
+    def test_dimension_mismatch_before_any_evaluation(self, metric_dim, c, region):
+        calls = []
+
+        def f(x, u):
+            calls.append("field")
+            return -x + u
+
+        def evaluate(x):
+            calls.append("metric")
+            return np.eye(metric_dim)
+
+        field = VectorField(f, 1, 1, name="counting")
+        metric = RiemannianMetric(metric_dim, evaluate, lambda x: np.zeros((metric_dim,) * 3))
+        with pytest.raises(DimensionMismatchError):
+            check_contraction_region(field, metric, region, 5, BETA, c)
+        assert calls == []
+
+    def test_nan_metric_at_interior_point(self):
+        nan_at = 0.5
+        metric = RiemannianMetric.from_scalar(
+            lambda x: math.nan if x == nan_at else 1.0, lambda x: 0.0, name="nan at one point"
+        )
+        xs = np.linspace(-1.0, 1.0, 5)
+        assert xs[3] == nan_at
+        with pytest.raises(NonFiniteError):
+            check_contraction_region(linear_additive_field(1), metric, (-1.0, 1.0), 5, BETA, [0.0])
+
 
 class TestGradients:
     def test_finite_difference_grad_matches_analytic(self, rng):
@@ -207,6 +290,44 @@ class TestFindViolatingInput:
         a = find_violating_input(field, metric, (-3.0, 3.0), seed=0)
         b = find_violating_input(field, metric, (-3.0, 3.0), seed=0)
         assert np.array_equal(a.c, b.c) and np.array_equal(a.x, b.x) and a.value == b.value
+
+    @pytest.mark.parametrize(
+        "system, x_search, x_resolution",
+        [
+            ("scalar", (-7.0, -2.0), 21),
+            ("scalar", (-3.0, 3.0), 21),  # |alpha| ties between x and -x
+            ("coupled-2", [(-2.0, 0.5), (-1.0, 1.5)], 9),
+            ("coupled-2", [(-3.0, 3.0), (-3.0, 3.0)], 9),
+            ("coupled-3", [(-3.0, 3.0)] * 3, 4),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_matches_streaming_reference_exactly(self, scalar_system, system, x_search, x_resolution, seed):
+        if system == "scalar":
+            field, metric = scalar_system
+        else:
+            n = int(system[-1])
+            field, metric = linear_additive_field(n), coupled_metric(n)
+        found = find_violating_input(field, metric, x_search, x_resolution=x_resolution, seed=seed)
+        x, c, z, value = reference_violating_input(field, metric, x_search, x_resolution, seed)
+        assert np.array_equal(found.x, x)
+        assert np.array_equal(found.c, c)
+        assert np.array_equal(found.z, z)
+        assert found.value == value
+
+    def test_non_finite_gradient_raises(self):
+        # The NaN gradient sits at the first grid point; the search must not
+        # let it win the comparison and loop forever on a NaN alpha.
+        metric = RiemannianMetric.from_scalar(lambda x: 2.0, lambda x: math.nan if x <= -3.0 else x)
+        with pytest.raises(NonFiniteError):
+            find_violating_input(linear_additive_field(1), metric, (-3.0, 3.0))
+
+    def test_non_finite_metric_at_witness_raises(self):
+        # |m'| is largest at x = -3, where M itself is NaN: the unforced
+        # quadratic form is NaN and the doubling of N would never stop.
+        metric = RiemannianMetric.from_scalar(lambda x: math.nan if x < 0.0 else 2.0, lambda x: x)
+        with pytest.raises(NonFiniteError):
+            find_violating_input(linear_additive_field(1), metric, (-3.0, 3.0))
 
     def test_certificate_view_serializes_witness(self, scalar_system):
         import json
