@@ -87,7 +87,6 @@ def _build_parser() -> _Parser:
     p_rstar.add_argument("--interval", type=_interval, default=(0.1, 4.0))
     p_rstar.add_argument("--tol", type=_positive, default=1e-13)
     p_rstar.add_argument("--out", default=None)
-    p_rstar.add_argument("--format", choices=("json", "csv", "both"), default="json")
 
     p_run = sub.add_parser("run", help="run a named experiment")
     p_run.add_argument("experiment", choices=EXPERIMENTS)
@@ -388,6 +387,16 @@ def _cmd_run(parser, args) -> int:
     return 0 if confirmed else 1
 
 
+def _artifact_fields(doc) -> tuple:
+    """(experiment, claim, confirmed) of an artifact; TypeError if mistyped."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+    experiment, claim, confirmed = doc["experiment"], doc["claim"], doc["confirmed"]
+    if not (isinstance(experiment, str) and isinstance(claim, str) and isinstance(confirmed, bool)):
+        raise TypeError("'experiment' and 'claim' must be strings and 'confirmed' a boolean")
+    return experiment, claim, confirmed
+
+
 def _cmd_report(args) -> int:
     if not os.path.isdir(args.dir):
         print(f"error: {args.dir} is not a directory", file=sys.stderr)
@@ -400,10 +409,8 @@ def _cmd_report(args) -> int:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            experiment = doc["experiment"]
-            claim = doc["claim"]
-            confirmed = doc["confirmed"]
-        except (json.JSONDecodeError, KeyError, UnicodeDecodeError, OSError) as exc:
+            experiment, claim, confirmed = _artifact_fields(doc)
+        except (json.JSONDecodeError, KeyError, TypeError, UnicodeDecodeError, OSError) as exc:
             print(f"error: unreadable output {path}: {exc}", file=sys.stderr)
             return 2
         rows.append((experiment, "pass" if confirmed else "FAIL", claim))

@@ -216,9 +216,12 @@ def shift_signal(u: InputSignal, offset: float) -> InputSignal:
 class Trajectory:
     """Time-stamped states from accepted integrator steps.
 
-    ``dense_eval`` interpolates with a cubic Hermite polynomial on each
-    accepted step, using the derivative of the dynamics at both step ends
-    (left-limit at input discontinuities).
+    ``states`` has shape ``(T, n)`` for one start or ``(T, N, n)`` for a
+    lockstep batch of N starts.  ``dense_eval`` interpolates with a cubic
+    Hermite polynomial on each accepted step, using the derivative of the
+    dynamics at both step ends (left-limit at input discontinuities); it
+    returns ``(m,) + state shape`` for m query times, or the state shape for
+    a scalar time.
     """
 
     def __init__(self, times, states, deriv_start, deriv_end):
@@ -254,16 +257,14 @@ class Trajectory:
         h = self.times[idx + 1] - ta
         s = (t_arr - ta) / h
         s2, s3 = s * s, s * s * s
-        h00 = 2 * s3 - 3 * s2 + 1
-        h10 = s3 - 2 * s2 + s
-        h01 = -2 * s3 + 3 * s2
-        h11 = s3 - s2
-        out = (
-            h00[:, None] * self.states[idx]
-            + (h10 * h)[:, None] * self._d0[idx]
-            + h01[:, None] * self.states[idx + 1]
-            + (h11 * h)[:, None] * self._d1[idx]
-        )
+        # One weight per query time, broadcast over the state axes of a
+        # single state (n,) or a lockstep batch (N, n).
+        shape = (-1,) + (1,) * (self.states.ndim - 1)
+        h00 = (2 * s3 - 3 * s2 + 1).reshape(shape)
+        h10 = ((s3 - 2 * s2 + s) * h).reshape(shape)
+        h01 = (-2 * s3 + 3 * s2).reshape(shape)
+        h11 = ((s3 - s2) * h).reshape(shape)
+        out = h00 * self.states[idx] + h10 * self._d0[idx] + h01 * self.states[idx + 1] + h11 * self._d1[idx]
         return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
@@ -391,8 +392,13 @@ def _steps(field, signal, x0, t_span, config=None):
 def integrate(field: VectorField, signal: InputSignal, x0, t_span, config: IntegratorConfig | None = None) -> Trajectory:
     """Solve x' = f(x, u(t)) over ``t_span`` with local error control.
 
-    Integration restarts exactly at every input discontinuity inside the
-    span, so each Runge-Kutta step sees a smooth right-hand side.
+    ``x0`` is one state ``(n,)`` or a batch ``(N, n)`` of starts that share
+    the signal and are advanced in lockstep; the field must then treat the
+    rows independently.  A shared step is accepted only when the largest
+    per-row error norm is within tolerance, so no row's local error is
+    worse than it would be integrated alone.  Integration restarts exactly
+    at every input discontinuity inside the span, so each Runge-Kutta step
+    sees a smooth right-hand side.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     ts, xs, d0s, d1s = [float(t_span[0])], [x0.copy()], [], []

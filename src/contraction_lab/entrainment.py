@@ -65,7 +65,11 @@ class EntrainmentVerdict:
 
 
 def poincare_map(field: VectorField, signal: PeriodicInput, x0, config: IntegratorConfig | None = None) -> np.ndarray:
-    """State reached at time T from x0 at time 0 under the periodic input."""
+    """State reached at time T from x0 at time 0 under the periodic input.
+
+    ``x0`` is one state ``(n,)`` or a batch ``(N, n)``, mapped in one
+    lockstep integration; the result has the shape of ``x0``.
+    """
     if not isinstance(signal, PeriodicInput):
         raise TypeError("poincare_map requires a periodic input signal")
     traj = integrate(field, signal, x0, (0.0, signal.period), config)
@@ -89,17 +93,17 @@ def detect_entrainment(
     divergence trigger).  Anything else after ``max_iterations`` returns
     inconclusive.
     """
-    initial = [np.atleast_1d(np.asarray(x, dtype=float)) for x in initial_set]
-    if len(initial) < 2:
+    current = np.stack([np.atleast_1d(np.asarray(x, dtype=float)) for x in initial_set])
+    if len(current) < 2:
         raise ValueError("need at least two initial conditions")
-    current = [x.copy() for x in initial]
-    iterates = [[x.copy()] for x in initial]
-    pairs = [(i, j) for i in range(len(initial)) for j in range(i + 1, len(initial))]
+    iterates = [[x.copy()] for x in current]
+    pairs = [(i, j) for i in range(len(current)) for j in range(i + 1, len(current))]
     min_dist = {p: float(np.linalg.norm(current[p[0]] - current[p[1]])) for p in pairs}
 
     for it in range(1, max_iterations + 1):
         prev = current
-        current = [poincare_map(field, signal, x, config) for x in prev]
+        # Every start shares the signal, so one lockstep return map moves them all.
+        current = poincare_map(field, signal, prev, config)
         for x, seq in zip(current, iterates):
             seq.append(x.copy())
         for i, j in pairs:
@@ -112,7 +116,7 @@ def detect_entrainment(
         if max(diffs) < tol:
             spread = max(float(np.linalg.norm(current[i] - current[j])) for i, j in pairs)
             if spread <= 10.0 * tol:
-                limit = np.mean(np.stack(current, axis=0), axis=0)
+                limit = np.mean(current, axis=0)
                 return EntrainmentVerdict(ENTRAINS, orbit_sample=limit, iterates=iterates, iterations=it)
     return EntrainmentVerdict(INCONCLUSIVE, iterates=iterates, iterations=max_iterations)
 

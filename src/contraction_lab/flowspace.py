@@ -47,9 +47,11 @@ def _euclidean(x, y) -> float:
 class FlowMap:
     """Mapping (signal, t1, t2, point) -> point on R^n with a distance d.
 
-    Satisfies the composition law numerically: applying over [t1, t2] and
-    then [t2, t3] equals applying the concatenation at t2 over [t1, t3],
-    within integrator tolerance.
+    ``apply`` takes one point ``(n,)`` or a batch ``(N, n)`` of points that
+    share the signal and returns the same shape; ``apply_fn`` must map the
+    rows of a batch independently.  Satisfies the composition law
+    numerically: applying over [t1, t2] and then [t2, t3] equals applying
+    the concatenation at t2 over [t1, t3], within integrator tolerance.
     """
 
     def __init__(self, apply_fn, distance=None, name: str = ""):
@@ -57,17 +59,24 @@ class FlowMap:
         self.distance = distance or _euclidean
         self.name = name
 
-    def apply(self, signal: InputSignal, t1: float, t2: float, point) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self._apply(signal, float(t1), float(t2), point), dtype=float))
+    def apply(self, signal: InputSignal, t1: float, t2: float, points) -> np.ndarray:
+        points = np.atleast_1d(np.asarray(points, dtype=float))
+        images = np.atleast_1d(np.asarray(self._apply(signal, float(t1), float(t2), points), dtype=float))
+        if images.shape != points.shape:
+            raise ValueError(f"flow mapped points of shape {points.shape} to shape {images.shape}")
+        return images
 
 
 def flow_from_field(field: VectorField, config: IntegratorConfig | None = None, distance=None) -> FlowMap:
-    """The ODE solution operator of ``field`` as a FlowMap."""
+    """The ODE solution operator of ``field`` as a FlowMap.
 
-    def apply_fn(signal, t1, t2, point):
+    A batch of points goes through ``integrate`` as one lockstep run.
+    """
+
+    def apply_fn(signal, t1, t2, points):
         if not t2 > t1:
             raise ValueError("flow application requires t2 > t1")
-        return integrate(field, signal, point, (t1, t2), config).final_state
+        return integrate(field, signal, points, (t1, t2), config).final_state
 
     return FlowMap(apply_fn, distance=distance, name=field.name or "ode flow")
 
@@ -152,6 +161,16 @@ def _worst_ratio(flow: FlowMap, starts, ends) -> tuple[float, int]:
     return max(ratios, key=lambda ratio: ratio[0])
 
 
+def _as_pairs(point_pairs) -> list:
+    """Each pair (x, y) as a ``(2, n)`` array: row 0 is x, row 1 is y."""
+    return [np.stack([np.atleast_1d(np.asarray(p, dtype=float)) for p in pair]) for pair in point_pairs]
+
+
+def _paired(outs) -> list:
+    """Rows 2k and 2k + 1 of a flowed batch as the image of pair k."""
+    return list(zip(outs[0::2], outs[1::2]))
+
+
 def check_piecewise_contraction(
     flow: FlowMap,
     box,
@@ -168,18 +187,17 @@ def check_piecewise_contraction(
     """
     if not schedule.values_within(box):
         raise ValueError("schedule values leave the declared input box")
-    pairs = [(x, y) for x, y in point_pairs if flow.distance(x, y) > 0]
+    pairs = [pair for pair in _as_pairs(point_pairs) if flow.distance(*pair) > 0]
     if not pairs:
         raise ValueError("need at least one pair of distinct points")
-    signal = schedule.as_signal()
     bound = float(np.exp(lam * schedule.span)) * (1.0 + 1e-6)
-    ends = [tuple(flow.apply(signal, schedule.t1, schedule.t2, p) for p in pair) for pair in pairs]
+    ends = _paired(flow.apply(schedule.as_signal(), schedule.t1, schedule.t2, np.concatenate(pairs)))
     worst, i = _worst_ratio(flow, pairs, ends)
     x, y = pairs[i]
     return Certificate(
         holds=bool(worst <= bound),
         margin=float(worst),
-        witness={"x": [float(v) for v in np.atleast_1d(x)], "y": [float(v) for v in np.atleast_1d(y)]},
+        witness={"x": [float(v) for v in x], "y": [float(v) for v in y]},
         grid_spec={
             "pieces": schedule.piece_count(),
             "span": [schedule.t1, schedule.t2],
@@ -227,21 +245,19 @@ def check_limit_contraction(
         if np.any(v < box_arr[:, 0] - 1e-12) or np.any(v > box_arr[:, 1] + 1e-12):
             raise ValueError(f"target signal leaves the input box at t={t}")
 
-    pairs = [tuple(np.atleast_1d(np.asarray(p, dtype=float)) for p in pair) for pair in point_pairs]
-    if not any(flow.distance(x, y) > 0 for x, y in pairs):
+    pairs = _as_pairs(point_pairs)
+    if not any(flow.distance(*pair) > 0 for pair in pairs):
         raise ValueError("need at least one pair of distinct points")
-    points = [p for pair in pairs for p in pair]
-
-    def paired(outs):
-        return list(zip(outs[0::2], outs[1::2]))
+    points = np.concatenate(pairs)
 
     span = t2 - t1
     bound_approx = float(np.exp(lam * span)) * (1.0 + 1e-6)
-    outputs = []
-    for level in range(refinement_levels + 1):
-        signal = _dyadic_schedule(target_signal, level, t1, t2).as_signal()
-        outputs.append([flow.apply(signal, t1, t2, p) for p in points])
-    worst_approx = max(_worst_ratio(flow, pairs, paired(outs))[0] for outs in outputs)
+    # One lockstep batch per level: every point of a level shares its signal.
+    outputs = [
+        flow.apply(_dyadic_schedule(target_signal, level, t1, t2).as_signal(), t1, t2, points)
+        for level in range(refinement_levels + 1)
+    ]
+    worst_approx = max(_worst_ratio(flow, pairs, _paired(outs))[0] for outs in outputs)
     gaps = []
     for level in range(refinement_levels):
         gap = max(flow.distance(a, b) for a, b in zip(outputs[level], outputs[level + 1]))
@@ -253,7 +269,7 @@ def check_limit_contraction(
                 f"(previous {gaps[level - 1]:.3e})"
             )
 
-    target_outs = [flow.apply(target_signal, t1, t2, p) for p in points]
+    target_outs = flow.apply(target_signal, t1, t2, points)
     tail = max(flow.distance(a, b) for a, b in zip(outputs[-1], target_outs))
     if tail > max(2.0 * gaps[-1], 1e-8):
         raise ApproximationNotConvergingError(
@@ -262,7 +278,7 @@ def check_limit_contraction(
         )
 
     bound_target = float(np.exp(lam * span))
-    worst_target, i = _worst_ratio(flow, pairs, paired(target_outs))
+    worst_target, i = _worst_ratio(flow, pairs, _paired(target_outs))
     holds = worst_approx <= bound_approx and worst_target <= bound_target * (1.0 + 1e-4)
     return Certificate(
         holds=bool(holds),

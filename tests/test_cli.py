@@ -35,6 +35,11 @@ class TestFindRstar:
     def test_malformed_interval_exits_64(self, capsys):
         assert run_cli("find-rstar", "--interval", "nope") == 64
 
+    def test_format_flag_rejected(self, tmp_path, capsys):
+        # find-rstar writes JSON only and takes no --format flag.
+        assert run_cli("find-rstar", "--format", "csv", "--out", str(tmp_path)) == 64
+        assert not (tmp_path / "find-rstar.json").exists()
+
     def test_writes_artifact(self, tmp_path, capsys):
         out = tmp_path / "arts"
         assert run_cli("find-rstar", "--out", str(out)) == 0
@@ -124,8 +129,20 @@ class TestReport:
     def test_missing_directory_exits_2(self, capsys):
         assert run_cli("report", "/nonexistent/dir") == 2
 
-    def test_corrupted_json_exits_2(self, tmp_path, capsys):
-        (tmp_path / "broken.json").write_text("{not json")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            "[]",
+            '"artifact"',
+            '{"experiment": 5, "claim": "c", "confirmed": true}',
+            '{"experiment": "e", "claim": null, "confirmed": true}',
+            '{"experiment": "e", "claim": "c", "confirmed": "yes"}',
+            '{"experiment": "e", "claim": "c", "confirmed": 1}',
+        ],
+    )
+    def test_corrupted_json_exits_2(self, tmp_path, capsys, text):
+        (tmp_path / "broken.json").write_text(text)
         assert run_cli("report", str(tmp_path)) == 2
         assert "broken.json" in capsys.readouterr().err
 

@@ -132,6 +132,30 @@ class TestTrajectory:
         out = traj.dense_eval(np.array([0.1, 0.2, 0.3]))
         assert out.shape == (3, 1)
 
+    # Hermite interpolation error between steps is about 1e-7 at the default
+    # tolerance and follows the step sequence, which a batch shares, so the
+    # batch is compared with single runs at a tolerance where it is ~1e-9.
+    TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+
+    @pytest.mark.parametrize("times", [[0.2, 0.5, 0.7], [0.1, 0.2, 0.5, 0.7, 1.9], [1.0]])
+    def test_dense_eval_lockstep_batch(self, times):
+        # Row k of a batch interpolates start k, as that start's own run does.
+        starts = [[1.0], [2.0], [3.0]]
+        batch = integrate(forced_linear(), sine_input(), starts, (0.0, 2.0), self.TIGHT).dense_eval(times)
+        assert batch.shape == (len(times), 3, 1)
+        for k, x0 in enumerate(starts):
+            alone = integrate(forced_linear(), sine_input(), x0, (0.0, 2.0), self.TIGHT).dense_eval(times)
+            assert np.max(np.abs(batch[:, k] - alone)) <= 1e-8
+            exact = [linear_sine_solution(t, x0[0]) for t in times]
+            assert np.max(np.abs(batch[:, k, 0] - exact)) <= 1e-8
+
+    def test_dense_eval_lockstep_batch_scalar_time(self):
+        traj = integrate(forced_linear(), sine_input(), [[1.0], [2.0], [3.0]], (0.0, 2.0), self.TIGHT)
+        out = traj.dense_eval(0.5)
+        assert out.shape == (3, 1)
+        for x0, row in zip((1.0, 2.0, 3.0), out):
+            assert row[0] == pytest.approx(linear_sine_solution(0.5, x0), abs=1e-8)
+
 
 class TestInputSignals:
     def test_concat_before_boundary(self):

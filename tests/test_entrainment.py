@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from contraction_lab.dynamics import PeriodicInput, VectorField, integrate
+from contraction_lab.dynamics import IntegratorConfig, PeriodicInput, VectorField, integrate
 from contraction_lab.entrainment import (
     DIVERGES,
     ENTRAINS,
@@ -22,6 +22,11 @@ def linear_sine_system():
     return field, signal
 
 
+def rotation_field():
+    # x' = (x2, -x1) row by row: a neutral rotation whose return map is the identity.
+    return VectorField(lambda x, u: np.stack([x[..., 1], -x[..., 0]], axis=-1), 2, 1)
+
+
 class TestPoincareMap:
     def test_fixed_point_of_linear_system(self):
         field, signal = linear_sine_system()
@@ -38,6 +43,21 @@ class TestPoincareMap:
         signal = PeriodicInput(1.0, lambda t: [0.0])
         out = poincare_map(field, signal, [3.0, -4.0])
         assert np.allclose(out, [3.0, -4.0], atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["linear", "counterexample"])
+    def test_batch_matches_each_row_alone(self, case, r_star, forced_system):
+        # A batch takes other steps than a single start, so the two agree to
+        # the global error: a few 1e-9 at the default tolerance on the forced
+        # orbit, about 2e-11 at the one used here.
+        config = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
+        if case == "linear":
+            (field, signal), batch = linear_sine_system(), [[-10.0], [0.0], [0.25], [10.0]]
+        else:
+            (field, signal), batch = forced_system, [[r_star, 0.0], [r_star - 0.1, 0.0], [-1.0, 2.0]]
+        out = poincare_map(field, signal, batch, config)
+        assert out.shape == np.shape(batch)
+        for x0, row in zip(batch, out):
+            assert np.max(np.abs(row - poincare_map(field, signal, x0, config))) <= 1e-9
 
     def test_requires_periodic_input(self):
         from contraction_lab.dynamics import ConstantInput
@@ -68,10 +88,30 @@ class TestDetectEntrainment:
         assert verdict.witness_pair == (0, 1)
 
     def test_neutral_rotation_inconclusive(self):
-        field = VectorField(lambda x, u: np.array([x[1], -x[0]]), 2, 1)
         signal = PeriodicInput(TWO_PI, lambda t: [0.0])
-        verdict = detect_entrainment(field, signal, [[1.0, 0.0], [2.0, 0.0]], 6, 1e-8)
+        verdict = detect_entrainment(rotation_field(), signal, [[1.0, 0.0], [2.0, 0.0]], 6, 1e-8)
         assert verdict.status == INCONCLUSIVE
+
+    @pytest.mark.parametrize(
+        "case, status, iterations",
+        [("linear", ENTRAINS, 5), ("counterexample", DIVERGES, 1), ("rotation", INCONCLUSIVE, 6)],
+    )
+    def test_matches_pointwise_iteration(self, case, status, iterations, r_star, forced_system):
+        # The lockstep return map reaches the verdict of iterating every start
+        # on its own, after the same number of iterations, with iterates that
+        # agree row by row to the global error at the default tolerance.
+        field, signal, starts, max_iterations = {
+            "linear": (*linear_sine_system(), [[-10.0], [0.0], [10.0]], 50),
+            "counterexample": (*forced_system, [[r_star, 0.0], [r_star - 0.1, 0.0]], 50),
+            "rotation": (rotation_field(), PeriodicInput(TWO_PI, lambda t: [0.0]), [[1.0, 0.0], [2.0, 0.0]], 6),
+        }[case]
+        verdict = detect_entrainment(field, signal, starts, max_iterations, 1e-8)
+        assert (verdict.status, verdict.iterations) == (status, iterations)
+        for start, seq in zip(starts, verdict.iterates):
+            x = np.asarray(start, dtype=float)
+            for mapped in seq[1:]:
+                x = poincare_map(field, signal, x)
+                assert np.max(np.abs(mapped - x)) <= 1e-8
 
     def test_permutation_invariance(self):
         field, signal = linear_sine_system()

@@ -10,7 +10,7 @@ from contraction_lab.contraction import (
     linear_additive_field,
 )
 from contraction_lab.counterexample import circle_field
-from contraction_lab.dynamics import ConstantInput, PeriodicInput, VectorField, concat
+from contraction_lab.dynamics import ConstantInput, PeriodicInput, PiecewiseConstantInput, VectorField, concat
 from contraction_lab.errors import ApproximationNotConvergingError
 from contraction_lab.flowspace import (
     FlowMap,
@@ -223,6 +223,90 @@ class TestLimitContraction:
             check_limit_contraction(flow, (-1.0, 1.0), -1.0, target, 4, [([0.0], [1.0])], (0.0, 1.0))
 
 
+def linear_flow_exact(signal, t1, t2, x0):
+    """Exact flow of x' = -x + u for a step input or u = a sin t (variation of constants)."""
+    if isinstance(signal, PiecewiseConstantInput):
+        x, cuts = x0, [t1, *signal.breakpoints_in(t1, t2), t2]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            c = signal.eval(a)
+            x = c + math.exp(-(b - a)) * (x - c)
+        return x
+    amplitude = signal.eval(0.5 * math.pi)
+
+    def particular(t):
+        return 0.5 * amplitude * (math.sin(t) - math.cos(t))
+
+    return particular(t2) + math.exp(-(t2 - t1)) * (x0 - particular(t1))
+
+
+def recording_flow():
+    """The linear flow, keeping (signal, t1, t2, points, images) of every apply."""
+    flow, calls = linear_flow(), []
+
+    def apply_fn(signal, t1, t2, points):
+        images = flow.apply(signal, t1, t2, points)
+        calls.append((signal, t1, t2, np.asarray(points, dtype=float), images))
+        return images
+
+    return FlowMap(apply_fn), calls
+
+
+def assert_images_exact(calls):
+    for signal, t1, t2, points, images in calls:
+        assert images.shape == points.shape
+        for x0, image in zip(points, images):
+            assert np.max(np.abs(image - linear_flow_exact(signal, t1, t2, x0))) <= 1e-8
+
+
+class TestLockstepFlows:
+    PAIRS = [([-2.0], [2.0]), ([0.5], [1.5]), ([3.0], [3.0]), ([-0.7], [0.1])]
+
+    def test_apply_keeps_point_and_batch_shapes(self):
+        signal = PeriodicInput(TWO_PI, lambda t: [0.8 * math.sin(t)])
+        flow = linear_flow()
+        batch = flow.apply(signal, 0.0, 2.0, [[-1.0], [0.5], [2.0]])
+        assert batch.shape == (3, 1)
+        for x0, row in zip((-1.0, 0.5, 2.0), batch):
+            single = flow.apply(signal, 0.0, 2.0, [x0])
+            assert single.shape == (1,)
+            assert abs(row[0] - linear_flow_exact(signal, 0.0, 2.0, x0)) <= 1e-8
+            assert abs(row[0] - single[0]) <= 1e-8
+
+    def test_single_point_flow_rejected_on_a_batch(self):
+        # An apply_fn written for one point maps a (6, 2) batch to (2, 2):
+        # a shape mismatch, not a certificate over the wrong rows.
+        flow = FlowMap(lambda signal, t1, t2, point: np.array([2.0 * point[0], point[1]]))
+        sched = PiecewiseSchedule([0.0], [1.0], 0.0, 1.0)
+        pairs = [([0.0, 0.0], [0.0, 1.0]), ([0.0, 0.0], [1.0, 0.0]), ([5.0, 5.0], [6.0, 5.0])]
+        with pytest.raises(ValueError, match="shape"):
+            check_piecewise_contraction(flow, (-1.0, 1.0), math.log(2.0), sched, pairs)
+
+    def test_piecewise_flows_every_distinct_pair_in_one_batch(self):
+        flow, calls = recording_flow()
+        sched = PiecewiseSchedule([[0.3], [-0.9], [0.6]], [0.2, 0.5, 0.3], 0.5, 2.5)
+        cert = check_piecewise_contraction(flow, (-1.0, 1.0), -1.0, sched, self.PAIRS)
+        assert len(calls) == 1
+        # the zero-distance pair ([3], [3]) is not flowed
+        assert calls[0][3].ravel().tolist() == [-2.0, 2.0, 0.5, 1.5, -0.7, 0.1]
+        assert_images_exact(calls)
+        assert cert.holds
+        assert cert.margin == pytest.approx(math.exp(-2.0), rel=1e-8)
+
+    def test_limit_flows_each_level_and_the_target_in_one_batch(self):
+        flow, calls = recording_flow()
+        target = PeriodicInput(TWO_PI, lambda t: [0.8 * math.sin(t)])
+        cert = check_limit_contraction(flow, (-1.0, 1.0), -1.0, target, 5, self.PAIRS, (0.0, TWO_PI))
+        # levels 0..5, then the target signal itself
+        assert len(calls) == 7
+        assert [len(c[0].breakpoints_in(0.0, TWO_PI)) for c in calls[:-1]] == [2**level - 1 for level in range(6)]
+        assert calls[-1][0] is target
+        for call in calls:
+            assert call[3].ravel().tolist() == [-2.0, 2.0, 0.5, 1.5, 3.0, 3.0, -0.7, 0.1]
+        assert_images_exact(calls)
+        assert cert.holds
+        assert cert.margin == pytest.approx(math.exp(-TWO_PI), rel=1e-7)
+
+
 class TestRateConventionBridge:
     def test_matrix_rate_beta_matches_distance_rate_half_beta(self):
         # Matrix-level margin beta = 2 for x' = -x + u with the identity
@@ -279,9 +363,9 @@ def piecewise_tie():
     # zero-distance pair in front is skipped and never flowed.
     applied = []
 
-    def stretch(signal, t1, t2, point):
-        applied.append(point)
-        return np.array([2.0 * point[0], point[1]])
+    def stretch(signal, t1, t2, points):
+        applied.extend(points)
+        return np.asarray(points) * [2.0, 1.0]
 
     pairs = [([1.0, 1.0], [1.0, 1.0]), ([0.0, 0.0], [0.0, 1.0]), ([0.0, 0.0], [1.0, 0.0]), ([5.0, 5.0], [6.0, 5.0])]
     schedule = PiecewiseSchedule([0.0], [1.0], 0.0, 1.0)
