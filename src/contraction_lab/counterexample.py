@@ -289,12 +289,12 @@ def verify_ges(initial_conditions, horizon: float, rate: float, config: Integrat
     moving = norms != 0.0
     if np.any(moving):
         x0, norm0 = starts[moving], norms[moving]
-        for t, x, _, _ in _steps(circle_field(), ConstantInput.zero(2), x0, (0.0, horizon), config):
+        for t, x in _steps(circle_field(), ConstantInput.zero(2), x0, (0.0, horizon), config):
             excess = np.linalg.norm(x, axis=1) / (np.exp(-rate * t) * norm0) - 1.0
             i = int(np.argmax(excess))
             if excess[i] > traj_margin:
                 traj_margin = float(excess[i])
-                witness = {"x0": x0[i].tolist(), "t": t}
+                witness = {"x0": x0[i].tolist(), "t": float(t)}
     holds = traj_margin <= _GES_SLACK
     return Certificate(
         holds=holds,

@@ -3,9 +3,9 @@
 The integrator is an explicit embedded Runge-Kutta 5(4) pair with
 Dormand-Prince coefficients and a PI step-size controller.  Runs are
 segmented at input discontinuities so the error estimator never straddles a
-jump, and accepted steps keep their end-point derivatives so trajectories
-support dense evaluation by cubic Hermite interpolation (4th-order accurate
-between accepted steps).
+jump.  A trajectory is exactly its accepted steps: no interpolation is
+offered, so a caller that needs the state at a given time integrates to that
+time, and the state there carries the step's own error control.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ class IntegratorConfig:
     initial_step: float | None = None
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_step <= 0:
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
+        if not self.max_step > 0:
             raise ValueError("max_step must be positive")
-        if self.initial_step is not None and self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
+        if self.initial_step is not None and not 0 < self.initial_step < math.inf:
+            raise ValueError("initial_step must be finite and positive")
 
 
 class VectorField:
@@ -217,55 +217,21 @@ class Trajectory:
     """Time-stamped states from accepted integrator steps.
 
     ``states`` has shape ``(T, n)`` for one start or ``(T, N, n)`` for a
-    lockstep batch of N starts.  ``dense_eval`` interpolates with a cubic
-    Hermite polynomial on each accepted step, using the derivative of the
-    dynamics at both step ends (left-limit at input discontinuities); it
-    returns ``(m,) + state shape`` for m query times, or the state shape for
-    a scalar time.
+    lockstep batch of N starts; ``times[0]`` is the start of the span and
+    every later time is the end of one accepted step.
     """
 
-    def __init__(self, times, states, deriv_start, deriv_end):
+    def __init__(self, times, states):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
-        self._d0 = np.asarray(deriv_start, dtype=float)
-        self._d1 = np.asarray(deriv_end, dtype=float)
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
         if not np.all(np.isfinite(self.states)):
             raise NonFiniteError("trajectory contains non-finite states")
 
     @property
-    def t0(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def t1(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def final_state(self) -> np.ndarray:
         return self.states[-1].copy()
-
-    def dense_eval(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        span = self.t1 - self.t0
-        if np.any(t_arr < self.t0 - 1e-12 * span) or np.any(t_arr > self.t1 + 1e-12 * span):
-            raise ValueError("dense_eval query outside the integrated span")
-        t_arr = np.clip(t_arr, self.t0, self.t1)
-        idx = np.clip(np.searchsorted(self.times, t_arr, side="right") - 1, 0, len(self.times) - 2)
-        ta = self.times[idx]
-        h = self.times[idx + 1] - ta
-        s = (t_arr - ta) / h
-        s2, s3 = s * s, s * s * s
-        # One weight per query time, broadcast over the state axes of a
-        # single state (n,) or a lockstep batch (N, n).
-        shape = (-1,) + (1,) * (self.states.ndim - 1)
-        h00 = (2 * s3 - 3 * s2 + 1).reshape(shape)
-        h10 = ((s3 - 2 * s2 + s) * h).reshape(shape)
-        h01 = (-2 * s3 + 3 * s2).reshape(shape)
-        h11 = ((s3 - s2) * h).reshape(shape)
-        out = h00 * self.states[idx] + h10 * self._d0[idx] + h01 * self.states[idx + 1] + h11 * self._d1[idx]
-        return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
 # Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -310,13 +276,11 @@ def _hinit(rhs, t0, x0, f0, seg_span, config):
 
 
 def _steps(field, signal, x0, t_span, config=None):
-    """Accepted steps of x' = f(x, u(t)) over ``t_span`` as (t, x, k_start, k_end).
+    """Accepted steps of x' = f(x, u(t)) over ``t_span`` as (t, x).
 
     ``x0`` is one state ``(n,)`` or a batch ``(N, n)`` advanced in lockstep
     on one step size; a step is accepted only when the largest
-    per-trajectory error norm is at most 1.  ``k_start`` and ``k_end``, the
-    derivatives at the step ends, are views of the stage buffer that the
-    next step overwrites.
+    per-trajectory error norm is at most 1.
     """
     config = config or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -376,7 +340,7 @@ def _steps(field, signal, x0, t_span, config=None):
                 continue
             nonfinite_streak = 0
             if err <= 1.0:
-                yield t_next, xi, k[0], k[6]
+                yield t_next, xi
                 t, x = t_next, xi
                 k[0] = k[6]
                 fac11 = err ** _EXPO if err > 0 else _FAC_MIN ** (1 / _PI_BETA)
@@ -401,10 +365,8 @@ def integrate(field: VectorField, signal: InputSignal, x0, t_span, config: Integ
     sees a smooth right-hand side.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    ts, xs, d0s, d1s = [float(t_span[0])], [x0.copy()], [], []
-    for t, x, k_start, k_end in _steps(field, signal, x0, t_span, config):
+    ts, xs = [float(t_span[0])], [x0.copy()]
+    for t, x in _steps(field, signal, x0, t_span, config):
         ts.append(t)
         xs.append(x)
-        d0s.append(k_start.copy())
-        d1s.append(k_end.copy())
-    return Trajectory(np.array(ts), np.array(xs), np.array(d0s), np.array(d1s))
+    return Trajectory(np.array(ts), np.array(xs))

@@ -130,7 +130,8 @@ class DivergenceReport:
     where the radial drift is below its value at r_star; once the increments
     shrink under the integrator noise floor the comparison uses a 1e-8
     slack, recorded as ``monotone_prefix``.  The perturbed trajectory and
-    the on-orbit reference are retained for CSV export.
+    the on-orbit reference share their time stamps and are retained for CSV
+    export.
     """
 
     r_star: float
@@ -176,7 +177,8 @@ def counterexample_divergence(
     """Track the distance from the forced circular orbit for a perturbed start.
 
     Integrates from (r_star - delta, 0) under the rotating input for
-    ``n_periods`` periods and reports d_k = | ||x(2 pi k)|| - r_star |.
+    ``n_periods`` periods, in lockstep with the on-orbit start (r_star, 0),
+    and reports d_k = | ||x(2 pi k)|| - r_star | read at step ends.
     While the radius stays in the band where the radial drift is below its
     value at r_star, d_k is necessarily nondecreasing; the report records
     the observed strictly-monotone prefix and whether d_n > d_0.
@@ -187,12 +189,17 @@ def counterexample_divergence(
         raise ValueError("need at least one period")
     field, signal = build_counterexample(r_star)
     two_pi = 2.0 * np.pi
-    horizon = n_periods * two_pi
-    traj = integrate(field, signal, [r_star - delta, 0.0], (0.0, horizon), config)
-    orbit = integrate(field, signal, [r_star, 0.0], (0.0, horizon), config)
-    marks = np.arange(n_periods + 1) * two_pi
-    states = traj.dense_eval(marks)
-    distances = [abs(float(np.linalg.norm(s)) - r_star) for s in states]
+    # Row 0 is the perturbed start and row 1 the on-orbit reference.  Each
+    # period is its own integration, so every mark 2 pi k is a step end.
+    times, states = [0.0], [np.array([[r_star - delta, 0.0], [r_star, 0.0]])]
+    marks = [0]
+    for k in range(n_periods):
+        period = integrate(field, signal, states[-1], (k * two_pi, (k + 1) * two_pi), config)
+        times.extend(period.times[1:])
+        states.extend(period.states[1:])
+        marks.append(len(times) - 1)
+    path = np.array(states)
+    distances = [abs(float(np.linalg.norm(path[i, 0])) - r_star) for i in marks]
     prefix = 0
     while prefix < n_periods and distances[prefix + 1] > distances[prefix] - _MONOTONE_SLACK:
         prefix += 1
@@ -203,6 +210,6 @@ def counterexample_divergence(
         distances=distances,
         monotone_prefix=prefix,
         grew=distances[-1] > distances[0],
-        trajectory=traj,
-        orbit_trajectory=orbit,
+        trajectory=Trajectory(times, path[:, 0]),
+        orbit_trajectory=Trajectory(times, path[:, 1]),
     )

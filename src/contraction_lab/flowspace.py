@@ -1,8 +1,8 @@
 """Flow maps on a metric space: composition, schedules, and limits.
 
 The objects here realize the abstract picture behind uniform contraction
-under switched inputs: a flow map phi(signal, t1, t2) acting on R^n with a
-pluggable distance, piecewise-constant schedules whose per-piece contraction
+under switched inputs: a flow map phi(signal, t1, t2) acting on R^n with the
+Euclidean distance, piecewise-constant schedules whose per-piece contraction
 factors multiply to exp(lambda*(t2-t1)) exactly, and dyadic refinement of a
 continuous signal by schedules, under which the contraction property passes
 to the limit.
@@ -40,12 +40,12 @@ __all__ = [
 ]
 
 
-def _euclidean(x, y) -> float:
-    return float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
+def _distance(x, y) -> float:
+    return float(np.linalg.norm(x - y))
 
 
 class FlowMap:
-    """Mapping (signal, t1, t2, point) -> point on R^n with a distance d.
+    """Mapping (signal, t1, t2, point) -> point on R^n.
 
     ``apply`` takes one point ``(n,)`` or a batch ``(N, n)`` of points that
     share the signal and returns the same shape; ``apply_fn`` must map the
@@ -54,9 +54,8 @@ class FlowMap:
     the concatenation at t2 over [t1, t3], within integrator tolerance.
     """
 
-    def __init__(self, apply_fn, distance=None, name: str = ""):
+    def __init__(self, apply_fn, name: str = ""):
         self._apply = apply_fn
-        self.distance = distance or _euclidean
         self.name = name
 
     def apply(self, signal: InputSignal, t1: float, t2: float, points) -> np.ndarray:
@@ -67,7 +66,7 @@ class FlowMap:
         return images
 
 
-def flow_from_field(field: VectorField, config: IntegratorConfig | None = None, distance=None) -> FlowMap:
+def flow_from_field(field: VectorField, config: IntegratorConfig | None = None) -> FlowMap:
     """The ODE solution operator of ``field`` as a FlowMap.
 
     A batch of points goes through ``integrate`` as one lockstep run.
@@ -78,7 +77,7 @@ def flow_from_field(field: VectorField, config: IntegratorConfig | None = None, 
             raise ValueError("flow application requires t2 > t1")
         return integrate(field, signal, points, (t1, t2), config).final_state
 
-    return FlowMap(apply_fn, distance=distance, name=field.name or "ode flow")
+    return FlowMap(apply_fn, name=field.name or "ode flow")
 
 
 @dataclass(frozen=True)
@@ -147,16 +146,16 @@ def schedule_contraction_factor(lam: float, schedule: PiecewiseSchedule) -> floa
     return product
 
 
-def _worst_ratio(flow: FlowMap, starts, ends) -> tuple[float, int]:
+def _worst_ratio(starts, ends) -> tuple[float, int]:
     """Largest d(x', y') / d(x, y) over the start pairs at positive distance.
 
     Returns the ratio and the index of the first pair attaining it; ``ends``
     holds the image pair (x', y') of each start pair (x, y).
     """
     ratios = [
-        (flow.distance(*end) / d0, i)
+        (_distance(*end) / d0, i)
         for i, (start, end) in enumerate(zip(starts, ends))
-        if (d0 := flow.distance(*start)) > 0
+        if (d0 := _distance(*start)) > 0
     ]
     return max(ratios, key=lambda ratio: ratio[0])
 
@@ -187,12 +186,12 @@ def check_piecewise_contraction(
     """
     if not schedule.values_within(box):
         raise ValueError("schedule values leave the declared input box")
-    pairs = [pair for pair in _as_pairs(point_pairs) if flow.distance(*pair) > 0]
+    pairs = [pair for pair in _as_pairs(point_pairs) if _distance(*pair) > 0]
     if not pairs:
         raise ValueError("need at least one pair of distinct points")
     bound = float(np.exp(lam * schedule.span)) * (1.0 + 1e-6)
     ends = _paired(flow.apply(schedule.as_signal(), schedule.t1, schedule.t2, np.concatenate(pairs)))
-    worst, i = _worst_ratio(flow, pairs, ends)
+    worst, i = _worst_ratio(pairs, ends)
     x, y = pairs[i]
     return Certificate(
         holds=bool(worst <= bound),
@@ -246,7 +245,7 @@ def check_limit_contraction(
             raise ValueError(f"target signal leaves the input box at t={t}")
 
     pairs = _as_pairs(point_pairs)
-    if not any(flow.distance(*pair) > 0 for pair in pairs):
+    if not any(_distance(*pair) > 0 for pair in pairs):
         raise ValueError("need at least one pair of distinct points")
     points = np.concatenate(pairs)
 
@@ -257,10 +256,10 @@ def check_limit_contraction(
         flow.apply(_dyadic_schedule(target_signal, level, t1, t2).as_signal(), t1, t2, points)
         for level in range(refinement_levels + 1)
     ]
-    worst_approx = max(_worst_ratio(flow, pairs, _paired(outs))[0] for outs in outputs)
+    worst_approx = max(_worst_ratio(pairs, _paired(outs))[0] for outs in outputs)
     gaps = []
     for level in range(refinement_levels):
-        gap = max(flow.distance(a, b) for a, b in zip(outputs[level], outputs[level + 1]))
+        gap = max(_distance(a, b) for a, b in zip(outputs[level], outputs[level + 1]))
         gaps.append(float(gap))
     for level in range(1, refinement_levels):
         if gaps[level] > 0.625 * gaps[level - 1] and gaps[level] > 1e-9:
@@ -270,7 +269,7 @@ def check_limit_contraction(
             )
 
     target_outs = flow.apply(target_signal, t1, t2, points)
-    tail = max(flow.distance(a, b) for a, b in zip(outputs[-1], target_outs))
+    tail = max(_distance(a, b) for a, b in zip(outputs[-1], target_outs))
     if tail > max(2.0 * gaps[-1], 1e-8):
         raise ApproximationNotConvergingError(
             f"approximant outputs stop {tail:.3e} away from the target flow "
@@ -278,7 +277,7 @@ def check_limit_contraction(
         )
 
     bound_target = float(np.exp(lam * span))
-    worst_target, i = _worst_ratio(flow, pairs, _paired(target_outs))
+    worst_target, i = _worst_ratio(pairs, _paired(target_outs))
     holds = worst_approx <= bound_approx and worst_target <= bound_target * (1.0 + 1e-4)
     return Certificate(
         holds=bool(holds),

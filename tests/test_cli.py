@@ -199,7 +199,7 @@ class TestInterface:
         # start's norm (the scale of the GES bound), and give the same verdict.
         starts = np.array([[0.0, 0.0], [1.0, 0.0], [-3.0, 2.5], [0.2, -7.0], [6.0, 6.0]])
         field, zero = counterexample.circle_field(), ConstantInput.zero(2)
-        for _, lockstep, _, _ in _steps(field, zero, starts, (0.0, 20.0)):
+        for _, lockstep in _steps(field, zero, starts, (0.0, 20.0)):
             pass
         for start, final in zip(starts, lockstep):
             alone = integrate(field, zero, start, (0.0, 20.0)).final_state

@@ -18,6 +18,7 @@ from contraction_lab.counterexample import (
     second_order_value,
     verify_ges,
 )
+from contraction_lab.dynamics import ConstantInput, IntegratorConfig, integrate
 from contraction_lab.errors import NoRootFoundError
 
 PRINTED_R_STAR = 2.79098840365914
@@ -160,6 +161,24 @@ class TestVerifyGes:
         r = math.sqrt(math.pi / 2 + 2 * math.pi * 20)
         assert radial_f(r) + 0.6 * r == pytest.approx(0.1 * r, abs=1e-12)
 
+    def test_trajectory_witness_is_first_maximum(self):
+        # Loose tolerances make the integrated norm overshoot the GES bound,
+        # so the trajectory check fails while the generator scan passes.
+        starts = random_initial_conditions(20, 10.0, seed=3)
+        config = IntegratorConfig(rel_tol=1e-2, abs_tol=1e-2)
+        cert = verify_ges(starts, 20.0, 0.5, config)
+        assert not cert.holds
+        assert cert.margin == pytest.approx(14.5, abs=0.1)
+        # Reference: the stored lockstep trajectory, scored at every step;
+        # the C-order argmax is the first maximum in time, then start order.
+        traj = integrate(circle_field(), ConstantInput.zero(2), starts, (0.0, 20.0), config)
+        norms = np.linalg.norm(traj.states, axis=2)
+        excess = norms / (np.exp(-0.5 * traj.times)[:, None] * norms[0]) - 1.0
+        k, i = np.unravel_index(np.argmax(excess), excess.shape)
+        assert cert.margin == excess[k, i]
+        assert cert.witness == {"x0": starts[i].tolist(), "t": float(traj.times[k])}
+        assert type(cert.witness["t"]) is float
+
     @pytest.mark.parametrize(
         "horizon, rate",
         [(1.0, 0.0), (1.0, math.nan), (1.0, math.inf), (math.nan, 0.5), (math.inf, 0.5), (0.0, 0.5), (-1.0, 0.5)],
@@ -168,6 +187,25 @@ class TestVerifyGes:
     def test_rejects_nonpositive_rate(self, horizon, rate):
         with pytest.raises(ValueError):
             verify_ges([[1.0, 0.0]], horizon, rate)
+
+
+class TestIntegratorOracle:
+    def test_one_forced_period_matches_mpmath_taylor_solver(self, r_star, forced_system):
+        # mpmath's Taylor-series ODE solver shares no code with the DOPRI5
+        # kernel; one period from just inside the orbit must agree to 1e-9.
+        field, signal = forced_system
+        x0 = [r_star - 0.1, 0.0]
+        ours = integrate(field, signal, x0, (0.0, 2 * math.pi)).final_state
+        with mp.workdps(15):
+            a = mp.mpf(-radial_f(r_star))
+
+            def rhs(t, z):
+                x, y = z
+                s = mp.sin(x * x + y * y)
+                return [-x + x * s / 2 - y + a * mp.cos(t), -y + y * s / 2 + x + a * mp.sin(t)]
+
+            ref = mp.odefun(rhs, 0, [mp.mpf(v) for v in x0])(mp.mpf(2 * math.pi))
+        assert np.max(np.abs(ours - np.array([float(v) for v in ref]))) <= 1e-9
 
 
 class TestRadialRate:

@@ -117,44 +117,16 @@ class TestIntegrate:
 
 
 class TestTrajectory:
-    def test_dense_eval_accuracy(self):
-        traj = integrate(decay_field(), ConstantInput([0.0]), [1.0], (0.0, 1.0))
-        for t in np.linspace(0.05, 0.95, 13):
-            assert traj.dense_eval(t)[0] == pytest.approx(math.exp(-t), abs=1e-7)
-
-    def test_dense_eval_rejects_outside_span(self):
-        traj = integrate(decay_field(), ConstantInput([0.0]), [1.0], (0.0, 1.0))
-        with pytest.raises(ValueError):
-            traj.dense_eval(1.5)
-
-    def test_dense_eval_vectorized(self):
-        traj = integrate(decay_field(), ConstantInput([0.0]), [1.0], (0.0, 1.0))
-        out = traj.dense_eval(np.array([0.1, 0.2, 0.3]))
-        assert out.shape == (3, 1)
-
-    # Hermite interpolation error between steps is about 1e-7 at the default
-    # tolerance and follows the step sequence, which a batch shares, so the
-    # batch is compared with single runs at a tolerance where it is ~1e-9.
-    TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
-
-    @pytest.mark.parametrize("times", [[0.2, 0.5, 0.7], [0.1, 0.2, 0.5, 0.7, 1.9], [1.0]])
-    def test_dense_eval_lockstep_batch(self, times):
-        # Row k of a batch interpolates start k, as that start's own run does.
+    def test_lockstep_step_ends_match_closed_form(self):
+        # A trajectory is its accepted steps: row k of every batch state is
+        # start k's solution at that step end, within the step tolerance.
         starts = [[1.0], [2.0], [3.0]]
-        batch = integrate(forced_linear(), sine_input(), starts, (0.0, 2.0), self.TIGHT).dense_eval(times)
-        assert batch.shape == (len(times), 3, 1)
+        traj = integrate(forced_linear(), sine_input(), starts, (0.0, 2.0))
+        assert traj.states.shape == (len(traj.times), 3, 1)
+        assert traj.times[0] == 0.0 and traj.times[-1] == 2.0
         for k, x0 in enumerate(starts):
-            alone = integrate(forced_linear(), sine_input(), x0, (0.0, 2.0), self.TIGHT).dense_eval(times)
-            assert np.max(np.abs(batch[:, k] - alone)) <= 1e-8
-            exact = [linear_sine_solution(t, x0[0]) for t in times]
-            assert np.max(np.abs(batch[:, k, 0] - exact)) <= 1e-8
-
-    def test_dense_eval_lockstep_batch_scalar_time(self):
-        traj = integrate(forced_linear(), sine_input(), [[1.0], [2.0], [3.0]], (0.0, 2.0), self.TIGHT)
-        out = traj.dense_eval(0.5)
-        assert out.shape == (3, 1)
-        for x0, row in zip((1.0, 2.0, 3.0), out):
-            assert row[0] == pytest.approx(linear_sine_solution(0.5, x0), abs=1e-8)
+            exact = [linear_sine_solution(t, x0[0]) for t in traj.times]
+            assert np.max(np.abs(traj.states[:, k, 0] - exact)) <= 1e-9
 
 
 class TestInputSignals:
@@ -230,9 +202,21 @@ class TestVectorField:
 
 class TestIntegratorConfig:
     def test_rejects_bad_tolerances(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(abs_tol=-1.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(max_step=0.0)
+        # A NaN tolerance or first step never lets a step be accepted, min()
+        # drops a NaN max_step, and an infinite abs_tol accepts any step.
+        bad = [
+            {"rel_tol": 0.0},
+            {"abs_tol": -1.0},
+            {"max_step": 0.0},
+            {"rel_tol": math.nan},
+            {"abs_tol": math.nan},
+            {"rel_tol": math.inf},
+            {"abs_tol": math.inf},
+            {"initial_step": math.nan},
+            {"initial_step": math.inf},
+            {"max_step": math.nan},
+        ]
+        for kwargs in bad:
+            with pytest.raises(ValueError):
+                IntegratorConfig(**kwargs)
+        assert IntegratorConfig().max_step == math.inf

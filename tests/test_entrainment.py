@@ -172,6 +172,19 @@ class TestCounterexampleDivergence:
         final_radius = float(np.linalg.norm(report.trajectory.final_state))
         assert final_radius < r_star - 0.5
 
+    def test_marks_are_step_ends(self, r_star):
+        report = counterexample_divergence(r_star, 0.1, 4)
+        marks = np.arange(5) * 2 * math.pi
+        assert np.isin(marks, report.trajectory.times).all()
+        assert np.array_equal(report.trajectory.times, report.orbit_trajectory.times)
+
+    def test_distances_match_tight_tolerance_run(self, r_star):
+        # Each d_k is read at a step end, so it carries only the step error
+        # control and agrees with a much tighter run.
+        report = counterexample_divergence(r_star, 0.1, 10)
+        tight = counterexample_divergence(r_star, 0.1, 10, IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15))
+        assert np.max(np.abs(np.subtract(report.distances, tight.distances))) <= 2e-10
+
     def test_validations(self, r_star):
         with pytest.raises(ValueError):
             counterexample_divergence(r_star, -0.1, 5)
