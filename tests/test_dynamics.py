@@ -9,6 +9,7 @@ from contraction_lab.dynamics import (
     IntegratorConfig,
     PeriodicInput,
     PiecewiseConstantInput,
+    Trajectory,
     VectorField,
     concat,
     integrate,
@@ -127,6 +128,30 @@ class TestTrajectory:
         for k, x0 in enumerate(starts):
             exact = [linear_sine_solution(t, x0[0]) for t in traj.times]
             assert np.max(np.abs(traj.states[:, k, 0] - exact)) <= 1e-9
+
+    # A batch takes other steps than a single start, so the two agree to the
+    # global error; at this tolerance that is well under 1e-8.
+    TIGHT = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+
+    @pytest.mark.parametrize("span", [(0.0, 0.7), (0.0, 1.9), (0.0, 1.0)])
+    def test_lockstep_batch_matches_single_runs(self, span):
+        # Row k of a batch ends where start k's own run ends.
+        starts = [[1.0], [2.0], [3.0]]
+        batch = integrate(forced_linear(), sine_input(), starts, span, self.TIGHT).final_state
+        assert batch.shape == (3, 1)
+        for k, x0 in enumerate(starts):
+            alone = integrate(forced_linear(), sine_input(), x0, span, self.TIGHT).final_state
+            assert alone.shape == (1,)
+            assert np.max(np.abs(batch[k] - alone)) <= 1e-8
+            assert abs(batch[k, 0] - linear_sine_solution(span[1], x0[0])) <= 1e-8
+
+    def test_rejects_non_increasing_times(self):
+        with pytest.raises(ValueError):
+            Trajectory([0.0, 1.0, 1.0], [[0.0], [1.0], [2.0]])
+
+    def test_rejects_nonfinite_states(self):
+        with pytest.raises(NonFiniteError):
+            Trajectory([0.0, 1.0], [[0.0], [np.inf]])
 
 
 class TestInputSignals:
