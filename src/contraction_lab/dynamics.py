@@ -3,14 +3,18 @@
 The integrator is an explicit embedded Runge-Kutta 5(4) pair with
 Dormand-Prince coefficients and a PI step-size controller.  Runs are
 segmented at input discontinuities so the error estimator never straddles a
-jump.  A trajectory is exactly its accepted steps: no interpolation is
-offered, so a caller that needs the state at a given time integrates to that
-time, and the state there carries the step's own error control.
+jump.  At a breakpoint the stages restart but the step-size controller
+carries over: the starting step is estimated once per run, and each piece
+begins with the step proposal and controller memory the last one left.  A
+trajectory is exactly its accepted steps: no interpolation is offered, so a
+caller that needs the state at a given time integrates to that time, and the
+state there carries the step's own error control.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,8 +129,8 @@ class PeriodicInput(InputSignal):
     """u(t + period) = u(t); periodicity is spot-checked at construction."""
 
     def __init__(self, period: float, fn, validate: bool = True):
-        if period <= 0:
-            raise ValueError("period must be positive")
+        if not 0 < period < math.inf:
+            raise ValueError("period must be finite and positive")
         self.period = float(period)
         self._fn = fn
         self.dim = np.atleast_1d(np.asarray(fn(0.0), dtype=float)).shape[0]
@@ -155,22 +159,25 @@ class PiecewiseConstantInput(InputSignal):
         if vals.ndim == 1:
             vals = vals[:, None]
         self.values = vals.copy()
+        if not (np.isfinite(self.breakpoints).all() and np.isfinite(self.values).all()):
+            raise ValueError("breakpoints and values must be finite")
         if self.breakpoints.ndim != 1 or np.any(np.diff(self.breakpoints) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         if self.values.shape[0] != self.breakpoints.shape[0] + 1:
             raise ValueError("need exactly len(breakpoints)+1 values")
         self.dim = self.values.shape[1]
+        # Python floats: bisect on a list is several times cheaper per
+        # lookup than np.searchsorted on the array.
+        self._cuts = self.breakpoints.tolist()
 
     def eval(self, t):
-        idx = int(np.searchsorted(self.breakpoints, t, side="right"))
-        return self.values[idx]
+        return self.values[bisect_right(self._cuts, t)]
 
     def eval_left(self, t):
-        idx = int(np.searchsorted(self.breakpoints, t, side="left"))
-        return self.values[idx]
+        return self.values[bisect_left(self._cuts, t)]
 
     def breakpoints_in(self, t0, t1):
-        return [float(b) for b in self.breakpoints if t0 < b < t1]
+        return self._cuts[bisect_right(self._cuts, t0) : bisect_left(self._cuts, t1)]
 
     def shifted(self, offset):
         return PiecewiseConstantInput(self.breakpoints - offset, self.values)
@@ -298,6 +305,8 @@ def _steps(field, signal, x0, t_span, config=None):
     min_step = 1e-14 * (t1 - t0)
     k = np.empty((7,) + x.shape)
     k_flat = k.reshape(7, -1)
+    h = None
+    facold = 1e-4
     for t, t_end in zip(cuts[:-1], cuts[1:]):
 
         def rhs(s, y, t_end=t_end):
@@ -305,18 +314,22 @@ def _steps(field, signal, x0, t_span, config=None):
             # limit of the input, so a breakpoint never leaks across a step.
             return field(y, signal.eval_left(t_end) if s >= t_end else signal.eval(s))
 
+        # The input jumps at a breakpoint, so the stages restart there; the
+        # step proposal and the controller memory carry over.
         k[0] = rhs(t, x)
         if not np.all(np.isfinite(k[0])):
             raise NonFiniteError(f"dynamics non-finite at t={t}")
-        h = _hinit(rhs, t, x, k[0], t_end - t, config)
-        facold = 1e-4
+        if h is None:
+            h = _hinit(rhs, t, x, k[0], t_end - t, config)
         nonfinite_streak = 0
         while t < t_end:
-            if h < min_step:
+            # A step that lands on the segment end may be as short as the
+            # segment itself, however short that is.
+            final = h >= (t_end - t) * (1 - 1e-12)
+            if h < min_step and not final:
                 if nonfinite_streak > 0:
                     raise NonFiniteError(f"state blew up near t={t}")
                 raise StepSizeUnderflowError(f"step size {h:.3e} underflowed at t={t}")
-            final = h >= (t_end - t) * (1 - 1e-12)
             t_next = t_end if final else t + h
             h_eff = t_next - t
             if h_eff <= 0:
@@ -347,7 +360,10 @@ def _steps(field, signal, x0, t_span, config=None):
                 fac = fac11 / (facold ** _PI_BETA)
                 fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFETY))
                 facold = max(err, 1e-4)
-                h = min(h_eff / fac, config.max_step)
+                proposal = min(h_eff / fac, config.max_step)
+                # A step cut short to land on the segment end keeps the
+                # longer proposal it was cut from.
+                h = max(proposal, h) if final else proposal
             else:
                 fac11 = err ** _EXPO
                 h = h_eff / min(1.0 / _FAC_MIN, fac11 / _SAFETY)
@@ -360,9 +376,10 @@ def integrate(field: VectorField, signal: InputSignal, x0, t_span, config: Integ
     the signal and are advanced in lockstep; the field must then treat the
     rows independently.  A shared step is accepted only when the largest
     per-row error norm is within tolerance, so no row's local error is
-    worse than it would be integrated alone.  Integration restarts exactly
-    at every input discontinuity inside the span, so each Runge-Kutta step
-    sees a smooth right-hand side.
+    worse than it would be integrated alone.  Every input discontinuity
+    inside the span is a step end, so each Runge-Kutta step sees a smooth
+    right-hand side.  There the stages restart from a fresh derivative, but
+    the step size and the controller memory carry over to the next piece.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     ts, xs = [float(t_span[0])], [x0.copy()]

@@ -16,6 +16,7 @@ from contraction_lab.dynamics import (
     shift_signal,
 )
 from contraction_lab.errors import NonFiniteError, StepSizeUnderflowError
+from contraction_lab.flowspace import PiecewiseSchedule, check_piecewise_contraction, flow_from_field
 
 TWO_PI = 2 * math.pi
 
@@ -117,6 +118,62 @@ class TestIntegrate:
         assert errs[1] < errs[0]
 
 
+def linear_piecewise_solution(x0, t_span, breakpoints, values):
+    """x' = -x + u from ``x0`` under a piecewise-constant u, piece by piece."""
+    cuts = [t_span[0], *breakpoints, t_span[1]]
+    x = np.asarray(x0, dtype=float)
+    for a, b, c in zip(cuts[:-1], cuts[1:], np.ravel(values)):
+        x = c + (x - c) * math.exp(-(b - a))
+    return x
+
+
+class TestBreakpoints:
+    # Pieces far shorter than 1e-14 of the span: the step that lands on the
+    # piece end is as short as the piece, and that is not an underflow.
+    @pytest.mark.parametrize("breakpoints", [[0.5, 0.5 + 2e-15], [1e-15, 0.5]])
+    def test_short_piece_integrates(self, breakpoints):
+        values = [0.0, 1.0, 2.0]
+        traj = integrate(forced_linear(), PiecewiseConstantInput(breakpoints, values), [0.0], (0.0, 1.0))
+        exact = linear_piecewise_solution(0.0, (0.0, 1.0), breakpoints, values)
+        assert traj.final_state[0] == pytest.approx(exact, abs=1e-9)
+
+    def test_short_schedule_piece_certifies(self):
+        flow = flow_from_field(forced_linear())
+        sched = PiecewiseSchedule([[0.5], [-0.5], [0.2]], [0.5, 1e-15, 0.5], 0.0, 1.0)
+        cert = check_piecewise_contraction(flow, (-1.0, 1.0), -1.0, sched, [([1.0], [-1.0])])
+        assert cert.holds
+        assert cert.margin == pytest.approx(math.exp(-1.0), rel=1e-7)
+
+    def test_step_size_carries_across_pieces(self):
+        # One 7-evaluation step per piece suffices for x' = -x + u on pieces
+        # of about 2pi/1024, if the step size carries from piece to piece.
+        rng = np.random.default_rng(8)
+        pieces = 1024
+        breakpoints = np.sort(rng.uniform(0.0, TWO_PI, pieces - 1))
+        values = rng.uniform(-1.0, 1.0, pieces)
+        calls = 0
+
+        def f(x, u):
+            nonlocal calls
+            calls += 1
+            return -x + u
+
+        starts = [[1.0], [-2.0], [3.0]]
+        sig = PiecewiseConstantInput(breakpoints, values)
+        traj = integrate(VectorField(f, 1, 1), sig, starts, (0.0, TWO_PI))
+        assert calls <= 8 * pieces
+        exact = linear_piecewise_solution(starts, (0.0, TWO_PI), breakpoints, values)
+        assert np.max(np.abs(traj.final_state - exact)) <= 1e-9
+
+    def test_carried_step_too_long_is_shrunk(self):
+        # The step carried over the jump from u = 1 to u = 100 is far too long
+        # for the stiffer piece; it must be rejected and shrunk, not accepted.
+        field = VectorField(lambda x, u: -u * x, 1, 1)
+        sig = PiecewiseConstantInput([0.5], [[1.0], [100.0]])
+        traj = integrate(field, sig, [1.0], (0.0, 0.6))
+        assert abs(traj.final_state[0] - math.exp(-10.5)) <= 1e-10
+
+
 class TestTrajectory:
     def test_lockstep_step_ends_match_closed_form(self):
         # A trajectory is its accepted steps: row k of every batch state is
@@ -191,8 +248,40 @@ class TestInputSignals:
         assert moved.eval(0.6)[0] == sig.eval(1.1)[0]
 
     def test_piecewise_requires_ascending_breakpoints(self):
-        with pytest.raises(ValueError):
-            PiecewiseConstantInput([1.0, 1.0], [[0.0], [1.0], [2.0]])
+        for breakpoints in ([1.0, 1.0], [1.0, math.nan], [math.nan, 1.0], [1.0, math.inf], [-math.inf, 1.0]):
+            with pytest.raises(ValueError):
+                PiecewiseConstantInput(breakpoints, [[0.0], [1.0], [2.0]])
+
+    def test_piecewise_requires_finite_values(self):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                PiecewiseConstantInput([1.0], [[0.0], [value]])
+
+    # Breakpoints 1 and 2: values[i] holds on [bp[i-1], bp[i]).
+    @pytest.mark.parametrize(
+        "t, right, left",
+        [(0.5, 0.0, 0.0), (1.0, 1.0, 0.0), (1.5, 1.0, 1.0), (2.0, 2.0, 1.0), (2.5, 2.0, 2.0)],
+    )
+    def test_piecewise_lookup(self, t, right, left):
+        sig = PiecewiseConstantInput([1.0, 2.0], [[0.0], [1.0], [2.0]])
+        assert sig.eval(t)[0] == right
+        assert sig.eval_left(t)[0] == left
+
+    @pytest.mark.parametrize(
+        "t0, t1, inside",
+        [
+            (0.0, 3.0, [1.0, 2.0]),
+            (1.0, 2.0, []),
+            (0.5, 2.0, [1.0]),
+            (1.0, 2.5, [2.0]),
+            (1.5, 1.7, []),
+            (-1.0, 0.5, []),
+            (2.5, 3.0, []),
+        ],
+    )
+    def test_piecewise_breakpoints_in_open_interval(self, t0, t1, inside):
+        sig = PiecewiseConstantInput([1.0, 2.0], [[0.0], [1.0], [2.0]])
+        assert sig.breakpoints_in(t0, t1) == inside
 
     def test_piecewise_value_count(self):
         with pytest.raises(ValueError):
@@ -201,6 +290,10 @@ class TestInputSignals:
     def test_periodic_validation(self):
         with pytest.raises(ValueError):
             PeriodicInput(1.0, lambda t: [t])
+        for period in (0.0, -1.0, math.nan, math.inf):
+            for validate in (True, False):
+                with pytest.raises(ValueError, match="period must be finite and positive"):
+                    PeriodicInput(period, lambda t: [math.sin(t)], validate=validate)
 
     def test_concatenation_breakpoints_collected(self):
         inner = PiecewiseConstantInput([0.25], [[0.0], [1.0]])
