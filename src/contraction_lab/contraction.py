@@ -11,12 +11,14 @@ bounded set.
 
 All region certificates are grid-based: the certificate records the grid,
 and resolution is the caller's precision statement, not a proof of the
-continuum claim.
+continuum claim.  A certificate assembles its matrices as one stack, with M
+and grad M evaluated once per grid state and J and f once per (input, state)
+row; every callable still receives one (n,) state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -102,15 +104,27 @@ def _check_dimensions(field: VectorField, metric: RiemannianMetric, state_dim: i
         raise DimensionMismatchError(f"input dim {input_dim}, field expects {field.input_dim}")
 
 
-def _contraction_terms(field: VectorField, metric: RiemannianMetric, x: np.ndarray, c: np.ndarray):
-    """Symmetrized J^T M + M J + Mdot at x under c, and the M(x) it used.
+def _contraction_stack(field: VectorField, metric: RiemannianMetric, states: np.ndarray, inputs: np.ndarray):
+    """Symmetrized J^T M + M J + Mdot as a (K, N, n, n) stack, and M as (N, n, n).
 
-    Unchecked: the caller has validated the dimensions of x and c.
+    K inputs by N states, input slowest.  Each callable result is reshaped to
+    its row shape before it is stored, so a wrong-sized one raises ValueError
+    instead of broadcasting.  Unchecked: the caller validated the dimensions.
     """
-    jac = field.jacobian_x(x, c)
-    m = metric.eval(x)
-    a = jac.T @ m + m @ jac + metric.grad(x) @ field(x, c)
-    return (a + a.T) / 2.0, m
+    n = metric.dim
+    m = np.empty((len(states), n, n))
+    grad = np.empty((len(states), n, n, n))
+    for i, x in enumerate(states):
+        m[i] = metric.eval(x)
+        grad[i] = metric.grad(x)
+    jac = np.empty((len(inputs), len(states), n, n))
+    f = np.empty((len(inputs), len(states), n))
+    for k, c in enumerate(inputs):
+        for i, x in enumerate(states):
+            jac[k, i] = field.jacobian_x(x, c).reshape(n, n)
+            f[k, i] = field(x, c).reshape(n)
+    a = np.swapaxes(jac, -1, -2) @ m + m @ jac + (grad @ f[..., None, :, None])[..., 0]
+    return (a + np.swapaxes(a, -1, -2)) / 2.0, m
 
 
 def contraction_matrix(field: VectorField, metric: RiemannianMetric, x, c) -> np.ndarray:
@@ -118,7 +132,7 @@ def contraction_matrix(field: VectorField, metric: RiemannianMetric, x, c) -> np
     x = np.atleast_1d(np.asarray(x, dtype=float))
     c = np.atleast_1d(np.asarray(c, dtype=float))
     _check_dimensions(field, metric, x.shape[0], c.shape[0])
-    sym, _ = _contraction_terms(field, metric, x, c)
+    sym = _contraction_stack(field, metric, x[None], c[None])[0][0, 0]
     if not np.all(np.isfinite(sym)):
         raise NonFiniteError("contraction matrix has non-finite entries")
     return sym
@@ -188,6 +202,30 @@ def _grid_points(axes) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
+def _region_certificate(field, metric, region, resolution, beta: float, inputs: np.ndarray) -> Certificate:
+    """Largest lambda_max(contraction matrix + beta*M) over the (input, state)
+    rows, input slowest, witnessed by its first row; dimensions checked first."""
+    region, counts, axes = _axes(region, resolution)
+    _check_dimensions(field, metric, region.shape[0], inputs.shape[1])
+    states = _grid_points(axes)
+    sym, m = _contraction_stack(field, metric, states, inputs)
+    rows = (sym + beta * m).reshape(-1, metric.dim, metric.dim)
+    values = np.fromiter((max_eigenvalue(a) for a in rows), dtype=float, count=len(rows))
+    row = int(np.argmax(values))
+    k, i = divmod(row, len(states))
+    return Certificate(
+        holds=bool(values[row] <= 0.0),
+        margin=float(values[row]),
+        witness={"x": [float(v) for v in states[i]], "c": [float(v) for v in inputs[k]]},
+        grid_spec={
+            "lo": [float(v) for v in region[:, 0]],
+            "hi": [float(v) for v in region[:, 1]],
+            "counts": [int(v) for v in counts],
+            "beta": float(beta),
+        },
+    )
+
+
 def check_contraction_region(
     field: VectorField,
     metric: RiemannianMetric,
@@ -200,35 +238,14 @@ def check_contraction_region(
 
     Holds iff the value is <= 0 at every grid point; the margin is the
     largest value seen and the witness the first grid point attaining it.
-    Dimensions are checked once, before any field or metric call
-    (``DimensionMismatchError``); a non-finite value at any grid point
-    raises ``NonFiniteError``.
+    A negative or non-finite ``beta`` raises ``ValueError``; dimensions are
+    checked once, before any field or metric call (``DimensionMismatchError``);
+    a non-finite value at any grid point raises ``NonFiniteError``.
     """
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    region, counts, axes = _axes(region, resolution)
+    if not (np.isfinite(beta) and beta >= 0):
+        raise ValueError("beta must be finite and nonnegative")
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    _check_dimensions(field, metric, region.shape[0], c.shape[0])
-
-    def value(x):
-        sym, m = _contraction_terms(field, metric, x, c)
-        return max_eigenvalue(sym + beta * m)
-
-    grid = _grid_points(axes)
-    values = np.fromiter((value(x) for x in grid), dtype=float, count=len(grid))
-    i = int(np.argmax(values))
-    worst = values[i]
-    return Certificate(
-        holds=bool(worst <= 0.0),
-        margin=float(worst),
-        witness={"x": [float(v) for v in grid[i]], "c": [float(v) for v in c]},
-        grid_spec={
-            "lo": [float(v) for v in region[:, 0]],
-            "hi": [float(v) for v in region[:, 1]],
-            "counts": [int(v) for v in counts],
-            "beta": float(beta),
-        },
-    )
+    return _region_certificate(field, metric, region, resolution, beta, c[None])
 
 
 def check_uniform_contraction(
@@ -242,28 +259,27 @@ def check_uniform_contraction(
 ) -> Certificate:
     """Contraction certificate uniform over a grid of constant inputs.
 
-    Runs :func:`check_contraction_region` for every constant input on the
-    grid.  When the certificate holds, the same margin applies to arbitrary
-    (measurable, box-valued) input signals, because the input enters the
-    contraction matrix only through its pointwise value; the note records
-    that entailment.
+    Evaluates lambda_max(contraction matrix + beta*M) at every (constant
+    input, state) pair of the two grids; the witness is the first maximum,
+    input slowest.  A non-positive or non-finite ``beta`` raises
+    ``ValueError``.  When the certificate holds, the same margin applies to
+    arbitrary (measurable, box-valued) input signals, because the input
+    enters the contraction matrix only through its pointwise value; the note
+    records that entailment.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not (np.isfinite(beta) and beta > 0):
+        raise ValueError("beta must be finite and positive")
     input_box, input_counts, input_axes = _axes(input_box, input_resolution)
     if input_box.shape[0] != field.input_dim:
         raise DimensionMismatchError("input box dimension must match the input dimension")
-    certs = [check_contraction_region(field, metric, region, resolution, beta, c) for c in _grid_points(input_axes)]
-    worst = max(certs, key=lambda cert: cert.margin)
-    return Certificate(
-        holds=bool(worst.margin <= 0.0),
-        margin=float(worst.margin),
-        witness=worst.witness,
+    cert = _region_certificate(field, metric, region, resolution, beta, _grid_points(input_axes))
+    return replace(
+        cert,
         grid_spec={
             "input_lo": [float(v) for v in input_box[:, 0]],
             "input_hi": [float(v) for v in input_box[:, 1]],
             "input_counts": [int(v) for v in input_counts],
-            "state_grid": certs[-1].grid_spec,
+            "state_grid": cert.grid_spec,
         },
         note=(
             "holds uniformly over sampled constant inputs; for additive "

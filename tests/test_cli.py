@@ -114,6 +114,27 @@ class TestRun:
         assert pert[0] == "t,x,y,r" and orbit[0] == "t,x,y,r"
         assert len(pert) > 10 and len(orbit) > 10
 
+    def test_grid_certificates_pin_exact_values(self, tmp_path, capsys):
+        # Exact margins, witnesses and values of the three grid-certificate
+        # experiments: however the contraction matrices are assembled, they
+        # must reproduce the per-point arithmetic to the last bit.
+        docs = {}
+        for name in ("metric-certify", "metric-violate", "uniform-contraction"):
+            assert run_cli("run", name, "--out", str(tmp_path)) == 0
+            docs[name] = json.loads((tmp_path / f"{name}.json").read_text())
+        certify = docs["metric-certify"]["certificate"]
+        assert certify["margin"] == -1.1851851989020563
+        assert certify["witness"]["x"] == [-3.315999999999999]
+        violate = docs["metric-violate"]
+        assert violate["wide_certificate"]["margin"] == 185.1328205390093
+        assert violate["wide_certificate"]["witness"]["x"] == [-19.95]
+        assert violate["window_certificate"]["margin"] == 33.19442577274942
+        assert violate["window_certificate"]["witness"]["x"] == [10.027513098524]
+        assert violate["direct_value"] == 31.839481707517592
+        uniform = docs["uniform-contraction"]["certificate"]
+        assert uniform["margin"] == -0.10683770220584154
+        assert uniform["witness"] == {"x": [-1.4849242404917504], "c": [1.0]}
+
     def test_csv_only_format_skips_json(self, tmp_path, capsys):
         run_cli("run", "divergence", "--periods", "2", "--out", str(tmp_path), "--format", "csv")
         assert not (tmp_path / "divergence.json").exists()

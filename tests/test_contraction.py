@@ -17,6 +17,7 @@ from contraction_lab.contraction import (
 )
 from contraction_lab.dynamics import PiecewiseConstantInput, VectorField, integrate
 from contraction_lab.errors import DimensionMismatchError, MetricAppearsConstantError, NonFiniteError
+from contraction_lab.linalg import max_eigenvalue
 
 X_PAPER = 4.0 * math.sqrt(2.0 * math.pi)
 BETA = 1.0 / 3.0
@@ -33,6 +34,60 @@ def coupled_metric(n):
         return 0.5 * np.cos(x[:, None] + x[None, :])[:, :, None] * (eye[:, None, :] + eye[None, :, :])
 
     return RiemannianMetric(n, evaluate, gradient, lower_bound=2.0, name="coupled sine metric")
+
+
+def twisted_field():
+    """x' = -x + u * tanh(reversed x): off-diagonal, input-dependent Jacobian."""
+
+    def jacobian(x, u):
+        sech2 = 1.0 - np.tanh(x[::-1]) ** 2
+        return np.array([[-1.0, u[0] * sech2[0]], [u[1] * sech2[1], -1.0]])
+
+    return VectorField(lambda x, u: -x + u * np.tanh(x[::-1]), 2, 2, jacobian=jacobian, name="twisted")
+
+
+def recorded(field, metric):
+    """Copies of field and metric that log (callable, state shape) per call."""
+    log = []
+
+    def logged(name, fn):
+        def call(x, *rest):
+            log.append((name, np.shape(x)))
+            return fn(x, *rest)
+
+        return call
+
+    field = VectorField(
+        logged("field", field), field.state_dim, field.input_dim, jacobian=logged("jacobian", field.jacobian_x)
+    )
+    return field, RiemannianMetric(metric.dim, logged("eval", metric.eval), logged("grad", metric.grad)), log
+
+
+def grid_rows(box, count):
+    axes = [np.linspace(lo, hi, count) for lo, hi in box]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(box))
+
+
+def reference_values(field, metric, states, inputs, beta):
+    """The per-point arithmetic a stacked certificate must match bit for bit, input slowest."""
+    values = []
+    for c in inputs:
+        for x in states:
+            jac, m = field.jacobian_x(x, c), metric.eval(x)
+            a = jac.T @ m + m @ jac + metric.grad(x) @ field(x, c)
+            values.append(max_eigenvalue((a + a.T) / 2.0 + beta * m))
+    return np.array(values)
+
+
+# Both grid certificates on the unit box of the system's dimensions.
+CHECKS = {
+    "region": lambda field, metric, beta=BETA: check_contraction_region(
+        field, metric, [(-1.0, 1.0)] * field.state_dim, 3, beta, [0.5] * field.input_dim
+    ),
+    "uniform": lambda field, metric, beta=BETA: check_uniform_contraction(
+        field, metric, [(-1.0, 1.0)] * field.input_dim, 3, [(-1.0, 1.0)] * field.state_dim, 3, beta
+    ),
+}
 
 
 def reference_violating_input(field, metric, x_search, x_resolution, seed, z_search=16, c_direction_samples=16):
@@ -262,6 +317,95 @@ class TestUniformContraction:
         d0, d1 = abs(1.7 - (-0.9)), abs(float(xa[0] - xb[0]))
         cond = math.sqrt(2.0 / 1.0)  # sup M = 2, inf M = 1
         assert d1 <= cond * math.exp(-(beta / 2 - 0.05) * horizon) * d0
+
+
+class TestStackedCertificates:
+    def test_matches_per_point_arithmetic_exactly(self):
+        field, metric = twisted_field(), coupled_metric(2)
+        box = [(-2.0, 1.0), (-1.0, 2.0)]
+        states, inputs = grid_rows(box, 7), grid_rows(box, 3)
+        for x, c in zip(states[::5], inputs):
+            jac, m = field.jacobian_x(x, c), metric.eval(x)
+            a = jac.T @ m + m @ jac + metric.grad(x) @ field(x, c)
+            assert np.array_equal(contraction_matrix(field, metric, x, c), (a + a.T) / 2.0)
+        region = check_contraction_region(field, metric, box, 7, BETA, inputs[5])
+        values = reference_values(field, metric, states, inputs[5:], BETA)
+        i = int(np.argmax(values[: len(states)]))
+        assert region.margin == values[i]
+        assert region.witness == {"x": states[i].tolist(), "c": inputs[5].tolist()}
+        uniform = check_uniform_contraction(field, metric, box, 3, box, 7, BETA)
+        values = reference_values(field, metric, states, inputs, BETA)
+        k, i = divmod(int(np.argmax(values)), len(states))
+        assert uniform.margin == values.max()
+        assert uniform.witness == {"x": states[i].tolist(), "c": inputs[k].tolist()}
+
+    def test_callables_receive_one_state(self):
+        field, metric, log = recorded(twisted_field(), coupled_metric(2))
+        contraction_matrix(field, metric, [0.3, -0.2], [0.5, 1.0])
+        for check in CHECKS.values():
+            check(field, metric)
+        assert {name for name, _ in log} == {"field", "jacobian", "eval", "grad"}
+        assert {shape for _, shape in log} == {(2,)}
+
+    def test_uniform_evaluates_metric_once_per_state(self):
+        field, metric, log = recorded(twisted_field(), coupled_metric(2))
+        check_uniform_contraction(field, metric, [(-1.0, 1.0)] * 2, 3, [(-1.0, 1.0)] * 2, 4, BETA)
+        counts = {name: sum(1 for logged, _ in log if logged == name) for name in ("eval", "grad", "field", "jacobian")}
+        assert counts == {"eval": 16, "grad": 16, "field": 9 * 16, "jacobian": 9 * 16}
+
+    def test_uniform_witness_is_first_maximum_input_slowest(self):
+        # lambda = 2J + 1 with J = -1 - x u peaks at 1 on (u=-1, x=1) and on
+        # (u=1, x=-1), an exact tie across two inputs; the first row with the
+        # input slowest is (u=-1, x=1), with the state slowest (u=1, x=-1).
+        field = VectorField(
+            lambda x, u: -x - 0.5 * x * x * u, 1, 1, jacobian=lambda x, u: np.array([[-1.0 - x[0] * u[0]]])
+        )
+        cert = check_uniform_contraction(field, RiemannianMetric.constant([[1.0]]), (-1.0, 1.0), 2, (-1.0, 1.0), 3, 1.0)
+        assert cert.margin == 1.0
+        assert cert.witness == {"x": [1.0], "c": [-1.0]}
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["metric-nine-entries", "metric-scalar", "grad-scalar", "jacobian-scalar", "field-scalar"],
+    )
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_wrong_sized_callable_result_raises(self, check, bad):
+        # A scalar must not broadcast silently across a row of the stacks.
+        evaluate = {"metric-nine-entries": lambda x: np.ones(9), "metric-scalar": lambda x: 3.0}.get(
+            bad, lambda x: 3.0 * np.eye(2)
+        )
+        gradient = (lambda x: 0.0) if bad == "grad-scalar" else (lambda x: np.zeros((2, 2, 2)))
+        field = VectorField(
+            (lambda x, u: -1.0) if bad == "field-scalar" else (lambda x, u: -x + u),
+            2,
+            2,
+            jacobian=(lambda x, u: -1.0) if bad == "jacobian-scalar" else (lambda x, u: -np.eye(2)),
+        )
+        with pytest.raises(ValueError):
+            CHECKS[check](field, RiemannianMetric(2, evaluate, gradient))
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_non_finite_row_raises(self, check):
+        field = VectorField(
+            lambda x, u: np.full(1, math.nan) if x[0] == 0.0 else -x + u, 1, 1, jacobian=lambda x, u: -np.eye(1)
+        )
+        with pytest.raises(NonFiniteError):
+            CHECKS[check](field, bounded_example_metric(2.0))
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_dimension_mismatch_before_any_call(self, check):
+        field, metric, log = recorded(twisted_field(), bounded_example_metric(2.0))
+        with pytest.raises(DimensionMismatchError):
+            CHECKS[check](field, metric)
+        assert log == []
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_non_finite_beta_rejected_before_any_call(self, check, beta):
+        field, metric, log = recorded(twisted_field(), coupled_metric(2))
+        with pytest.raises(ValueError, match="beta"):
+            CHECKS[check](field, metric, beta)
+        assert log == []
 
 
 class TestFindViolatingInput:

@@ -116,6 +116,19 @@ class TestBuildCounterexample:
         for t in np.linspace(0, 2 * math.pi, 9):
             assert np.allclose(signal.eval(t), signal.eval(t + 2 * math.pi), atol=1e-12)
 
+    def test_batch_rows_equal_single_states(self, rng):
+        field = circle_field()
+        r = rng.uniform(0.1, 4.0, size=7)
+        theta = rng.uniform(0.0, 2 * math.pi, size=7)
+        x = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+        u = rng.uniform(-1.0, 1.0, size=2)
+        batch = field(x, u)
+        for row, state in zip(batch, x):
+            assert np.array_equal(row, field(state, u))
+        # Polar form: radial speed f(r), angular speed 1, plus the input.
+        polar = radial_f(r)[:, None] * x / r[:, None] + np.column_stack([-x[:, 1], x[:, 0]]) + u
+        assert np.allclose(batch, polar, rtol=0.0, atol=1e-12)
+
     def test_analytic_jacobian_matches_finite_differences(self, rng):
         from contraction_lab.dynamics import VectorField
 
