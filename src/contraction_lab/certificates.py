@@ -56,8 +56,15 @@ def write_json(path, obj) -> None:
         fh.write(text)
 
 
+class JsonRecord:
+    """Base of the verdict records: ``to_json`` is ``to_dict`` as fixed JSON."""
+
+    def to_json(self) -> str:
+        return dumps_fixed(self.to_dict())
+
+
 @dataclass
-class Certificate:
+class Certificate(JsonRecord):
     """Outcome of a numerical check.
 
     holds      -- whether the checked inequality held everywhere sampled
@@ -85,6 +92,3 @@ class Certificate:
         if self.note:
             out["note"] = self.note
         return out
-
-    def to_json(self) -> str:
-        return dumps_fixed(self.to_dict())

@@ -19,17 +19,17 @@ import numpy as np
 
 from . import constant_metric, contraction, counterexample, entrainment, flowspace
 from .certificates import write_json
-from .dynamics import PeriodicInput, VectorField, concat, integrate, shift_signal
+from .dynamics import PeriodicInput, concat, integrate, shift_signal
 from .errors import ContractionLabError, NoRootFoundError
 
-# name -> (claim, flags taken beyond the common out/format/seed set, runner),
-# in the order the experiments are defined below.
+# name -> (claim, {flag: default} for the flags taken beyond the common
+# out/format/seed set, runner), in the order the experiments are defined below.
 _EXPERIMENTS = {}
 
 
-def _experiment(name: str, claim: str, *flags: str):
+def _experiment(name: str, claim: str, **defaults):
     def register(run):
-        _EXPERIMENTS[name] = (claim, set(flags), run)
+        _EXPERIMENTS[name] = (claim, defaults, run)
         return run
 
     return register
@@ -106,56 +106,51 @@ def _build_parser() -> _Parser:
 
 
 def _check_params(parser, args) -> None:
-    _, allowed, _ = _EXPERIMENTS[args.experiment]
+    _, defaults, _ = _EXPERIMENTS[args.experiment]
     for flag in ("grid", "tol", "horizon", "periods", "rate", "delta"):
-        if getattr(args, flag) is not None and flag not in allowed:
+        if getattr(args, flag) is None:
+            setattr(args, flag, defaults.get(flag))
+        elif flag not in defaults:
             parser.error(f"experiment {args.experiment!r} does not take --{flag}")
     if args.grid is not None and len(args.grid) > 1:
         parser.error(f"experiment {args.experiment!r} takes one --grid axis, got {len(args.grid)}")
-    if args.delta is not None and not args.delta < (r_star := _rstar_value()):
+    if args.delta is not None and not args.delta < (r_star := counterexample._canonical_radius()):
         parser.error(f"--delta must be below r_star = {r_star!r}, got {args.delta!r}")
 
 
-def _rstar_value() -> float:
-    return counterexample.find_r_star().r_star
-
-
-@_experiment("ges-check", "unforced trajectories decay at rate 1/2 and f(r) <= -r/2 on [0, 50]", "rate", "horizon")
+@_experiment(
+    "ges-check", "unforced trajectories decay at rate 1/2 and f(r) <= -r/2 on [0, 50]", rate=0.5, horizon=20.0
+)
 def _exp_ges_check(args):
-    rate = 0.5 if args.rate is None else args.rate
-    horizon = 20.0 if args.horizon is None else args.horizon
     ics = counterexample.random_initial_conditions(100, 10.0, seed=args.seed)
-    cert = counterexample.verify_ges(ics, horizon, rate)
-    payload = {"rate": rate, "horizon": horizon, "certificate": cert.to_dict()}
+    cert = counterexample.verify_ges(ics, args.horizon, args.rate)
+    payload = {"rate": args.rate, "horizon": args.horizon, "certificate": cert.to_dict()}
     return bool(cert.holds), payload, []
 
 
-@_experiment("circle-orbit", "the circle of radius r_star is an exact periodic trajectory of the forced system", "tol")
+@_experiment("circle-orbit", "the circle of radius r_star is an exact periodic trajectory of the forced system", tol=1e-10)
 def _exp_circle_orbit(args):
-    tol = 1e-10 if args.tol is None else args.tol
-    residual = counterexample.circle_orbit_residual(_rstar_value(), 1000)
-    return residual <= tol, {"residual": residual, "tolerance": tol, "samples": 1000}, []
+    residual = counterexample.circle_orbit_residual(counterexample._canonical_radius(), 1000)
+    return residual <= args.tol, {"residual": residual, "tolerance": args.tol, "samples": 1000}, []
 
 
 @_experiment(
     "divergence",
     "a start just inside the forced orbit moves away from it and never returns",
-    "delta",
-    "periods",
+    delta=0.1,
+    periods=10,
 )
 def _exp_divergence(args):
-    delta = 0.1 if args.delta is None else args.delta
-    periods = 10 if args.periods is None else args.periods
-    r_star = _rstar_value()
-    report = entrainment.counterexample_divergence(r_star, delta, periods)
+    r_star = counterexample._canonical_radius()
+    report = entrainment.counterexample_divergence(r_star, args.delta, args.periods)
     field, signal = counterexample.build_counterexample(r_star)
     verdict = entrainment.detect_entrainment(
-        field, signal, [[r_star, 0.0], [r_star - delta, 0.0]], max_iterations=50, tol=1e-8
+        field, signal, [[r_star, 0.0], [r_star - args.delta, 0.0]], max_iterations=50, tol=1e-8
     )
     confirmed = (
         report.grew
         and report.distances[1] > report.distances[0]
-        and report.monotone_prefix >= min(3, periods)
+        and report.monotone_prefix >= min(3, args.periods)
         and verdict.status == entrainment.DIVERGES
     )
     payload = {
@@ -172,12 +167,11 @@ def _exp_divergence(args):
     return confirmed, payload, [write_csvs]
 
 
-@_experiment("entrainment-linear", "x' = -x + sin t entrains with return-map fixed point -1/2", "tol")
+@_experiment("entrainment-linear", "x' = -x + sin t entrains with return-map fixed point -1/2", tol=1e-8)
 def _exp_entrainment_linear(args):
-    tol = 1e-8 if args.tol is None else args.tol
-    field = VectorField(lambda x, u: -x + u, 1, 1, jacobian=lambda x, u: np.array([[-1.0]]))
+    field = contraction.linear_additive_field(1)
     signal = PeriodicInput(2 * np.pi, lambda t: [np.sin(t)])
-    verdict = entrainment.detect_entrainment(field, signal, [[-10.0], [0.0], [10.0]], 50, tol)
+    verdict = entrainment.detect_entrainment(field, signal, [[-10.0], [0.0], [10.0]], 50, args.tol)
     confirmed = verdict.status == entrainment.ENTRAINS and abs(verdict.orbit_sample[0] + 0.5) <= 1e-8
     payload = {
         "verdict": verdict.status,
@@ -187,22 +181,18 @@ def _exp_entrainment_linear(args):
     return confirmed, payload, []
 
 
-def _default_grid(args, lo, hi, count):
-    if args.grid:
-        (g,) = args.grid
-        return (g[0], g[1]), g[2]
-    return (lo, hi), count
-
-
-@_experiment("metric-certify", "the oscillatory scalar system contracts in its stock metric at rate 1/3", "grid")
+@_experiment(
+    "metric-certify",
+    "the oscillatory scalar system contracts in its stock metric at rate 1/3",
+    grid=[(-20.0, 20.0, 40001)],
+)
 def _exp_metric_certify(args):
     field, metric = contraction.scalar_example_system()
-    region, count = _default_grid(args, -20.0, 20.0, 40001)
-    cert = contraction.check_contraction_region(field, metric, region, count, 1.0 / 3.0, [0.0])
-    xs = np.linspace(region[0], region[1], 10001)
-    lhs = contraction.scalar_metric_derivative(xs) * (0.5 * xs * np.sin(xs * xs) - xs) + 2 * (
-        0.5 * np.sin(xs * xs) + xs * xs * np.cos(xs * xs) - 1.0
-    ) * contraction.scalar_metric(xs)
+    ((lo, hi, count),) = args.grid
+    cert = contraction.check_contraction_region(field, metric, (lo, hi), count, 1.0 / 3.0, [0.0])
+    xs = np.linspace(lo, hi, 10001)
+    f, slope = counterexample.radial_f(xs), counterexample.radial_f_slope(xs)
+    lhs = contraction.scalar_metric_derivative(xs) * f + 2 * slope * contraction.scalar_metric(xs)
     rhs = 4.0 / (np.sin(xs * xs) - 2.0)
     identity_err = float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
     confirmed = cert.holds and identity_err <= 1e-9
@@ -212,7 +202,7 @@ def _exp_metric_certify(args):
 @_experiment(
     "metric-violate",
     "constant input 27/16 breaks the scalar metric certificate near x = 4*sqrt(2*pi)",
-    "grid",
+    grid=[(-20.0, 20.0, 40001)],
 )
 def _exp_metric_violate(args):
     field, metric = contraction.scalar_example_system()
@@ -220,8 +210,8 @@ def _exp_metric_violate(args):
     x0 = 4.0 * np.sqrt(2.0 * np.pi)
     direct = contraction.contraction_matrix(field, metric, [x0], [c])[0, 0]
     closed = -2.0 + 13.5 * np.sqrt(2.0 * np.pi)
-    region, count = _default_grid(args, -20.0, 20.0, 40001)
-    wide = contraction.check_contraction_region(field, metric, region, count, 1.0 / 3.0, [c])
+    ((lo, hi, count),) = args.grid
+    wide = contraction.check_contraction_region(field, metric, (lo, hi), count, 1.0 / 3.0, [c])
     spacing = 1e-3
     window = contraction.check_contraction_region(
         field, metric, (x0 - 20 * spacing, x0 + spacing), 22, 1.0 / 3.0, [c]
@@ -246,15 +236,15 @@ def _exp_metric_violate(args):
 @_experiment(
     "uniform-contraction",
     "x' = -x + u contracts uniformly over |u| <= 1 in the non-constant bump metric",
-    "grid",
+    # |x| <= 10 sqrt(m) for the m = 2 that bounded_metric_m_parameter(1.0) returns
+    grid=[(-10.0 * math.sqrt(2.0), 10.0 * math.sqrt(2.0), 2001)],
 )
 def _exp_uniform_contraction(args):
     m, m_cert = contraction.bounded_metric_m_parameter(1.0)
     metric = contraction.bounded_example_metric(m)
     field = contraction.linear_additive_field(1)
-    half_width = 10.0 * np.sqrt(m)
-    region, count = _default_grid(args, -half_width, half_width, 2001)
-    cert = contraction.check_uniform_contraction(field, metric, (-1.0, 1.0), 5, region, count, 1.0)
+    ((lo, hi, count),) = args.grid
+    cert = contraction.check_uniform_contraction(field, metric, (-1.0, 1.0), 5, (lo, hi), count, 1.0)
     payload = {"m": m, "bound_certificate": m_cert.to_dict(), "certificate": cert.to_dict()}
     return bool(cert.holds), payload, []
 

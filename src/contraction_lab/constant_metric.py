@@ -15,7 +15,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .certificates import dumps_fixed
+from .certificates import JsonRecord
+from .contraction import linear_additive_field
 from .dynamics import VectorField
 from .errors import ZeroFieldError
 from .linalg import spectral_norm
@@ -80,10 +81,11 @@ def hull_contains_ball(points, rho: float, direction_count: int = 512) -> bool:
     direction d; the test samples a deterministic low-discrepancy direction
     set (uniform angles in 2-D, Fibonacci sphere in 3-D), so it is exact in
     the dense-direction limit and can only err on the permissive side at
-    finite resolution.
+    finite resolution.  A NaN, infinite or non-positive ``rho`` raises
+    ``ValueError``.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not (np.isfinite(rho) and rho > 0):
+        raise ValueError("rho must be finite and positive")
     if direction_count < 100:
         raise ValueError("direction_count must be at least 100")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -112,7 +114,7 @@ def jacobian_field_ratio(field: VectorField, u, x) -> float:
 
 
 @dataclass
-class ConstantMetricReport:
+class ConstantMetricReport(JsonRecord):
     """Per-(x, i) hull verdicts and ratio values, with aggregate conclusions.
 
     For each sample point x the report records the smallest index i0 in the
@@ -155,9 +157,6 @@ class ConstantMetricReport:
             "certified": self.certified,
             "entries": self.entries,
         }
-
-    def to_json(self) -> str:
-        return dumps_fixed(self.to_dict())
 
 
 def check_constant_metric_conditions(
@@ -266,8 +265,7 @@ def simplex_directions(dim: int = 3) -> np.ndarray:
 
 def example_additive_3d():
     """Additive system x' = -x + c with simplex-direction input rays c = i v_j."""
-    eye = np.eye(3)
-    field = VectorField(lambda x, u: -x + u, 3, 3, jacobian=lambda x, u: -eye, name="additive 3d")
+    field = linear_additive_field(3)
     dirs = simplex_directions(3)
     family = InputSequenceFamily(k=4, generator=lambda i, j: float(i) * dirs[j - 1])
     return field, family

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .certificates import Certificate
-from .dynamics import VectorField
+from .dynamics import VectorField, _central_difference
 from .errors import DimensionMismatchError, MetricAppearsConstantError, NonFiniteError
 from .linalg import max_eigenvalue, symmetric_part
 
@@ -41,9 +41,6 @@ __all__ = [
     "find_violating_input",
     "bounded_metric_m_parameter",
 ]
-
-_FD_STEP = 1e-6
-
 
 class RiemannianMetric:
     """Position-dependent symmetric matrix M(x) with entrywise gradients.
@@ -71,12 +68,7 @@ class RiemannianMetric:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self._grad is not None:
             return np.asarray(self._grad(x), dtype=float).reshape(self.dim, self.dim, self.dim)
-        g = np.empty((self.dim, self.dim, self.dim))
-        for k in range(self.dim):
-            step = np.zeros(self.dim)
-            step[k] = _FD_STEP
-            g[:, :, k] = (self.eval(x + step) - self.eval(x - step)) / (2 * _FD_STEP)
-        return g
+        return _central_difference(self.eval, x, self.dim)
 
     @classmethod
     def constant(cls, matrix, lower_bound: float | None = None) -> "RiemannianMetric":
@@ -180,8 +172,6 @@ def linear_additive_field(dim: int = 1) -> VectorField:
 
 def _axes(region, resolution):
     region = np.atleast_2d(np.asarray(region, dtype=float))
-    if region.shape == (1, 2) or region.ndim == 1:
-        region = region.reshape(-1, 2)
     counts = np.atleast_1d(np.asarray(resolution, dtype=int))
     if counts.shape[0] == 1 and region.shape[0] > 1:
         counts = np.repeat(counts, region.shape[0])
@@ -340,7 +330,7 @@ def find_violating_input(
     n = field.state_dim
     if field.input_dim != n:
         raise DimensionMismatchError("violating-input search needs input_dim == state_dim")
-    region, _, axes = _axes(x_search, [x_resolution] * np.atleast_2d(np.asarray(x_search, dtype=float)).reshape(-1, 2).shape[0])
+    region, _, axes = _axes(x_search, x_resolution)
     if region.shape[0] != n:
         raise DimensionMismatchError("x_search must have one (lo, hi) pair per state dimension")
 

@@ -21,9 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .certificates import Certificate, dumps_fixed
+from .certificates import Certificate, JsonRecord
 from .dynamics import ConstantInput, IntegratorConfig, PeriodicInput, VectorField, _steps
-from .errors import NoRootFoundError
+from .errors import NoRootFoundError, NonFiniteError
 
 __all__ = [
     "radial_f",
@@ -69,7 +69,7 @@ def second_order_value(r):
 
 
 @dataclass(frozen=True)
-class RStarCertificate:
+class RStarCertificate(JsonRecord):
     """Certified strict local maximizer of the radial drift.
 
     r_star               -- the radius
@@ -98,9 +98,6 @@ class RStarCertificate:
             "second_order_value": self.second_order_value,
             "f_at_rstar": self.f_at_rstar,
         }
-
-    def to_json(self) -> str:
-        return dumps_fixed(self.to_dict())
 
 
 _SCAN_STEP = 1e-3
@@ -224,13 +221,11 @@ def circle_orbit_residual(r_star: float, sample_count: int, forcing_radius: floa
     if sample_count < 8:
         raise ValueError("sample_count must be at least 8")
     field, signal = build_counterexample(forcing_radius if forcing_radius is not None else _canonical_radius())
-
-    def residual(t):
-        gamma = np.array([r_star * np.cos(t), r_star * np.sin(t)])
-        gamma_dot = np.array([-r_star * np.sin(t), r_star * np.cos(t)])
-        return float(np.linalg.norm(field(gamma, signal.eval(t)) - gamma_dot))
-
-    return max(map(residual, np.linspace(0.0, TWO_PI, sample_count, endpoint=False)))
+    t = np.linspace(0.0, TWO_PI, sample_count, endpoint=False)
+    gamma = r_star * np.column_stack([np.cos(t), np.sin(t)])
+    gamma_dot = r_star * np.column_stack([-np.sin(t), np.cos(t)])
+    # The rotating input is elementwise in t, so one call gives its (2, N) samples.
+    return float(np.max(np.linalg.norm(field(gamma, signal.eval(t).T) - gamma_dot, axis=1)))
 
 
 def random_initial_conditions(count: int, radius: float, seed: int = 0) -> np.ndarray:
@@ -324,27 +319,28 @@ def polar_equivalence_check(grid_points) -> Certificate:
 
     ``grid_points`` is an iterable of (r, theta) pairs with r > 0.  The
     Cartesian field is pushed through the polar Jacobian and compared with
-    the closed-form polar dynamics to 1e-12.
+    the closed-form polar dynamics to 1e-12; the witness is the first point
+    of largest deviation.  A non-finite deviation raises ``NonFiniteError``.
     """
-    field = circle_field()
-    zero = np.zeros(2)
-
-    def deviation(r, theta):
-        if r <= 0:
-            raise ValueError("polar grid requires r > 0")
-        x = np.array([r * np.cos(theta), r * np.sin(theta)])
-        dx = field(x, zero)
-        r_dot = float((x @ dx) / r)
-        theta_dot = float((x[0] * dx[1] - x[1] * dx[0]) / (r * r))
-        return max(abs(r_dot - radial_f(r)), abs(theta_dot - 1.0))
-
-    points = list(grid_points)
-    devs = [deviation(r, theta) for r, theta in points]
-    worst, (r, theta) = max(zip(devs, points), key=lambda pair: pair[0], default=(0.0, (None, None)))
+    points = np.array(list(grid_points) or np.empty((0, 2)), dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError("grid points must be (r, theta) pairs")
+    r, theta = points[:, 0], points[:, 1]
+    if np.any(r <= 0):
+        raise ValueError("polar grid requires r > 0")
+    x = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    dx = circle_field()(x, np.zeros(2))
+    r_dot = np.add.reduce(x * dx, axis=1) / r
+    theta_dot = (x[:, 0] * dx[:, 1] - x[:, 1] * dx[:, 0]) / (r * r)
+    devs = np.maximum(np.abs(r_dot - radial_f(r)), np.abs(theta_dot - 1.0))
+    if not np.all(np.isfinite(devs)):
+        raise NonFiniteError("the polar deviation is not finite at some grid point")
+    i = int(np.argmax(devs)) if len(devs) else None
+    worst = 0.0 if i is None else float(devs[i])
     holds = worst <= 1e-12
     return Certificate(
         holds=holds,
         margin=worst,
-        witness=None if holds else {"r": float(r), "theta": float(theta)},
+        witness=None if holds else {"r": float(r[i]), "theta": float(theta[i])},
         grid_spec={"points": len(points), "tolerance": 1e-12},
     )

@@ -52,6 +52,16 @@ class IntegratorConfig:
             raise ValueError("initial_step must be finite and positive")
 
 
+_FD_STEP = 1e-6
+
+
+def _central_difference(fn, x, n: int) -> np.ndarray:
+    """Derivative of ``fn`` at the n-vector ``x`` by central differences with
+    step 1e-6; the derivative along axis k is the slice ``[..., k]``."""
+    steps = np.eye(n) * _FD_STEP
+    return np.stack([(fn(x + h) - fn(x - h)) / (2 * _FD_STEP) for h in steps], axis=-1)
+
+
 class VectorField:
     """Dynamics x' = f(x, u) with state-Jacobian access.
 
@@ -75,14 +85,7 @@ class VectorField:
         u = np.asarray(u, dtype=float)
         if self._jacobian is not None:
             return np.asarray(self._jacobian(x, u), dtype=float)
-        n = self.state_dim
-        jac = np.empty((n, n))
-        h = 1e-6
-        for i in range(n):
-            step = np.zeros(n)
-            step[i] = h
-            jac[:, i] = (self(x + step, u) - self(x - step, u)) / (2 * h)
-        return jac
+        return _central_difference(lambda y: self(y, u), x, self.state_dim)
 
 
 class InputSignal:

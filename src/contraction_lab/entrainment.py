@@ -14,8 +14,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .certificates import dumps_fixed, format_float
-from .counterexample import build_counterexample
+from .certificates import JsonRecord, format_float
+from .counterexample import TWO_PI, build_counterexample
 from .dynamics import IntegratorConfig, PeriodicInput, Trajectory, VectorField, integrate
 
 __all__ = [
@@ -34,7 +34,7 @@ _MONOTONE_SLACK = 1e-8
 
 
 @dataclass
-class EntrainmentVerdict:
+class EntrainmentVerdict(JsonRecord):
     """Outcome of iterating the return map from a set of initial conditions.
 
     status       -- "entrains" | "diverges" | "inconclusive"
@@ -59,9 +59,6 @@ class EntrainmentVerdict:
             "iterations": self.iterations,
             "iterates": [[[float(v) for v in state] for state in seq] for seq in self.iterates],
         }
-
-    def to_json(self) -> str:
-        return dumps_fixed(self.to_dict())
 
 
 def poincare_map(field: VectorField, signal: PeriodicInput, x0, config: IntegratorConfig | None = None) -> np.ndarray:
@@ -91,8 +88,13 @@ def detect_entrainment(
     Diverges: some pair's iterate distance grows to twice its running
     minimum (minima below ``tol`` are treated as merged and do not arm the
     divergence trigger).  Anything else after ``max_iterations`` returns
-    inconclusive.
+    inconclusive.  A ``tol`` that is not finite and positive, or
+    ``max_iterations`` below 1, raises ``ValueError``.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
     current = np.stack([np.atleast_1d(np.asarray(x, dtype=float)) for x in initial_set])
     if len(current) < 2:
         raise ValueError("need at least two initial conditions")
@@ -122,7 +124,7 @@ def detect_entrainment(
 
 
 @dataclass
-class DivergenceReport:
+class DivergenceReport(JsonRecord):
     """Distance-from-orbit record for a perturbed initial condition.
 
     distances[k] = | ||x(2 pi k)|| - r_star |.  The escape from the orbit is
@@ -152,9 +154,6 @@ class DivergenceReport:
             "monotone_prefix": self.monotone_prefix,
             "grew": self.grew,
         }
-
-    def to_json(self) -> str:
-        return dumps_fixed(self.to_dict())
 
     def export_csv(self, perturbed_path, orbit_path) -> None:
         """Write both trajectories as `t,x,y,r` rows for external plotting."""
@@ -188,13 +187,12 @@ def counterexample_divergence(
     if n_periods < 1:
         raise ValueError("need at least one period")
     field, signal = build_counterexample(r_star)
-    two_pi = 2.0 * np.pi
     # Row 0 is the perturbed start and row 1 the on-orbit reference.  Each
     # period is its own integration, so every mark 2 pi k is a step end.
     times, states = [0.0], [np.array([[r_star - delta, 0.0], [r_star, 0.0]])]
     marks = [0]
     for k in range(n_periods):
-        period = integrate(field, signal, states[-1], (k * two_pi, (k + 1) * two_pi), config)
+        period = integrate(field, signal, states[-1], (k * TWO_PI, (k + 1) * TWO_PI), config)
         times.extend(period.times[1:])
         states.extend(period.states[1:])
         marks.append(len(times) - 1)

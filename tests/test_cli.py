@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,12 +10,32 @@ import pytest
 
 import contraction_lab
 from contraction_lab import counterexample
-from contraction_lab.cli import EXPERIMENTS, main
+from contraction_lab.cli import _EXPERIMENTS, EXPERIMENTS, main
+from contraction_lab.contraction import bounded_metric_m_parameter
 from contraction_lab.dynamics import ConstantInput, _steps, integrate
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+# Flags that shrink each experiment to a quick run; the others take none.
+SMALL_FLAGS = {
+    "ges-check": ["--horizon", "0.25"],
+    "divergence": ["--periods", "3"],
+    "metric-certify": ["--grid=-2:2:401"],
+    "metric-violate": ["--grid=9:11:201"],
+    "uniform-contraction": ["--grid=-2:2:41"],
+}
+
+
+def spelled_out_defaults(experiment):
+    """The experiment's registry defaults as command-line flags."""
+    flags = []
+    for flag, value in _EXPERIMENTS[experiment][1].items():
+        text = ":".join(map(repr, value[0])) if flag == "grid" else repr(value)
+        flags.append(f"--{flag}={text}")
+    return flags
 
 
 class TestFindRstar:
@@ -93,11 +114,28 @@ class TestRun:
         assert doc["confirmed"] is True
         assert doc["residual"] <= 1e-10
 
-    def test_output_is_byte_deterministic(self, tmp_path, capsys):
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_output_is_byte_deterministic(self, tmp_path, capsys, experiment):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert run_cli("run", "circle-orbit", "--out", str(a)) == 0
-        assert run_cli("run", "circle-orbit", "--out", str(b)) == 0
-        assert (a / "circle-orbit.json").read_bytes() == (b / "circle-orbit.json").read_bytes()
+        flags = [*SMALL_FLAGS.get(experiment, []), "--format", "both"]
+        assert run_cli("run", experiment, *flags, "--out", str(a)) == 0
+        assert run_cli("run", experiment, *flags, "--out", str(b)) == 0
+        assert sorted(os.listdir(a)) == sorted(os.listdir(b))
+        for name in os.listdir(a):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if _EXPERIMENTS[e][1]])
+    def test_spelled_out_defaults_change_nothing(self, tmp_path, capsys, experiment):
+        implicit, explicit = tmp_path / "implicit", tmp_path / "explicit"
+        assert run_cli("run", experiment, "--out", str(implicit)) == 0
+        assert run_cli("run", experiment, *spelled_out_defaults(experiment), "--out", str(explicit)) == 0
+        name = f"{experiment}.json"
+        assert (implicit / name).read_bytes() == (explicit / name).read_bytes()
+
+    def test_uniform_grid_default_spans_ten_sqrt_m(self):
+        m, _ = bounded_metric_m_parameter(1.0)
+        half_width = 10.0 * math.sqrt(m)
+        assert _EXPERIMENTS["uniform-contraction"][1]["grid"] == [(-half_width, half_width, 2001)]
 
     def test_json_newline_terminated(self, tmp_path, capsys):
         run_cli("run", "circle-orbit", "--out", str(tmp_path))

@@ -59,6 +59,8 @@ class TestHullContainsBall:
         with pytest.raises(ValueError):
             hull_contains_ball([[1, 0]], -1.0, 400)
         with pytest.raises(ValueError):
+            hull_contains_ball([[1, 0]], math.nan, 400)
+        with pytest.raises(ValueError):
             hull_contains_ball(np.ones((3, 4)), 0.5, 400)  # dimension > 3
 
 

@@ -257,11 +257,11 @@ class TestCheckContractionRegion:
 
 
 class TestGradients:
-    def test_finite_difference_grad_matches_analytic(self, rng):
-        analytic = bounded_example_metric(4.0)
-        numeric = RiemannianMetric(1, analytic.eval, None, lower_bound=1.0)
+    @pytest.mark.parametrize("analytic", [bounded_example_metric(4.0), coupled_metric(2)], ids=["bump-1d", "coupled-2d"])
+    def test_finite_difference_grad_matches_analytic(self, analytic, rng):
+        numeric = RiemannianMetric(analytic.dim, analytic.eval, None, lower_bound=1.0)
         for _ in range(100):
-            x = rng.uniform(-5, 5, size=1)
+            x = rng.uniform(-5, 5, size=analytic.dim)
             ga, gn = analytic.grad(x), numeric.grad(x)
             assert np.allclose(gn, ga, rtol=1e-4, atol=1e-8)
 

@@ -19,7 +19,7 @@ from contraction_lab.counterexample import (
     verify_ges,
 )
 from contraction_lab.dynamics import ConstantInput, IntegratorConfig, integrate
-from contraction_lab.errors import NoRootFoundError
+from contraction_lab.errors import NoRootFoundError, NonFiniteError
 
 PRINTED_R_STAR = 2.79098840365914
 
@@ -256,6 +256,15 @@ class TestPolarEquivalence:
     def test_rejects_origin(self):
         with pytest.raises(ValueError):
             polar_equivalence_check([(0.0, 0.0)])
+
+    @pytest.mark.parametrize(
+        "points", [[(1.0, 0.0), (1e200, 0.0)], [(1e200, 0.0), (1.0, 0.0)]], ids=["nan-last", "nan-first"]
+    )
+    def test_non_finite_deviation_raises(self, points):
+        # r^2 overflows at r = 1e200, so that point's deviation is NaN; it must
+        # not be skipped by the reduction, whatever its position.
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+            polar_equivalence_check(points)
 
 
 class TestRandomInitialConditions:

@@ -125,6 +125,18 @@ class TestDetectEntrainment:
         with pytest.raises(ValueError):
             detect_entrainment(field, signal, [[0.0]], 10, 1e-8)
 
+    @pytest.mark.parametrize(
+        "max_iterations, tol",
+        [(50, math.nan), (50, 0.0), (50, -1e-8), (50, math.inf), (0, 1e-8), (-3, 1e-8)],
+    )
+    def test_bad_arguments_raise_before_any_return_map(self, max_iterations, tol):
+        def unreachable(x, u):
+            raise AssertionError("no return map may run")
+
+        signal = PeriodicInput(TWO_PI, lambda t: [math.sin(t)])
+        with pytest.raises(ValueError):
+            detect_entrainment(VectorField(unreachable, 1, 1), signal, [[-1.0], [1.0]], max_iterations, tol)
+
     def test_uniform_contraction_bounds_iterate_rate(self):
         # Identity-metric certificate at matrix rate beta = 2 implies the
         # return map contracts pairs by at least exp(-beta*T/2) + slack.
