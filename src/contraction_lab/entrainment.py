@@ -17,6 +17,7 @@ import numpy as np
 from .certificates import JsonRecord, format_float
 from .counterexample import TWO_PI, build_counterexample
 from .dynamics import IntegratorConfig, PeriodicInput, Trajectory, VectorField, integrate
+from .linalg import vector_norms
 
 __all__ = [
     "EntrainmentVerdict",
@@ -41,14 +42,15 @@ class EntrainmentVerdict(JsonRecord):
     orbit_sample -- phase-0 point of the detected limit cycle (entrains only)
     witness_pair -- indices of initial conditions whose iterate distance
                     doubled from its minimum (diverges only)
-    iterates     -- per-initial-condition list of return-map values
+    iterates     -- ``(starts, iterations + 1, n)`` array: each initial
+                    condition followed by its return-map values
     iterations   -- number of return-map applications performed
     """
 
     status: str
     orbit_sample: np.ndarray | None = None
     witness_pair: tuple[int, int] | None = None
-    iterates: list = dataclass_field(default_factory=list)
+    iterates: np.ndarray = dataclass_field(default_factory=lambda: np.empty((0, 0, 0)))
     iterations: int = 0
 
     def to_dict(self) -> dict:
@@ -57,7 +59,7 @@ class EntrainmentVerdict(JsonRecord):
             "orbit_sample": None if self.orbit_sample is None else [float(v) for v in self.orbit_sample],
             "witness_pair": None if self.witness_pair is None else list(self.witness_pair),
             "iterations": self.iterations,
-            "iterates": [[[float(v) for v in state] for state in seq] for seq in self.iterates],
+            "iterates": self.iterates.tolist(),
         }
 
 
@@ -98,29 +100,27 @@ def detect_entrainment(
     current = np.stack([np.atleast_1d(np.asarray(x, dtype=float)) for x in initial_set])
     if len(current) < 2:
         raise ValueError("need at least two initial conditions")
-    iterates = [[x.copy()] for x in current]
-    pairs = [(i, j) for i in range(len(current)) for j in range(i + 1, len(current))]
-    min_dist = {p: float(np.linalg.norm(current[p[0]] - current[p[1]])) for p in pairs}
+    history = [current]
+    first, second = np.triu_indices(len(current), k=1)  # the pairs i < j, in row order
+    min_dist = vector_norms(current[first] - current[second])
+
+    def verdict(status, iterations, **found):
+        return EntrainmentVerdict(status, iterates=np.stack(history, axis=1), iterations=iterations, **found)
 
     for it in range(1, max_iterations + 1):
         prev = current
         # Every start shares the signal, so one lockstep return map moves them all.
         current = poincare_map(field, signal, prev, config)
-        for x, seq in zip(current, iterates):
-            seq.append(x.copy())
-        for i, j in pairs:
-            d = float(np.linalg.norm(current[i] - current[j]))
-            floor = max(min_dist[(i, j)], tol)
-            if d >= 2.0 * floor and min_dist[(i, j)] > 0:
-                return EntrainmentVerdict(DIVERGES, witness_pair=(i, j), iterates=iterates, iterations=it)
-            min_dist[(i, j)] = min(min_dist[(i, j)], d)
-        diffs = [float(np.linalg.norm(c - p)) for c, p in zip(current, prev)]
-        if max(diffs) < tol:
-            spread = max(float(np.linalg.norm(current[i] - current[j])) for i, j in pairs)
-            if spread <= 10.0 * tol:
-                limit = np.mean(current, axis=0)
-                return EntrainmentVerdict(ENTRAINS, orbit_sample=limit, iterates=iterates, iterations=it)
-    return EntrainmentVerdict(INCONCLUSIVE, iterates=iterates, iterations=max_iterations)
+        history.append(current)
+        dist = vector_norms(current[first] - current[second])
+        split = (dist >= 2.0 * np.maximum(min_dist, tol)) & (min_dist > 0)
+        if np.any(split):
+            k = int(np.argmax(split))
+            return verdict(DIVERGES, it, witness_pair=(int(first[k]), int(second[k])))
+        min_dist = np.minimum(min_dist, dist)
+        if np.max(vector_norms(current - prev)) < tol and np.max(dist) <= 10.0 * tol:
+            return verdict(ENTRAINS, it, orbit_sample=np.mean(current, axis=0))
+    return verdict(INCONCLUSIVE, max_iterations)
 
 
 @dataclass
@@ -197,17 +197,15 @@ def counterexample_divergence(
         states.extend(period.states[1:])
         marks.append(len(times) - 1)
     path = np.array(states)
-    distances = [abs(float(np.linalg.norm(path[i, 0])) - r_star) for i in marks]
-    prefix = 0
-    while prefix < n_periods and distances[prefix + 1] > distances[prefix] - _MONOTONE_SLACK:
-        prefix += 1
+    distances = np.abs(vector_norms(path[marks, 0]) - r_star)
+    rising = distances[1:] > distances[:-1] - _MONOTONE_SLACK
     return DivergenceReport(
         r_star=float(r_star),
         delta=float(delta),
         periods=int(n_periods),
-        distances=distances,
-        monotone_prefix=prefix,
-        grew=distances[-1] > distances[0],
+        distances=distances.tolist(),
+        monotone_prefix=int(np.sum(np.logical_and.accumulate(rising))),
+        grew=bool(distances[-1] > distances[0]),
         trajectory=Trajectory(times, path[:, 0]),
         orbit_trajectory=Trajectory(times, path[:, 1]),
     )

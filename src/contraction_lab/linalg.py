@@ -69,6 +69,12 @@ def log_norm_2(a) -> float:
     return max_eigenvalue(symmetric_part(a))
 
 
+def vector_norms(v) -> np.ndarray:
+    """Euclidean norm along the last axis, equal to the last bit to ``np.linalg.norm`` of each vector."""
+    v = np.asarray(v, dtype=float)
+    return np.sqrt(np.vecdot(v, v))
+
+
 def is_negative_definite(a, margin: float = 0.0) -> bool:
     """True iff lambda_max(A) <= -margin (strict < 0 when margin == 0)."""
     if margin < 0:

@@ -38,6 +38,21 @@ def spelled_out_defaults(experiment):
     return flags
 
 
+@pytest.fixture(scope="module")
+def default_artifact(tmp_path_factory):
+    """The JSON bytes of an experiment run once at its defaults, shared by the tests that read it."""
+    out = tmp_path_factory.mktemp("defaults")
+    artifacts = {}
+
+    def artifact(experiment):
+        if experiment not in artifacts:
+            assert run_cli("run", experiment, "--out", str(out)) == 0
+            artifacts[experiment] = (out / f"{experiment}.json").read_bytes()
+        return artifacts[experiment]
+
+    return artifact
+
+
 class TestFindRstar:
     def test_default_succeeds(self, capsys):
         assert run_cli("find-rstar") == 0
@@ -67,6 +82,18 @@ class TestFindRstar:
         doc = json.loads((out / "find-rstar.json").read_text())
         assert doc["confirmed"] is True
         assert doc["experiment"] == "find-rstar"
+
+    @pytest.mark.parametrize("interval, code", [("0.1:4", 0), ("30:40", 1)])
+    def test_artifact_confirmed_matches_exit_code(self, tmp_path, capsys, interval, code):
+        # On 30:40 the root's first-order residual is -1.49e-11, above the 1e-12 invariant.
+        assert run_cli("find-rstar", "--interval", interval, "--out", str(tmp_path)) == code
+        doc = json.loads((tmp_path / "find-rstar.json").read_text())
+        assert doc["confirmed"] is (code == 0)
+
+    def test_interval_beyond_scan_cap_exits_64_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("find-rstar", "--interval", "0.1:1e9", "--out", str(out)) == 64
+        assert not out.exists()
 
 
 class TestRun:
@@ -125,12 +152,9 @@ class TestRun:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if _EXPERIMENTS[e][1]])
-    def test_spelled_out_defaults_change_nothing(self, tmp_path, capsys, experiment):
-        implicit, explicit = tmp_path / "implicit", tmp_path / "explicit"
-        assert run_cli("run", experiment, "--out", str(implicit)) == 0
-        assert run_cli("run", experiment, *spelled_out_defaults(experiment), "--out", str(explicit)) == 0
-        name = f"{experiment}.json"
-        assert (implicit / name).read_bytes() == (explicit / name).read_bytes()
+    def test_spelled_out_defaults_change_nothing(self, tmp_path, capsys, default_artifact, experiment):
+        assert run_cli("run", experiment, *spelled_out_defaults(experiment), "--out", str(tmp_path)) == 0
+        assert (tmp_path / f"{experiment}.json").read_bytes() == default_artifact(experiment)
 
     def test_uniform_grid_default_spans_ten_sqrt_m(self):
         m, _ = bounded_metric_m_parameter(1.0)
@@ -152,14 +176,12 @@ class TestRun:
         assert pert[0] == "t,x,y,r" and orbit[0] == "t,x,y,r"
         assert len(pert) > 10 and len(orbit) > 10
 
-    def test_grid_certificates_pin_exact_values(self, tmp_path, capsys):
+    def test_grid_certificates_pin_exact_values(self, default_artifact):
         # Exact margins, witnesses and values of the three grid-certificate
         # experiments: however the contraction matrices are assembled, they
         # must reproduce the per-point arithmetic to the last bit.
-        docs = {}
-        for name in ("metric-certify", "metric-violate", "uniform-contraction"):
-            assert run_cli("run", name, "--out", str(tmp_path)) == 0
-            docs[name] = json.loads((tmp_path / f"{name}.json").read_text())
+        names = ("metric-certify", "metric-violate", "uniform-contraction")
+        docs = {name: json.loads(default_artifact(name)) for name in names}
         certify = docs["metric-certify"]["certificate"]
         assert certify["margin"] == -1.1851851989020563
         assert certify["witness"]["x"] == [-3.315999999999999]
@@ -172,6 +194,14 @@ class TestRun:
         uniform = docs["uniform-contraction"]["certificate"]
         assert uniform["margin"] == -0.10683770220584154
         assert uniform["witness"] == {"x": [-1.4849242404917504], "c": [1.0]}
+
+    @pytest.mark.parametrize("argv", [["find-rstar"], ["run", "circle-orbit"]])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, argv):
+        # A directory under a regular file cannot be made: a failure, not a refutation.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run_cli(*argv, "--out", str(blocker / "out")) == 2
+        assert "cannot write" in capsys.readouterr().err
 
     def test_csv_only_format_skips_json(self, tmp_path, capsys):
         run_cli("run", "divergence", "--periods", "2", "--out", str(tmp_path), "--format", "csv")

@@ -15,6 +15,7 @@ from contraction_lab.constant_metric import (
     simplex_directions,
 )
 from contraction_lab.contraction import RiemannianMetric, check_contraction_region
+from contraction_lab.dynamics import VectorField
 from contraction_lab.errors import ZeroFieldError
 
 EXAMPLE1_DIRECTIONS = np.array(
@@ -182,3 +183,54 @@ class TestCheckConditions:
         assert doc["certified"] == report.certified
         assert len(doc["entries"]) == 2
         assert {"x", "i", "hull_holds", "max_ratio"} <= set(doc["entries"][0])
+
+    def test_one_field_call_per_input(self):
+        # 2 samples x 11 indices x 4 inputs: each field value is computed once.
+        field, family = example_3d_system()
+        calls = []
+
+        def counted(x, u):
+            calls.append(1)
+            return field(x, u)
+
+        counting = VectorField(counted, 3, 4, jacobian=field.jacobian_x)
+        rho = polytope_inradius(EXAMPLE1_DIRECTIONS) / 2
+        samples = [[0, 0, 0], [0.05, -0.05, 0.05]]
+        report = check_constant_metric_conditions(counting, family, samples, rho)
+        assert len(calls) == 88
+        assert report.to_json() == check_constant_metric_conditions(field, family, samples, rho).to_json()
+
+    @pytest.mark.parametrize(
+        "samples, rho",
+        [([], 0.1), ([[0, 0, 0]], math.nan), ([[0, 0, 0]], math.inf), ([[0, 0, 0]], 0.0), ([[0, 0, 0]], -0.1)],
+    )
+    def test_vacuous_or_bad_rho_raises_before_any_field_call(self, samples, rho):
+        def unreachable(x, u):
+            raise AssertionError("no field value may be computed")
+
+        _, family = example_3d_system()
+        with pytest.raises(ValueError):
+            check_constant_metric_conditions(VectorField(unreachable, 3, 4), family, samples, rho)
+
+    def test_hull_certified_from_first_index_of_the_stable_tail(self):
+        # All four inputs point along e1 at i = 2, so the hull condition holds
+        # at 1, fails at 2 and holds from 4 on.
+        field, _ = example_3d_system()
+        family = InputSequenceFamily(k=4, generator=lambda i, j: float(i) * np.eye(4)[0 if i == 2 else j - 1])
+        rho = polytope_inradius(EXAMPLE1_DIRECTIONS) / 2
+        report = check_constant_metric_conditions(field, family, [[0, 0, 0]], rho, i_list=(1, 2, 4, 8))
+        assert [e["hull_holds"] for e in report.entries] == [True, False, True, True]
+        assert report.hull_certified_from == [4]
+
+    @pytest.mark.parametrize("scale_at_4, decays", [(4.0, True), (8.0, False), (3.0, False)])
+    def test_ratio_decay_needs_every_doubling_in_band(self, scale_at_4, decays):
+        # The ratios are 1/scale(i): 1, 1/2, 1/scale_at_4, 1/8, ..., 1/128.
+        # Skipping doublings (8 to 128) leaves the band as well.
+        field, _ = example_3d_system()
+        scale = lambda i: scale_at_4 if i == 4 else float(i)
+        family = InputSequenceFamily(k=4, generator=lambda i, j: scale(i) * np.eye(4)[j - 1])
+        rho = polytope_inradius(EXAMPLE1_DIRECTIONS) / 2
+        report = check_constant_metric_conditions(field, family, [[0, 0, 0]], rho, i_list=(1, 2, 4, 8, 128))
+        assert report.ratio_decay_ok == [False]
+        report = check_constant_metric_conditions(field, family, [[0, 0, 0]], rho, i_list=(1, 2, 4, 8, 16, 32, 64, 128))
+        assert report.ratio_decay_ok == [decays]

@@ -83,6 +83,17 @@ class TestFindRStar:
         with pytest.raises(ValueError):
             find_r_star((-1.0, 2.0), 1e-13)
 
+    @pytest.mark.parametrize("interval", [(0.1, 1e9), (1.0, 1001.0), (0.1, math.inf)])
+    def test_rejects_interval_beyond_scan_cap(self, interval):
+        # A million scan points at step 1e-3 is the cap; 0.1:1e9 would need 7 TiB.
+        with pytest.raises(ValueError, match="scan points"):
+            find_r_star(interval, 1e-13)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-13])
+    def test_rejects_tolerance_not_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            find_r_star((0.1, 4.0), tol)
+
     @pytest.mark.parametrize("tol", [1e-16, 1e-300])
     def test_tolerance_below_float_spacing(self, r_star_cert, tol):
         # No bracket narrower than two adjacent floats exists near the root;

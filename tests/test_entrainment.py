@@ -107,6 +107,8 @@ class TestDetectEntrainment:
         }[case]
         verdict = detect_entrainment(field, signal, starts, max_iterations, 1e-8)
         assert (verdict.status, verdict.iterations) == (status, iterations)
+        assert verdict.iterates.shape == (len(starts), iterations + 1, len(starts[0]))
+        assert np.array_equal(verdict.iterates[:, 0], starts)
         for start, seq in zip(starts, verdict.iterates):
             x = np.asarray(start, dtype=float)
             for mapped in seq[1:]:

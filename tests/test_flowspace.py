@@ -207,6 +207,14 @@ class TestLimitContraction:
         with pytest.raises(ValueError):
             check_limit_contraction(flow, (-1.0, 1.0), -1.0, target, 3, [([0.0], [1.0])], (0.0, TWO_PI))
 
+    def test_nan_target_value_rejected_before_integration(self):
+        def unreachable(signal, t1, t2, points):
+            raise AssertionError("no flow may run")
+
+        target = PeriodicInput(TWO_PI, lambda t: [math.nan if t > 1.0 else 0.0], validate=False)
+        with pytest.raises(ValueError, match="leaves the input box"):
+            check_limit_contraction(FlowMap(unreachable), (-1.0, 1.0), -1.0, target, 3, [([0.0], [1.0])], (0.0, 2.0))
+
     def test_nonconverging_flow_detected(self):
         # A fake flow whose output depends on the piece count like
         # 1/sqrt(pieces) shrinks by 0.707 per level, slower than the

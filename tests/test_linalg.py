@@ -12,6 +12,7 @@ from contraction_lab.linalg import (
     spectral_norm,
     symmetric_eigenvalues,
     symmetric_part,
+    vector_norms,
 )
 
 
@@ -168,3 +169,12 @@ def test_scaling_homogeneity(n, scale, seed):
     a = rng.normal(size=(n, n))
     assert spectral_norm(scale * a) == pytest.approx(scale * spectral_norm(a), rel=1e-10, abs=1e-12)
     assert log_norm_2(scale * a) == pytest.approx(scale * log_norm_2(a), rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_vector_norms_equal_per_vector_norms_bit_for_bit(rng, n):
+    # The per-vector loop is the reference; the batch must not move a last digit.
+    v = rng.normal(size=(6, 50, n)) * rng.uniform(0.01, 100.0, size=(6, 50, 1))
+    expected = np.array([[np.linalg.norm(vec) for vec in block] for block in v])
+    assert np.array_equal(vector_norms(v), expected)
+    assert np.array_equal(vector_norms(v[:, 0] - v[:, 1]), [np.linalg.norm(a - b) for a, b in zip(v[:, 0], v[:, 1])])
