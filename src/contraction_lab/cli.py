@@ -144,9 +144,7 @@ def _exp_divergence(args):
     r_star = counterexample._canonical_radius()
     report = entrainment.counterexample_divergence(r_star, args.delta, args.periods)
     field, signal = counterexample.build_counterexample(r_star)
-    verdict = entrainment.detect_entrainment(
-        field, signal, [[r_star, 0.0], [r_star - args.delta, 0.0]], max_iterations=50, tol=1e-8
-    )
+    verdict = entrainment.detect_entrainment(field, signal, [[r_star, 0.0], [r_star - args.delta, 0.0]])
     confirmed = (
         report.grew
         and report.distances[1] > report.distances[0]

@@ -36,6 +36,7 @@ __all__ = [
 DEFAULT_I_LIST = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 _RATIO_LIMIT = 1e-2
 _HALVING_BAND = (0.4, 0.6)  # ratio(2i)/ratio(i) for clean 1/i decay, +-20%
+_HULL_DIRECTIONS = 512
 
 
 @dataclass(frozen=True)
@@ -70,22 +71,20 @@ def _unit_directions(n: int, count: int) -> np.ndarray:
     raise ValueError("hull containment is implemented for dimensions 1-3")
 
 
-def hull_contains_ball(points, rho: float, direction_count: int = 512) -> bool:
+def hull_contains_ball(points, rho: float) -> bool:
     """Support-function test for B(0, rho) inside the convex hull of points.
 
     The ball lies in conv(points) iff max_p d.p >= rho for every unit
-    direction d; the test samples a deterministic low-discrepancy direction
-    set (uniform angles in 2-D, Fibonacci sphere in 3-D), so it is exact in
-    the dense-direction limit and can only err on the permissive side at
-    finite resolution.  A NaN, infinite or non-positive ``rho`` raises
-    ``ValueError``.
+    direction d; the test samples 512 directions from a deterministic
+    low-discrepancy set (uniform angles in 2-D, Fibonacci sphere in 3-D), so
+    it is exact in the dense-direction limit and can only err on the
+    permissive side at finite resolution.  A NaN, infinite or non-positive
+    ``rho`` raises ``ValueError``.
     """
     if not (np.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and positive")
-    if direction_count < 100:
-        raise ValueError("direction_count must be at least 100")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    support = np.max(_unit_directions(pts.shape[1], direction_count) @ pts.T, axis=1)
+    support = np.max(_unit_directions(pts.shape[1], _HULL_DIRECTIONS) @ pts.T, axis=1)
     return bool(np.all(support >= rho))
 
 

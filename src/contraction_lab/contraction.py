@@ -11,9 +11,10 @@ bounded set.
 
 All region certificates are grid-based: the certificate records the grid,
 and resolution is the caller's precision statement, not a proof of the
-continuum claim.  A certificate assembles its matrices as one stack, with M
-and grad M evaluated once per grid state and J and f once per (input, state)
-row; every callable still receives one (n,) state.
+continuum claim.  A certificate assembles its matrices as one stack: the
+field and its Jacobian are called once per input on the whole (N, n) stack of
+grid states, while M and grad M are still called once per (n,) state.  A
+metric that is not positive definite at some grid state is refused.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .certificates import Certificate
+from .counterexample import radial_f, radial_f_slope
 from .dynamics import VectorField, _central_difference
 from .errors import DimensionMismatchError, MetricAppearsConstantError, NonFiniteError
 from .linalg import max_eigenvalue, symmetric_part
@@ -52,8 +54,8 @@ class RiemannianMetric:
     """
 
     def __init__(self, dim: int, eval_fn, grad_fn=None, lower_bound: float = 1.0, name: str = ""):
-        if lower_bound <= 0:
-            raise ValueError("uniform lower bound must be positive")
+        if not (np.isfinite(lower_bound) and lower_bound > 0):
+            raise ValueError("uniform lower bound must be finite and positive")
         self.dim = int(dim)
         self._eval = eval_fn
         self._grad = grad_fn
@@ -99,9 +101,10 @@ def _check_dimensions(field: VectorField, metric: RiemannianMetric, state_dim: i
 def _contraction_stack(field: VectorField, metric: RiemannianMetric, states: np.ndarray, inputs: np.ndarray):
     """Symmetrized J^T M + M J + Mdot as a (K, N, n, n) stack, and M as (N, n, n).
 
-    K inputs by N states, input slowest.  Each callable result is reshaped to
-    its row shape before it is stored, so a wrong-sized one raises ValueError
-    instead of broadcasting.  Unchecked: the caller validated the dimensions.
+    K inputs by N states, input slowest: the field and its Jacobian are
+    called once per input on the whole state stack, the metric once per
+    state.  A wrong-shaped result raises ValueError instead of broadcasting.
+    Unchecked: the caller validated the dimensions.
     """
     n = metric.dim
     m = np.empty((len(states), n, n))
@@ -109,12 +112,8 @@ def _contraction_stack(field: VectorField, metric: RiemannianMetric, states: np.
     for i, x in enumerate(states):
         m[i] = metric.eval(x)
         grad[i] = metric.grad(x)
-    jac = np.empty((len(inputs), len(states), n, n))
-    f = np.empty((len(inputs), len(states), n))
-    for k, c in enumerate(inputs):
-        for i, x in enumerate(states):
-            jac[k, i] = field.jacobian_x(x, c).reshape(n, n)
-            f[k, i] = field(x, c).reshape(n)
+    jac = np.stack([field.jacobian_x(states, c) for c in inputs])
+    f = np.stack([field(states, c) for c in inputs])
     a = np.swapaxes(jac, -1, -2) @ m + m @ jac + (grad @ f[..., None, :, None])[..., 0]
     return (a + np.swapaxes(a, -1, -2)) / 2.0, m
 
@@ -152,10 +151,10 @@ def scalar_example_system():
     :func:`check_contraction_region` and :func:`find_violating_input`.
     """
     field = VectorField(
-        lambda x, u: 0.5 * x * np.sin(x * x) - x + u,
+        lambda x, u: radial_f(x) + u,
         1,
         1,
-        jacobian=lambda x, u: np.array([[0.5 * np.sin(x[0] * x[0]) + x[0] * x[0] * np.cos(x[0] * x[0]) - 1.0]]),
+        jacobian=lambda x, u: radial_f_slope(x)[..., None],
         name="scalar oscillatory-drift system",
     )
     metric = RiemannianMetric.from_scalar(
@@ -201,6 +200,10 @@ def _region_certificate(field, metric, region, resolution, beta: float, inputs: 
     sym, m = _contraction_stack(field, metric, states, inputs)
     rows = (sym + beta * m).reshape(-1, metric.dim, metric.dim)
     values = np.fromiter((max_eigenvalue(a) for a in rows), dtype=float, count=len(rows))
+    # A margin certifies nothing unless M is positive definite at every state.
+    lowest = m[:, 0, 0] if metric.dim == 1 else np.linalg.eigvalsh(m)[:, 0]
+    if not np.all(lowest > 0):
+        raise ValueError(f"metric is not positive definite at x={states[np.argmin(lowest > 0)].tolist()}")
     row = int(np.argmax(values))
     k, i = divmod(row, len(states))
     return Certificate(
@@ -389,17 +392,19 @@ def find_violating_input(
     return ViolatingInput(c=big_n * c0, x=x, z=z, value=beta_val + big_n * alpha)
 
 
+def _bump(x, m: float):
+    """eps(x) = exp(-x^2/m) and eps'(x) = -2x/m eps(x)."""
+    eps = np.exp(-x * x / m)
+    return eps, -2.0 * x / m * eps
+
+
 def bounded_example_metric(m: float) -> RiemannianMetric:
     """Non-constant 1-D metric M(x) = 1 + exp(-x^2/m)."""
     if m <= 0:
         raise ValueError("m must be positive")
-
-    def eps(x):
-        return float(np.exp(-x * x / m))
-
     return RiemannianMetric.from_scalar(
-        lambda x: 1.0 + eps(x),
-        lambda x: -2.0 * x / m * eps(x),
+        lambda x: 1.0 + _bump(x, m)[0],
+        lambda x: _bump(x, m)[1],
         lower_bound=1.0,
         name=f"gaussian bump metric (m={m:g})",
     )
@@ -426,8 +431,7 @@ def bounded_metric_m_parameter(bound_B: float) -> tuple[float, Certificate]:
     for _ in range(_MAX_M_DOUBLINGS):
         half_width = _TAIL_MULTIPLE * np.sqrt(m)
         xs = np.linspace(-half_width, half_width, _BOUNDED_GRID)
-        eps = np.exp(-xs * xs / m)
-        eps_prime = -2.0 * xs / m * eps
+        eps, eps_prime = _bump(xs, m)
         worst = max(float(np.max(np.abs((c - xs) * eps_prime) - (1.0 + eps))) for c in (-bound_B, 0.0, bound_B))
         y = _TAIL_MULTIPLE  # scaled tail coordinate |x|/sqrt(m)
         tail_bound = (2 * y * y + 2 * y * bound_B / np.sqrt(m)) * np.exp(-y * y)

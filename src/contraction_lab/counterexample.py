@@ -188,14 +188,11 @@ def _field_rhs(x, u):
 
 
 def _field_jacobian(x, u):
-    r2 = x[0] * x[0] + x[1] * x[1]
+    x1, x2 = x[..., 0], x[..., 1]
+    r2 = x1 * x1 + x2 * x2
     s, c = np.sin(r2), np.cos(r2)
-    return np.array(
-        [
-            [-1.0 + 0.5 * s + x[0] * x[0] * c, x[0] * x[1] * c - 1.0],
-            [x[0] * x[1] * c + 1.0, -1.0 + 0.5 * s + x[1] * x[1] * c],
-        ]
-    )
+    rows = [[-1.0 + 0.5 * s + x1 * x1 * c, x1 * x2 * c - 1.0], [x1 * x2 * c + 1.0, -1.0 + 0.5 * s + x2 * x2 * c]]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def circle_field() -> VectorField:

@@ -65,9 +65,12 @@ def _central_difference(fn, x, n: int) -> np.ndarray:
 class VectorField:
     """Dynamics x' = f(x, u) with state-Jacobian access.
 
-    ``f`` maps (state, input) to the state derivative.  When an analytic
-    ``jacobian`` is not supplied, the Jacobian is approximated by central
-    finite differences with step 1e-6.
+    ``f(x, u)`` maps one state ``(n,)`` or a stack ``(N, n)`` sharing the
+    input ``u``, row by row, to derivatives of exactly ``x.shape``.  The
+    Jacobian returns ``x.shape + (n,)``, or ``(n, n)`` when it does not
+    depend on the state, which is broadcast; any other result shape raises
+    ``ValueError``.  Without an analytic ``jacobian``, central finite
+    differences with step 1e-6 stand in.
     """
 
     def __init__(self, f, state_dim: int, input_dim: int, jacobian=None, name: str = ""):
@@ -78,14 +81,24 @@ class VectorField:
         self.name = name
 
     def __call__(self, x, u) -> np.ndarray:
-        return np.asarray(self._f(np.asarray(x, dtype=float), np.asarray(u, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        out = np.asarray(self._f(x, np.asarray(u, dtype=float)), dtype=float)
+        if out.shape != x.shape:
+            raise ValueError(f"field returned shape {out.shape} for states of shape {x.shape}")
+        return out
 
     def jacobian_x(self, x, u) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        if self._jacobian is not None:
-            return np.asarray(self._jacobian(x, u), dtype=float)
-        return _central_difference(lambda y: self(y, u), x, self.state_dim)
+        if self._jacobian is None:
+            return _central_difference(lambda y: self(y, u), x, self.state_dim)
+        jac = np.asarray(self._jacobian(x, u), dtype=float)
+        shape = x.shape + (self.state_dim,)
+        if jac.shape == shape:
+            return jac
+        if jac.shape == (self.state_dim, self.state_dim):
+            return np.broadcast_to(jac, shape)
+        raise ValueError(f"Jacobian returned shape {jac.shape} for states of shape {x.shape}")
 
 
 class InputSignal:
@@ -376,13 +389,14 @@ def integrate(field: VectorField, signal: InputSignal, x0, t_span, config: Integ
     """Solve x' = f(x, u(t)) over ``t_span`` with local error control.
 
     ``x0`` is one state ``(n,)`` or a batch ``(N, n)`` of starts that share
-    the signal and are advanced in lockstep; the field must then treat the
-    rows independently.  A shared step is accepted only when the largest
-    per-row error norm is within tolerance, so no row's local error is
-    worse than it would be integrated alone.  Every input discontinuity
-    inside the span is a step end, so each Runge-Kutta step sees a smooth
-    right-hand side.  There the stages restart from a fresh derivative, but
-    the step size and the controller memory carry over to the next piece.
+    the signal and are advanced in lockstep, each stage making one field
+    call on the whole batch (see :class:`VectorField`).  A shared step is
+    accepted only when the largest per-row error norm is within tolerance,
+    so no row's local error is worse than it would be integrated alone.
+    Every input discontinuity inside the span is a step end, so each
+    Runge-Kutta step sees a smooth right-hand side.  There the stages
+    restart from a fresh derivative, but the step size and the controller
+    memory carry over to the next piece.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     ts, xs = [float(t_span[0])], [x0.copy()]

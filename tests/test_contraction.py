@@ -40,10 +40,12 @@ def twisted_field():
     """x' = -x + u * tanh(reversed x): off-diagonal, input-dependent Jacobian."""
 
     def jacobian(x, u):
-        sech2 = 1.0 - np.tanh(x[::-1]) ** 2
-        return np.array([[-1.0, u[0] * sech2[0]], [u[1] * sech2[1], -1.0]])
+        sech2 = 1.0 - np.tanh(x[..., ::-1]) ** 2
+        jac = np.full(x.shape + (2,), -1.0)
+        jac[..., 0, 1], jac[..., 1, 0] = u[0] * sech2[..., 0], u[1] * sech2[..., 1]
+        return jac
 
-    return VectorField(lambda x, u: -x + u * np.tanh(x[::-1]), 2, 2, jacobian=jacobian, name="twisted")
+    return VectorField(lambda x, u: -x + u * np.tanh(x[..., ::-1]), 2, 2, jacobian=jacobian, name="twisted")
 
 
 def recorded(field, metric):
@@ -339,26 +341,28 @@ class TestStackedCertificates:
         assert uniform.margin == values.max()
         assert uniform.witness == {"x": states[i].tolist(), "c": inputs[k].tolist()}
 
-    def test_callables_receive_one_state(self):
+    def test_field_receives_state_stack_and_metric_one_state(self):
         field, metric, log = recorded(twisted_field(), coupled_metric(2))
         contraction_matrix(field, metric, [0.3, -0.2], [0.5, 1.0])
         for check in CHECKS.values():
             check(field, metric)
-        assert {name for name, _ in log} == {"field", "jacobian", "eval", "grad"}
-        assert {shape for _, shape in log} == {(2,)}
+        # The point call sees a stack of one; both certificates grid 3 x 3 states.
+        names = ("field", "jacobian", "eval", "grad")
+        shapes = {name: {shape for logged, shape in log if logged == name} for name in names}
+        assert shapes == {"field": {(1, 2), (9, 2)}, "jacobian": {(1, 2), (9, 2)}, "eval": {(2,)}, "grad": {(2,)}}
 
     def test_uniform_evaluates_metric_once_per_state(self):
         field, metric, log = recorded(twisted_field(), coupled_metric(2))
         check_uniform_contraction(field, metric, [(-1.0, 1.0)] * 2, 3, [(-1.0, 1.0)] * 2, 4, BETA)
         counts = {name: sum(1 for logged, _ in log if logged == name) for name in ("eval", "grad", "field", "jacobian")}
-        assert counts == {"eval": 16, "grad": 16, "field": 9 * 16, "jacobian": 9 * 16}
+        assert counts == {"eval": 16, "grad": 16, "field": 9, "jacobian": 9}
 
     def test_uniform_witness_is_first_maximum_input_slowest(self):
         # lambda = 2J + 1 with J = -1 - x u peaks at 1 on (u=-1, x=1) and on
         # (u=1, x=-1), an exact tie across two inputs; the first row with the
         # input slowest is (u=-1, x=1), with the state slowest (u=1, x=-1).
         field = VectorField(
-            lambda x, u: -x - 0.5 * x * x * u, 1, 1, jacobian=lambda x, u: np.array([[-1.0 - x[0] * u[0]]])
+            lambda x, u: -x - 0.5 * x * x * u, 1, 1, jacobian=lambda x, u: (-1.0 - x * u[0])[..., None]
         )
         cert = check_uniform_contraction(field, RiemannianMetric.constant([[1.0]]), (-1.0, 1.0), 2, (-1.0, 1.0), 3, 1.0)
         assert cert.margin == 1.0
@@ -386,11 +390,28 @@ class TestStackedCertificates:
 
     @pytest.mark.parametrize("check", sorted(CHECKS))
     def test_non_finite_row_raises(self, check):
-        field = VectorField(
-            lambda x, u: np.full(1, math.nan) if x[0] == 0.0 else -x + u, 1, 1, jacobian=lambda x, u: -np.eye(1)
-        )
+        field = VectorField(lambda x, u: np.where(x == 0.0, math.nan, -x + u), 1, 1, jacobian=lambda x, u: -np.eye(1))
         with pytest.raises(NonFiniteError):
             CHECKS[check](field, bounded_example_metric(2.0))
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_metric_not_positive_definite_raises(self, check):
+        # x' = x with M = -1 gives every row the negative value -2 - beta, so
+        # only the definiteness test can refuse it.
+        field = VectorField(lambda x, u: x, 1, 1, jacobian=lambda x, u: np.eye(1))
+        metric = RiemannianMetric(1, lambda x: -np.eye(1), lambda x: np.zeros((1, 1, 1)), lower_bound=1.0)
+        with pytest.raises(ValueError, match=r"positive definite at x=\[-1\.0\]"):
+            CHECKS[check](field, metric)
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_metric_indefinite_at_one_state_raises(self, check):
+        # Indefinite only at the grid corner (1, 1), which the message names.
+        def evaluate(x):
+            return np.diag([1.0, 1.0 - 2.0 * float(x[0] == x[1] == 1.0)])
+
+        metric = RiemannianMetric(2, evaluate, lambda x: np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match=r"positive definite at x=\[1\.0, 1\.0\]"):
+            CHECKS[check](linear_additive_field(2), metric)
 
     @pytest.mark.parametrize("check", sorted(CHECKS))
     def test_dimension_mismatch_before_any_call(self, check):
@@ -519,8 +540,9 @@ class TestBoundedMetricParameter:
 
 class TestRiemannianMetric:
     def test_requires_positive_lower_bound(self):
-        with pytest.raises(ValueError):
-            RiemannianMetric(1, lambda x: np.array([[1.0]]), lower_bound=0.0)
+        for lower_bound in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                RiemannianMetric(1, lambda x: np.array([[1.0]]), lower_bound=lower_bound)
 
     def test_positive_definiteness_sampled(self, scalar_system, rng):
         _, metric = scalar_system

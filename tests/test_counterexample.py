@@ -5,6 +5,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from contraction_lab.constant_metric import example_3d_system
+from contraction_lab.contraction import linear_additive_field, scalar_example_system
 from contraction_lab.counterexample import (
     build_counterexample,
     circle_field,
@@ -22,6 +24,15 @@ from contraction_lab.dynamics import ConstantInput, IntegratorConfig, integrate
 from contraction_lab.errors import NoRootFoundError, NonFiniteError
 
 PRINTED_R_STAR = 2.79098840365914
+
+# Every stock field of the library, each with its analytic Jacobian.
+STOCK_FIELDS = {
+    "scalar-example": lambda: scalar_example_system()[0],
+    "linear-1d": lambda: linear_additive_field(1),
+    "linear-2d": lambda: linear_additive_field(2),
+    "example-3d": lambda: example_3d_system()[0],
+    "circle": circle_field,
+}
 
 
 def high_precision_radius(guess: float) -> float:
@@ -127,15 +138,24 @@ class TestBuildCounterexample:
         for t in np.linspace(0, 2 * math.pi, 9):
             assert np.allclose(signal.eval(t), signal.eval(t + 2 * math.pi), atol=1e-12)
 
-    def test_batch_rows_equal_single_states(self, rng):
+    @pytest.mark.parametrize("make_field", STOCK_FIELDS.values(), ids=STOCK_FIELDS)
+    def test_batch_rows_equal_single_states(self, make_field, rng):
+        field = make_field()
+        x = rng.uniform(-4.0, 4.0, size=(7, field.state_dim))
+        u = rng.uniform(-1.0, 1.0, size=field.input_dim)
+        values, jacobians = field(x, u), field.jacobian_x(x, u)
+        assert jacobians.shape == x.shape + (field.state_dim,)
+        for state, value, jacobian in zip(x, values, jacobians):
+            assert np.array_equal(value, field(state, u))
+            assert np.array_equal(jacobian, field.jacobian_x(state, u))
+
+    def test_batch_has_polar_form(self, rng):
         field = circle_field()
         r = rng.uniform(0.1, 4.0, size=7)
         theta = rng.uniform(0.0, 2 * math.pi, size=7)
         x = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
         u = rng.uniform(-1.0, 1.0, size=2)
         batch = field(x, u)
-        for row, state in zip(batch, x):
-            assert np.array_equal(row, field(state, u))
         # Polar form: radial speed f(r), angular speed 1, plus the input.
         polar = radial_f(r)[:, None] * x / r[:, None] + np.column_stack([-x[:, 1], x[:, 0]]) + u
         assert np.allclose(batch, polar, rtol=0.0, atol=1e-12)

@@ -317,6 +317,21 @@ class TestVectorField:
             ja, jn = analytic.jacobian_x(x, u), numeric.jacobian_x(x, u)
             assert np.allclose(jn, ja, rtol=1e-4, atol=1e-6)
 
+    def test_scalar_field_result_raises_in_integrate(self):
+        # Broadcast, the scalar would drive both components at x' = -1.
+        field = VectorField(lambda x, u: -1.0, 2, 1)
+        with pytest.raises(ValueError, match="shape"):
+            integrate(field, ConstantInput([0.0]), [1.0, 5.0], (0.0, 1.0))
+
+    def test_vector_jacobian_raises(self):
+        field = VectorField(lambda x, u: -x, 2, 1, jacobian=lambda x, u: -x)
+        with pytest.raises(ValueError, match="shape"):
+            field.jacobian_x([1.0, 5.0], [0.0])
+
+    def test_state_independent_jacobian_broadcasts_over_a_stack(self):
+        field = VectorField(lambda x, u: -x, 2, 1, jacobian=lambda x, u: -np.eye(2))
+        assert np.array_equal(field.jacobian_x(np.ones((3, 2)), [0.0]), np.broadcast_to(-np.eye(2), (3, 2, 2)))
+
 
 class TestIntegratorConfig:
     def test_rejects_bad_tolerances(self):

@@ -343,7 +343,12 @@ UNIT_METRIC = RiemannianMetric.constant([[1.0]])
 
 def cubic_drift_field(dim):
     # x' = -x + x^3/3 per coordinate; Jacobian diag(x_i^2 - 1) is even in each x_i.
-    return VectorField(lambda x, u: -x + x**3 / 3.0, dim, dim, jacobian=lambda x, u: np.diag(x * x - 1.0))
+    def jacobian(x, u):
+        jac = np.zeros(x.shape + (dim,))
+        jac[..., range(dim), range(dim)] = x * x - 1.0
+        return jac
+
+    return VectorField(lambda x, u: -x + x**3 / 3.0, dim, dim, jacobian=jacobian)
 
 
 def region_tie_1d():
