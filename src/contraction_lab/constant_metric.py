@@ -99,7 +99,7 @@ def _directions_at(field: VectorField, x: np.ndarray, inputs) -> tuple[np.ndarra
     if np.any(vanish := norms < 1e-14):
         j = int(np.argmax(vanish))
         raise ZeroFieldError(f"field vanishes at x={x.tolist()}, u={inputs[j].tolist()}", x=x, j=j + 1)
-    ratios = np.array([spectral_norm(field.jacobian_x(x, u)) for u in inputs]) / norms
+    ratios = spectral_norm(np.stack([field.jacobian_x(x, u) for u in inputs])) / norms
     return values / norms[:, None], ratios
 
 

@@ -11,10 +11,10 @@ bounded set.
 
 All region certificates are grid-based: the certificate records the grid,
 and resolution is the caller's precision statement, not a proof of the
-continuum claim.  A certificate assembles its matrices as one stack: the
-field and its Jacobian are called once per input on the whole (N, n) stack of
-grid states, while M and grad M are still called once per (n,) state.  A
-metric that is not positive definite at some grid state is refused.
+continuum claim.  A certificate assembles its matrices as one stack (field
+and Jacobian once per input over all (N, n) grid states, M and grad M once
+per (n,) state) and reduces its rows with one eigenvalue call.  A metric that
+is not symmetric and positive definite at every grid state is refused.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .certificates import Certificate
 from .counterexample import radial_f, radial_f_slope
 from .dynamics import VectorField, _central_difference
 from .errors import DimensionMismatchError, MetricAppearsConstantError, NonFiniteError
-from .linalg import max_eigenvalue, symmetric_part
+from .linalg import max_eigenvalue, symmetric_eigenvalues, symmetric_part
 
 __all__ = [
     "RiemannianMetric",
@@ -198,10 +198,9 @@ def _region_certificate(field, metric, region, resolution, beta: float, inputs: 
     _check_dimensions(field, metric, region.shape[0], inputs.shape[1])
     states = _grid_points(axes)
     sym, m = _contraction_stack(field, metric, states, inputs)
-    rows = (sym + beta * m).reshape(-1, metric.dim, metric.dim)
-    values = np.fromiter((max_eigenvalue(a) for a in rows), dtype=float, count=len(rows))
-    # A margin certifies nothing unless M is positive definite at every state.
-    lowest = m[:, 0, 0] if metric.dim == 1 else np.linalg.eigvalsh(m)[:, 0]
+    values = max_eigenvalue((sym + beta * m).reshape(-1, metric.dim, metric.dim))
+    # A margin certifies nothing unless M is symmetric positive definite at every state.
+    lowest = symmetric_eigenvalues(m)[:, 0]
     if not np.all(lowest > 0):
         raise ValueError(f"metric is not positive definite at x={states[np.argmin(lowest > 0)].tolist()}")
     row = int(np.argmax(values))
@@ -233,7 +232,7 @@ def check_contraction_region(
     largest value seen and the witness the first grid point attaining it.
     A negative or non-finite ``beta`` raises ``ValueError``; dimensions are
     checked once, before any field or metric call (``DimensionMismatchError``);
-    a non-finite value at any grid point raises ``NonFiniteError``.
+    a non-finite value raises ``NonFiniteError``, an asymmetric M ``NonSymmetricError``.
     """
     if not (np.isfinite(beta) and beta >= 0):
         raise ValueError("beta must be finite and nonnegative")
@@ -400,8 +399,8 @@ def _bump(x, m: float):
 
 def bounded_example_metric(m: float) -> RiemannianMetric:
     """Non-constant 1-D metric M(x) = 1 + exp(-x^2/m)."""
-    if m <= 0:
-        raise ValueError("m must be positive")
+    if not (np.isfinite(m) and m > 0):
+        raise ValueError("m must be finite and positive")
     return RiemannianMetric.from_scalar(
         lambda x: 1.0 + _bump(x, m)[0],
         lambda x: _bump(x, m)[1],

@@ -230,8 +230,9 @@ def circle_orbit_residual(r_star: float, sample_count: int) -> float:
     t = np.linspace(0.0, TWO_PI, sample_count, endpoint=False)
     gamma = r_star * np.column_stack([np.cos(t), np.sin(t)])
     gamma_dot = r_star * np.column_stack([-np.sin(t), np.cos(t)])
-    # The rotating input is elementwise in t, so one call gives its (2, N) samples.
-    return float(np.max(np.linalg.norm(field(gamma, signal.eval(t).T) - gamma_dot, axis=1)))
+    # The input is elementwise in t; the field takes one input per call, so one call per sample.
+    rhs = np.stack([field(x, u) for x, u in zip(gamma, signal.eval(t).T)])
+    return float(np.max(np.linalg.norm(rhs - gamma_dot, axis=1)))
 
 
 def random_initial_conditions(count: int, radius: float, seed: int = 0) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Dense small-matrix primitives: eigenvalues, norms, definiteness tests.
 
 Every routine checks its input (square, finite, symmetric where required)
-and hands the numerics to NumPy's LAPACK bindings.  The 1x1 case is
-answered directly: it is exact, and it is the hot path of the scalar grid
-certificates, where a LAPACK call would cost several microseconds a point.
+and hands the numerics to NumPy's LAPACK bindings.  Eigenvalues and norms
+take one matrix (a float out) or a ``(..., n, n)`` stack (one value per
+matrix, from one check and one LAPACK call for the whole stack).  The 1x1
+case is read from the entries: exact, and the hot path of scalar certificates.
 """
 
 from __future__ import annotations
@@ -19,53 +20,51 @@ def _as_square(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1, 1)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NonFiniteError("matrix has non-finite entries")
     return a
 
 
-def _require_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL) -> None:
-    skew = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if skew > tol:
-        raise NonSymmetricError(f"asymmetry {skew:.3e} exceeds tolerance {tol:.3e}")
-
-
 def symmetric_part(a) -> np.ndarray:
     """(A + A^T)/2.  Callers symmetrize explicitly; nothing here is silent."""
     a = _as_square(a)
-    return (a + a.T) / 2.0
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
 def symmetric_eigenvalues(a) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending (LAPACK ``syevd``).
+    """Eigenvalues of a symmetric matrix, or of each matrix of a stack, ascending (LAPACK ``syevd``).
 
     Asymmetry beyond ``SYMMETRY_TOL`` is an error; roundoff-level asymmetry
     below it is scrubbed by symmetrizing before the call.
     """
     a = _as_square(a)
-    if a.shape[0] == 1:  # symmetric by construction
-        return a[0, :1].copy()
-    _require_symmetric(a)
-    return np.linalg.eigvalsh((a + a.T) / 2.0)
+    if a.shape[-1] == 1:  # symmetric by construction
+        return a[..., 0, :1].copy()
+    at = np.swapaxes(a, -1, -2)
+    skew = np.max(np.abs(a - at)) if a.size else 0.0
+    if skew > SYMMETRY_TOL:
+        raise NonSymmetricError(f"asymmetry {skew:.3e} exceeds tolerance {SYMMETRY_TOL:.3e}")
+    return np.linalg.eigvalsh((a + at) / 2.0)
 
 
-def max_eigenvalue(a) -> float:
-    """Largest eigenvalue of a symmetric matrix."""
-    return float(symmetric_eigenvalues(a)[-1])
+def max_eigenvalue(a) -> float | np.ndarray:
+    """Largest eigenvalue of a symmetric matrix, or of each matrix of a stack."""
+    lam = symmetric_eigenvalues(a)[..., -1]
+    return float(lam) if lam.ndim == 0 else lam
 
 
-def spectral_norm(a) -> float:
-    """Euclidean-induced matrix norm, computed as sqrt(lambda_max(A^T A))."""
+def spectral_norm(a) -> float | np.ndarray:
+    """Euclidean-induced matrix norm sqrt(lambda_max(A^T A)), or one per matrix of a stack."""
     a = _as_square(a)
-    gram = symmetric_part(a.T @ a)
-    return float(np.sqrt(max(max_eigenvalue(gram), 0.0)))
+    gram = symmetric_part(np.swapaxes(a, -1, -2) @ a)
+    norm = np.sqrt(np.maximum(max_eigenvalue(gram), 0.0))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def log_norm_2(a) -> float:
     """Logarithmic norm: largest eigenvalue of the symmetric part of A."""
-    a = _as_square(a)
     return max_eigenvalue(symmetric_part(a))
 
 

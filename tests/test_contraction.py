@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from contraction_lab import contraction, linalg
 from contraction_lab.contraction import (
     RiemannianMetric,
     bounded_example_metric,
@@ -16,7 +17,7 @@ from contraction_lab.contraction import (
     scalar_metric_derivative,
 )
 from contraction_lab.dynamics import PiecewiseConstantInput, VectorField, integrate
-from contraction_lab.errors import DimensionMismatchError, MetricAppearsConstantError, NonFiniteError
+from contraction_lab.errors import DimensionMismatchError, MetricAppearsConstantError, NonFiniteError, NonSymmetricError
 from contraction_lab.linalg import max_eigenvalue
 
 X_PAPER = 4.0 * math.sqrt(2.0 * math.pi)
@@ -413,6 +414,41 @@ class TestStackedCertificates:
         with pytest.raises(ValueError, match=r"positive definite at x=\[1\.0, 1\.0\]"):
             CHECKS[check](linear_additive_field(2), metric)
 
+    @pytest.mark.parametrize(
+        "system, n",
+        [((linear_additive_field(1), bounded_example_metric(2.0)), 1), ((twisted_field(), coupled_metric(2)), 2)],
+        ids=["n1", "n2"],
+    )
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_one_eigenvalue_call_over_all_rows(self, monkeypatch, check, system, n):
+        shapes = []
+        stacked = linalg.symmetric_eigenvalues
+
+        def logged(a):
+            shapes.append(np.shape(a))
+            return stacked(a)
+
+        monkeypatch.setattr(linalg, "symmetric_eigenvalues", logged)
+        monkeypatch.setattr(contraction, "symmetric_eigenvalues", logged)
+        CHECKS[check](*system)
+        # One call over every (input, state) row, one over M at the 3^n grid states.
+        rows = 3**n if check == "region" else 9**n
+        assert shapes == [(rows, n, n), (3**n, n, n)]
+
+    @pytest.mark.parametrize(
+        "check, beta", [("region", 0.0), ("region", 1e-12), ("region", BETA), ("uniform", 1e-12), ("uniform", BETA)]
+    )
+    def test_metric_asymmetric_at_one_state_raises(self, check, beta):
+        # Asymmetric by 1e-3 only at the grid corner (1, 1).  The rows are
+        # symmetrized, so for beta * 1e-3 below the tolerance only the check
+        # on M itself can refuse the metric.
+        def evaluate(x):
+            return 3.0 * np.eye(2) + np.array([[0.0, 1e-3], [0.0, 0.0]]) * float(x[0] == x[1] == 1.0)
+
+        metric = RiemannianMetric(2, evaluate, lambda x: np.zeros((2, 2, 2)))
+        with pytest.raises(NonSymmetricError):
+            CHECKS[check](linear_additive_field(2), metric, beta)
+
     @pytest.mark.parametrize("check", sorted(CHECKS))
     def test_dimension_mismatch_before_any_call(self, check):
         field, metric, log = recorded(twisted_field(), bounded_example_metric(2.0))
@@ -536,6 +572,11 @@ class TestBoundedMetricParameter:
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
             bounded_metric_m_parameter(float("inf"))
+
+    @pytest.mark.parametrize("m", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_example_metric_rejects_m_not_finite_and_positive(self, m):
+        with pytest.raises(ValueError, match="m must be finite and positive"):
+            bounded_example_metric(m)
 
 
 class TestRiemannianMetric:

@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from contraction_lab import counterexample
 from contraction_lab.constant_metric import example_3d_system
 from contraction_lab.contraction import linear_additive_field, scalar_example_system
 from contraction_lab.counterexample import (
@@ -20,7 +21,7 @@ from contraction_lab.counterexample import (
     second_order_value,
     verify_ges,
 )
-from contraction_lab.dynamics import ConstantInput, IntegratorConfig, integrate
+from contraction_lab.dynamics import ConstantInput, IntegratorConfig, VectorField, integrate
 from contraction_lab.errors import NoRootFoundError, NonFiniteError
 
 PRINTED_R_STAR = 2.79098840365914
@@ -181,6 +182,27 @@ class TestCircleOrbitResidual:
     def test_sample_count_validation(self, r_star):
         with pytest.raises(ValueError):
             circle_orbit_residual(r_star, 4)
+
+    def test_one_field_call_per_sample_with_its_own_input(self, monkeypatch, r_star):
+        # A field call shares one input over its states, so no call may see an input stack.
+        states, inputs, signals = [], [], []
+
+        def recorded(radius):
+            field, signal = build_counterexample(radius)
+            signals.append(signal)
+
+            def rhs(x, u):
+                states.append(x)
+                inputs.append(u)
+                return field(x, u)
+
+            return VectorField(rhs, 2, 2), signal
+
+        monkeypatch.setattr(counterexample, "build_counterexample", recorded)
+        assert circle_orbit_residual(r_star, 16) <= 1e-10
+        t = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+        assert np.array_equal(states, r_star * np.column_stack([np.cos(t), np.sin(t)]))
+        assert np.array_equal(inputs, [signals[0].eval(ti) for ti in t])
 
 
 class TestVerifyGes:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from contraction_lab.errors import NonFiniteError, NonSymmetricError
 from contraction_lab.linalg import (
+    SYMMETRY_TOL,
     is_negative_definite,
     log_norm_2,
     max_eigenvalue,
@@ -178,3 +179,45 @@ def test_vector_norms_equal_per_vector_norms_bit_for_bit(rng, n):
     expected = np.array([[np.linalg.norm(vec) for vec in block] for block in v])
     assert np.array_equal(vector_norms(v), expected)
     assert np.array_equal(vector_norms(v[:, 0] - v[:, 1]), [np.linalg.norm(a - b) for a, b in zip(v[:, 0], v[:, 1])])
+
+
+class TestStacks:
+    """A (..., n, n) stack gives each matrix's value in one call, checked as a whole."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stack_equals_per_matrix_calls_bit_for_bit(self, rng, n):
+        # The per-matrix loop is the reference; the stack must not move a last digit.
+        general = rng.normal(size=(4, 25, n, n)) * rng.uniform(0.01, 100.0, size=(4, 25, 1, 1))
+        sym = (general + np.swapaxes(general, -1, -2)) / 2
+        assert np.array_equal(symmetric_eigenvalues(sym), [[symmetric_eigenvalues(a) for a in b] for b in sym])
+        assert np.array_equal(max_eigenvalue(sym), [[max_eigenvalue(a) for a in b] for b in sym])
+        assert np.array_equal(spectral_norm(general), [[spectral_norm(a) for a in b] for b in general])
+        assert symmetric_eigenvalues(sym).shape == (4, 25, n)
+        assert max_eigenvalue(sym).shape == spectral_norm(general).shape == (4, 25)
+        assert isinstance(max_eigenvalue(sym[0, 0]), float) and isinstance(spectral_norm(general[0, 0]), float)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fn", [symmetric_eigenvalues, max_eigenvalue, spectral_norm])
+    def test_one_non_finite_matrix_raises(self, rng, fn, bad, n):
+        stack = np.stack([random_symmetric(rng, n) for _ in range(6)])
+        stack[4, n - 1, 0] = bad
+        with pytest.raises(NonFiniteError):
+            fn(stack)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("fn", [symmetric_eigenvalues, max_eigenvalue])
+    def test_one_asymmetric_matrix_raises_beyond_tolerance(self, rng, fn, n):
+        stack = np.stack([random_symmetric(rng, n) for _ in range(6)])
+        stack[3, 0, n - 1] += 0.5 * SYMMETRY_TOL  # roundoff-level: scrubbed
+        fn(stack)
+        stack[4, n - 1, 0] += 2.0 * SYMMETRY_TOL
+        with pytest.raises(NonSymmetricError):
+            fn(stack)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("fn", [symmetric_eigenvalues, max_eigenvalue, spectral_norm])
+    def test_non_square_trailing_shape_raises(self, fn, n):
+        for shape in [(5, n, n + 1), (5, n + 1, n), (2, 5, n), (n,)]:
+            with pytest.raises(ValueError, match="square"):
+                fn(np.zeros(shape))
