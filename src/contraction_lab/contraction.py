@@ -13,8 +13,8 @@ All region certificates are grid-based: the certificate records the grid,
 and resolution is the caller's precision statement, not a proof of the
 continuum claim.  A certificate assembles its matrices as one stack (field
 and Jacobian once per input over all (N, n) grid states, M and grad M once
-per (n,) state) and reduces its rows with one eigenvalue call.  A metric that
-is not symmetric and positive definite at every grid state is refused.
+over the same stack) and reduces its rows with one eigenvalue call.  A metric
+that is not symmetric and positive definite at every grid state is refused.
 """
 
 from __future__ import annotations
@@ -47,9 +47,17 @@ __all__ = [
 class RiemannianMetric:
     """Position-dependent symmetric matrix M(x) with entrywise gradients.
 
-    ``eval_fn``    : x -> (n, n) symmetric matrix
-    ``grad_fn``    : x -> (n, n, n) array, entry [i, j] the gradient of M_ij
-                     (central finite differences with step 1e-6 when omitted)
+    ``eval`` and ``grad`` take one state ``(n,)`` or a stack ``(N, n)`` and
+    return M as ``(n, n)`` or ``(N, n, n)`` and grad M as ``(n, n, n)`` or
+    ``(N, n, n, n)``, entry ``[..., i, j, k]`` being dM_ij/dx_k; a state of
+    another shape, or a result of any other shape, raises ``ValueError``.
+    :meth:`constant` and :meth:`from_scalar` evaluate a whole stack in one
+    call; the callables given to this constructor take one state each:
+
+    ``eval_fn``    : x -> (n, n) symmetric matrix, called once per state
+    ``grad_fn``    : x -> (n, n, n) array, entry [i, j] the gradient of M_ij,
+                     called once per state (central finite differences with
+                     step 1e-6 over the whole stack when omitted)
     ``lower_bound``: a > 0 with v^T M(x) v >= a ||v||^2, asserted by the caller
     """
 
@@ -57,36 +65,78 @@ class RiemannianMetric:
         if not (np.isfinite(lower_bound) and lower_bound > 0):
             raise ValueError("uniform lower bound must be finite and positive")
         self.dim = int(dim)
-        self._eval = eval_fn
-        self._grad = grad_fn
+        # Stack evaluators, (N, n) -> (N, n, n) and (N, n, n, n).
+        self._eval = _per_state(eval_fn)
+        self._grad = None if grad_fn is None else _per_state(grad_fn)
         self.lower_bound = float(lower_bound)
         self.name = name
 
     def eval(self, x) -> np.ndarray:
-        m = np.asarray(self._eval(np.atleast_1d(np.asarray(x, dtype=float))), dtype=float)
-        return m.reshape(self.dim, self.dim)
+        return self._apply(self._eval, x, 2)
 
     def grad(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
         if self._grad is not None:
-            return np.asarray(self._grad(x), dtype=float).reshape(self.dim, self.dim, self.dim)
-        return _central_difference(self.eval, x, self.dim)
+            return self._apply(self._grad, x, 3)
+        return _central_difference(self.eval, np.atleast_1d(np.asarray(x, dtype=float)), self.dim)
+
+    def _apply(self, stack_fn, x, rank: int) -> np.ndarray:
+        """``stack_fn`` on the states ``x``, checked to give ``rank`` axes of length n per state."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.ndim > 2 or x.shape[-1] != self.dim:
+            raise ValueError(f"a metric of dimension {self.dim} takes states (n,) or (N, n), not {x.shape}")
+        states = x.reshape(-1, self.dim)
+        out = np.asarray(stack_fn(states), dtype=float)
+        shape = (len(states),) + (self.dim,) * rank
+        if out.shape != shape:
+            raise ValueError(f"metric returned shape {out.shape} for {len(states)} states, expected {shape}")
+        return out.reshape(x.shape[:-1] + shape[1:])
+
+    @classmethod
+    def _of_stacks(cls, dim: int, eval_stack, grad_stack, lower_bound: float, name: str = "") -> "RiemannianMetric":
+        """A metric whose two callables each evaluate a whole (N, n) stack in one call."""
+        metric = cls(dim, None, None, lower_bound, name)
+        metric._eval, metric._grad = eval_stack, grad_stack
+        return metric
 
     @classmethod
     def constant(cls, matrix, lower_bound: float | None = None) -> "RiemannianMetric":
+        """M(x) = ``matrix`` everywhere, broadcast over a stack, with zero gradient."""
         matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         dim = matrix.shape[0]
         if lower_bound is None:
             lower_bound = max_eigenvalue(-symmetric_part(matrix)) * -1.0
         zero = np.zeros((dim, dim, dim))
-        return cls(dim, lambda x: matrix, lambda x: zero, lower_bound)
+        return cls._of_stacks(
+            dim,
+            lambda xs: np.broadcast_to(matrix, (len(xs),) + matrix.shape),
+            lambda xs: np.broadcast_to(zero, (len(xs),) + zero.shape),
+            lower_bound,
+        )
 
     @classmethod
     def from_scalar(cls, m_fn, m_prime_fn=None, lower_bound: float = 1.0, name: str = "") -> "RiemannianMetric":
-        grad_fn = None
-        if m_prime_fn is not None:
-            grad_fn = lambda x: np.array([[[m_prime_fn(float(x[0]))]]])
-        return cls(1, lambda x: np.array([[m_fn(float(x[0]))]]), grad_fn, lower_bound, name)
+        """1-D metric M(x) = m(x) with derivative m'(x).
+
+        ``m_fn`` and ``m_prime_fn`` are applied elementwise to the ``(N,)``
+        column of a stack's states, once per stack; a scalar result is
+        broadcast over the stack.  Without ``m_prime_fn`` the gradient is a
+        central difference of ``m_fn`` over the whole stack.
+        """
+
+        def column(fn, rank):
+            def stack(xs):
+                out = np.broadcast_to(np.asarray(fn(xs[:, 0]), dtype=float), (len(xs),))
+                return out.reshape((len(xs),) + (1,) * rank)
+
+            return stack
+
+        grad = None if m_prime_fn is None else column(m_prime_fn, 3)
+        return cls._of_stacks(1, column(m_fn, 2), grad, lower_bound, name)
+
+
+def _per_state(fn):
+    """Stack evaluator that calls the one-state callable ``fn`` once per row."""
+    return lambda xs: np.array([fn(x) for x in xs], dtype=float)
 
 
 def _check_dimensions(field: VectorField, metric: RiemannianMetric, state_dim: int, input_dim: int) -> None:
@@ -102,16 +152,11 @@ def _contraction_stack(field: VectorField, metric: RiemannianMetric, states: np.
     """Symmetrized J^T M + M J + Mdot as a (K, N, n, n) stack, and M as (N, n, n).
 
     K inputs by N states, input slowest: the field and its Jacobian are
-    called once per input on the whole state stack, the metric once per
-    state.  A wrong-shaped result raises ValueError instead of broadcasting.
+    called once per input on the whole state stack, M and grad M once on the
+    whole stack.  A wrong-shaped result raises ValueError instead of broadcasting.
     Unchecked: the caller validated the dimensions.
     """
-    n = metric.dim
-    m = np.empty((len(states), n, n))
-    grad = np.empty((len(states), n, n, n))
-    for i, x in enumerate(states):
-        m[i] = metric.eval(x)
-        grad[i] = metric.grad(x)
+    m, grad = metric.eval(states), metric.grad(states)
     jac = np.stack([field.jacobian_x(states, c) for c in inputs])
     f = np.stack([field(states, c) for c in inputs])
     a = np.swapaxes(jac, -1, -2) @ m + m @ jac + (grad @ f[..., None, :, None])[..., 0]
@@ -337,7 +382,7 @@ def find_violating_input(
         raise DimensionMismatchError("x_search must have one (lo, hi) pair per state dimension")
 
     xs = _grid_points(axes)
-    grads = np.array([metric.grad(x) for x in xs])
+    grads = metric.grad(xs)
     if not np.all(np.isfinite(grads)):
         raise NonFiniteError("a sampled metric gradient has non-finite entries")
     grad_scale = float(np.max(np.abs(grads)))
@@ -359,17 +404,11 @@ def find_violating_input(
     zs = unit_samples(z_search)
     zz = np.einsum("zi,zj->ijz", zs, zs).reshape(n * n, len(zs))  # column z is z (x) z
 
-    # One (c0, z) block of |alpha| per state; the flat argmax is the first
-    # maximum with z fastest, and the strict > keeps the earliest state.
-    best_abs, best = -1.0, (0, 0)
-    for i, g in enumerate(grads):
-        block = np.abs(c_dirs @ g.reshape(n * n, n).T @ zz)
-        k = int(np.argmax(block))
-        if block.flat[k] > best_abs:
-            best_abs, best = block.flat[k], (i, k)
-    i, k = best
-    x, g = xs[i], grads[i]
-    c0, z = c_dirs[k // len(zs)], zs[k % len(zs)]
+    # |alpha| for every (x, c0, z) as one (X, C, Z) array; the flat argmax
+    # is the first maximum with x slowest, then c0, then z.
+    scores = np.abs(c_dirs @ np.swapaxes(grads.reshape(len(xs), n * n, n), -1, -2) @ zz)
+    i, kc, kz = np.unravel_index(int(np.argmax(scores)), scores.shape)
+    x, g, c0, z = xs[i], grads[i], c_dirs[kc], zs[kz]
     alpha = float(z @ (g @ c0) @ z)
     if abs(alpha) < 1e-12:
         raise MetricAppearsConstantError("no sampled direction produces a nonzero metric drift")

@@ -56,8 +56,9 @@ _FD_STEP = 1e-6
 
 
 def _central_difference(fn, x, n: int) -> np.ndarray:
-    """Derivative of ``fn`` at the n-vector ``x`` by central differences with
-    step 1e-6; the derivative along axis k is the slice ``[..., k]``."""
+    """Derivative of ``fn`` at one state ``(n,)`` or a stack ``(N, n)`` by
+    central differences with step 1e-6; the derivative along axis k is the
+    slice ``[..., k]``."""
     steps = np.eye(n) * _FD_STEP
     return np.stack([(fn(x + h) - fn(x - h)) / (2 * _FD_STEP) for h in steps], axis=-1)
 

@@ -49,21 +49,27 @@ def twisted_field():
     return VectorField(lambda x, u: -x + u * np.tanh(x[..., ::-1]), 2, 2, jacobian=jacobian, name="twisted")
 
 
+def log_calls(log, name, fn):
+    """``fn`` that appends (name, shape of its first argument) to ``log`` per call."""
+
+    def call(x, *rest):
+        log.append((name, np.shape(x)))
+        return fn(x, *rest)
+
+    return call
+
+
 def recorded(field, metric):
     """Copies of field and metric that log (callable, state shape) per call."""
     log = []
-
-    def logged(name, fn):
-        def call(x, *rest):
-            log.append((name, np.shape(x)))
-            return fn(x, *rest)
-
-        return call
-
     field = VectorField(
-        logged("field", field), field.state_dim, field.input_dim, jacobian=logged("jacobian", field.jacobian_x)
+        log_calls(log, "field", field),
+        field.state_dim,
+        field.input_dim,
+        jacobian=log_calls(log, "jacobian", field.jacobian_x),
     )
-    return field, RiemannianMetric(metric.dim, logged("eval", metric.eval), logged("grad", metric.grad)), log
+    metric = RiemannianMetric(metric.dim, log_calls(log, "eval", metric.eval), log_calls(log, "grad", metric.grad))
+    return field, metric, log
 
 
 def grid_rows(box, count):
@@ -251,7 +257,7 @@ class TestCheckContractionRegion:
     def test_nan_metric_at_interior_point(self):
         nan_at = 0.5
         metric = RiemannianMetric.from_scalar(
-            lambda x: math.nan if x == nan_at else 1.0, lambda x: 0.0, name="nan at one point"
+            lambda x: np.where(x == nan_at, math.nan, 1.0), lambda x: 0.0, name="nan at one point"
         )
         xs = np.linspace(-1.0, 1.0, 5)
         assert xs[3] == nan_at
@@ -276,6 +282,15 @@ class TestGradients:
             a = contraction_matrix(field, metric, x, [0.3])[0, 0]
             b = contraction_matrix(field, fd_metric, x, [0.3])[0, 0]
             assert b == pytest.approx(a, rel=1e-4, abs=1e-6)
+
+
+    def test_from_scalar_finite_difference_matches_analytic_on_a_stack(self, rng):
+        xs = rng.uniform(-5, 5, size=(100, 1))
+        numeric = RiemannianMetric.from_scalar(scalar_metric, lower_bound=4.0 / 9.0)
+        analytic = RiemannianMetric.from_scalar(scalar_metric, scalar_metric_derivative, lower_bound=4.0 / 9.0)
+        gn = numeric.grad(xs)
+        assert gn.shape == (100, 1, 1, 1)
+        assert np.allclose(gn, analytic.grad(xs), rtol=1e-4, atol=1e-8)
 
 
 class TestUniformContraction:
@@ -357,6 +372,23 @@ class TestStackedCertificates:
         check_uniform_contraction(field, metric, [(-1.0, 1.0)] * 2, 3, [(-1.0, 1.0)] * 2, 4, BETA)
         counts = {name: sum(1 for logged, _ in log if logged == name) for name in ("eval", "grad", "field", "jacobian")}
         assert counts == {"eval": 16, "grad": 16, "field": 9, "jacobian": 9}
+
+    @pytest.mark.parametrize("system", ["scalar", "bump"])
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_stock_metric_callables_get_one_column_per_certificate(self, monkeypatch, check, system):
+        log = []
+        if system == "scalar":
+            monkeypatch.setattr(contraction, "scalar_metric", log_calls(log, "m", scalar_metric))
+            monkeypatch.setattr(contraction, "scalar_metric_derivative", log_calls(log, "m'", scalar_metric_derivative))
+            field, metric = contraction.scalar_example_system()
+            expected = [("m", (3,)), ("m'", (3,))]
+        else:
+            # m and m' of the bump metric each read _bump once.
+            monkeypatch.setattr(contraction, "_bump", log_calls(log, "bump", contraction._bump))
+            field, metric = linear_additive_field(1), bounded_example_metric(2.0)
+            expected = [("bump", (3,))] * 2
+        CHECKS[check](field, metric)
+        assert log == expected
 
     def test_uniform_witness_is_first_maximum_input_slowest(self):
         # lambda = 2J + 1 with J = -1 - x u peaks at 1 on (u=-1, x=1) and on
@@ -519,14 +551,14 @@ class TestFindViolatingInput:
     def test_non_finite_gradient_raises(self):
         # The NaN gradient sits at the first grid point; the search must not
         # let it win the comparison and loop forever on a NaN alpha.
-        metric = RiemannianMetric.from_scalar(lambda x: 2.0, lambda x: math.nan if x <= -3.0 else x)
+        metric = RiemannianMetric.from_scalar(lambda x: 2.0, lambda x: np.where(x <= -3.0, math.nan, x))
         with pytest.raises(NonFiniteError):
             find_violating_input(linear_additive_field(1), metric, (-3.0, 3.0))
 
     def test_non_finite_metric_at_witness_raises(self):
         # |m'| is largest at x = -3, where M itself is NaN: the unforced
         # quadratic form is NaN and the doubling of N would never stop.
-        metric = RiemannianMetric.from_scalar(lambda x: math.nan if x < 0.0 else 2.0, lambda x: x)
+        metric = RiemannianMetric.from_scalar(lambda x: np.where(x < 0.0, math.nan, 2.0), lambda x: x)
         with pytest.raises(NonFiniteError):
             find_violating_input(linear_additive_field(1), metric, (-3.0, 3.0))
 
@@ -580,6 +612,41 @@ class TestBoundedMetricParameter:
 
 
 class TestRiemannianMetric:
+    def test_constant_broadcasts_over_a_stack(self):
+        matrix = np.array([[2.0, 0.5], [0.5, 1.0]])
+        metric = RiemannianMetric.constant(matrix)
+        xs = np.arange(10.0).reshape(5, 2)
+        assert metric.eval(xs).shape == (5, 2, 2)
+        assert np.array_equal(metric.eval(xs), np.broadcast_to(matrix, (5, 2, 2)))
+        assert np.array_equal(metric.grad(xs), np.zeros((5, 2, 2, 2)))
+        assert np.array_equal(metric.eval(xs[0]), matrix)
+
+    @pytest.mark.parametrize(
+        "method, bad", [("eval", np.ones(4)), ("eval", np.ones((1, 2, 2))), ("grad", np.zeros((2, 4))), ("grad", 0.0)]
+    )
+    def test_wrong_result_shape_raises(self, method, bad):
+        # A flat (4,) has the size of a 2 x 2 matrix but not its shape.
+        fns = {"eval": lambda x: 3.0 * np.eye(2), "grad": lambda x: np.zeros((2, 2, 2)), method: lambda x: bad}
+        metric = RiemannianMetric(2, fns["eval"], fns["grad"])
+        for x in ([0.1, 0.2], [[0.1, 0.2], [0.3, 0.4]]):
+            with pytest.raises(ValueError, match="metric returned shape"):
+                getattr(metric, method)(x)
+        with pytest.raises(ValueError, match="metric returned shape"):
+            contraction_matrix(linear_additive_field(2), metric, [0.1, 0.2], [0.0, 0.0])
+
+    @pytest.mark.parametrize("method", ["eval", "grad"])
+    def test_from_scalar_rejects_a_result_of_another_length(self, method):
+        metric = RiemannianMetric.from_scalar(lambda x: np.ones(3), lambda x: np.zeros(3))
+        with pytest.raises(ValueError):
+            getattr(metric, method)(np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("x", [[0.1, 0.2, 0.3], np.zeros((2, 3)), np.zeros((1, 2, 2))])
+    def test_rejects_states_of_another_shape(self, x):
+        metric = coupled_metric(2)
+        for method in (metric.eval, metric.grad):
+            with pytest.raises(ValueError, match="takes states"):
+                method(x)
+
     def test_requires_positive_lower_bound(self):
         for lower_bound in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
