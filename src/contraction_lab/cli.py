@@ -10,6 +10,7 @@ time, so a bad value exits 64 before anything runs or is written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -79,7 +80,10 @@ _grid_axis = _flag(
 )
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing keeps no
+    state on it, so every call starts from the defaults."""
     parser = _Parser(prog="contraction-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

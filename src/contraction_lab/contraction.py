@@ -348,6 +348,11 @@ class ViolatingInput:
         )
 
 
+# Most (x, c0, z) scores the violating-input search holds at once (2 MiB),
+# enough for a default 2-D search in one block.
+_SCORE_BLOCK = 1 << 18
+
+
 def find_violating_input(
     field: VectorField,
     metric: RiemannianMetric,
@@ -404,10 +409,23 @@ def find_violating_input(
     zs = unit_samples(z_search)
     zz = np.einsum("zi,zj->ijz", zs, zs).reshape(n * n, len(zs))  # column z is z (x) z
 
-    # |alpha| for every (x, c0, z) as one (X, C, Z) array; the flat argmax
-    # is the first maximum with x slowest, then c0, then z.
-    scores = np.abs(c_dirs @ np.swapaxes(grads.reshape(len(xs), n * n, n), -1, -2) @ zz)
-    i, kc, kz = np.unravel_index(int(np.argmax(scores)), scores.shape)
+    # |alpha| for every (x, c0, z), a block of states at a time so at most
+    # _SCORE_BLOCK scores are held.  Each block's flat argmax is its first
+    # maximum with x slowest, then c0, then z, and a later block wins only
+    # when strictly larger, so the winner is the first maximum overall; a
+    # NaN wins at once, as it would in one argmax.
+    grads_t = np.swapaxes(grads.reshape(len(xs), n * n, n), -1, -2)
+    per_block = max(1, _SCORE_BLOCK // (len(c_dirs) * len(zs)))
+    best = best_at = None
+    for lo in range(0, len(xs), per_block):
+        scores = c_dirs @ grads_t[lo : lo + per_block] @ zz
+        np.abs(scores, out=scores)
+        j = int(np.argmax(scores))
+        if best is None or not scores.flat[j] <= best:
+            best, best_at = scores.flat[j], lo * len(c_dirs) * len(zs) + j
+            if np.isnan(best):
+                break
+    i, kc, kz = np.unravel_index(best_at, (len(xs), len(c_dirs), len(zs)))
     x, g, c0, z = xs[i], grads[i], c_dirs[kc], zs[kz]
     alpha = float(z @ (g @ c0) @ z)
     if abs(alpha) < 1e-12:

@@ -9,6 +9,12 @@ begins with the step proposal and controller memory the last one left.  A
 trajectory is exactly its accepted steps: no interpolation is offered, so a
 caller that needs the state at a given time integrates to that time, and the
 state there carries the step's own error control.
+
+Each step makes one finiteness test over all of its stages, and looks the
+input up once per distinct stage time: stages 5 and 6 both sit at the step
+end and share one lookup, and the left limit at a segment's end is looked up
+once per segment.  A step with a non-finite stage is rejected and retried at
+a quarter of its length.
 """
 
 from __future__ import annotations
@@ -160,7 +166,8 @@ class PeriodicInput(InputSignal):
                     raise ValueError(f"signal is not {period}-periodic at t={t}")
 
     def eval(self, t):
-        return np.atleast_1d(np.asarray(self._fn(t), dtype=float))
+        u = np.asarray(self._fn(t), dtype=float)
+        return u.reshape(1) if u.ndim == 0 else u
 
     def shifted(self, offset):
         fn = self._fn
@@ -269,6 +276,8 @@ _A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
 _A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
 _A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
 _A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
+# Stage i's nonzero coefficients, sliced once so a stage sum is one matmul.
+_A_ROWS = tuple(_A[i, :i] for i in range(7))
 # Difference between the 5th-order weights and the embedded 4th-order weights.
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
@@ -284,7 +293,18 @@ def _rms(v):
     return np.sqrt(np.square(v).sum(axis=-1) / v.shape[-1])
 
 
-def _hinit(rhs, t0, x0, f0, seg_span, config):
+def _all_finite(a) -> bool:
+    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
+
+
+def _input_at(signal, s, t_end, u_end):
+    """u(s) inside a segment; from its end on, the left limit ``u_end``, so a
+    breakpoint never leaks across a step."""
+    return u_end if s >= t_end else signal.eval(s)
+
+
+def _hinit(field, signal, t0, t_end, u_end, x0, f0, config):
+    seg_span = t_end - t0
     if config.initial_step is not None:
         return min(config.initial_step, seg_span, config.max_step)
     sc = config.abs_tol + config.rel_tol * np.abs(x0)
@@ -292,7 +312,7 @@ def _hinit(rhs, t0, x0, f0, seg_span, config):
     d0, d1 = np.min(_rms(x0 / sc)), np.max(_rms(f0 / sc))
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, seg_span)
-    f1 = rhs(t0 + h0, x0 + h0 * f0)
+    f1 = field(x0 + h0 * f0, _input_at(signal, t0 + h0, t_end, u_end))
     d2 = np.max(_rms((f1 - f0) / sc)) / h0
     dm = max(d1, d2)
     h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.2
@@ -320,24 +340,33 @@ def _steps(field, signal, x0, t_span, config=None):
 
     cuts = [t0] + signal.breakpoints_in(t0, t1) + [t1]
     min_step = 1e-14 * (t1 - t0)
+    rel_tol, abs_tol = config.rel_tol, config.abs_tol
+    n = x.shape[-1]
+    # Stage derivatives, with views of the first i rows for stage i's sum.
     k = np.empty((7,) + x.shape)
     k_flat = k.reshape(7, -1)
+    k_heads = [k_flat[:i] for i in range(7)]
+    # Buffers for a stage's sum and for the error terms (one row per
+    # trajectory), each with a flat view that takes matmul results.  The
+    # stage states themselves are fresh arrays, since a field may keep its
+    # input.
+    acc = np.empty(x.shape)
+    acc_flat = acc.reshape(-1)
+    err_vec = np.empty((x.size // n, n))
+    err_flat = err_vec.reshape(-1)
+    sc = np.empty(err_vec.shape)
     h = None
     facold = 1e-4
     for t, t_end in zip(cuts[:-1], cuts[1:]):
-
-        def rhs(s, y, t_end=t_end):
-            # The only stage evaluated at the segment end must see the left
-            # limit of the input, so a breakpoint never leaks across a step.
-            return field(y, signal.eval_left(t_end) if s >= t_end else signal.eval(s))
-
+        # Every stage at or past the segment end sees its left limit.
+        u_end = signal.eval_left(t_end)
         # The input jumps at a breakpoint, so the stages restart there; the
         # step proposal and the controller memory carry over.
-        k[0] = rhs(t, x)
-        if not np.all(np.isfinite(k[0])):
+        k[0] = field(x, signal.eval(t))
+        if not _all_finite(k[0]):
             raise NonFiniteError(f"dynamics non-finite at t={t}")
         if h is None:
-            h = _hinit(rhs, t, x, k[0], t_end - t, config)
+            h = _hinit(field, signal, t, t_end, u_end, x, k[0], config)
         nonfinite_streak = 0
         while t < t_end:
             # A step that lands on the segment end may be as short as the
@@ -351,20 +380,29 @@ def _steps(field, signal, x0, t_span, config=None):
             h_eff = t_next - t
             if h_eff <= 0:
                 raise StepSizeUnderflowError(f"step no longer advances time at t={t}")
-            bad = False
+            # Stages 5 and 6 both sit at t_next and share its input.
+            u_next = _input_at(signal, t_next, t_end, u_end)
             for i in range(1, 7):
-                xi = x + h_eff * (_A[i, :i] @ k_flat[:i]).reshape(x.shape)
-                k[i] = rhs(t_next if _C[i] == 1.0 else t + _C[i] * h_eff, xi)
-                if not np.isfinite(k[i]).all():
-                    bad = True
-                    break
-            if not bad:
-                # xi is now the stage-6 state, which is the 5th-order solution.
-                err_vec = h_eff * (_E @ k_flat).reshape(x.shape)
-                sc = config.abs_tol + config.rel_tol * np.maximum(np.abs(x), np.abs(xi))
-                err = float(np.max(_rms(err_vec / sc)))
-                bad = not (np.isfinite(xi).all() and math.isfinite(err))
-            if bad:
+                np.matmul(_A_ROWS[i], k_heads[i], out=acc_flat)
+                acc *= h_eff
+                xi = x + acc
+                k[i] = field(xi, _input_at(signal, t + _C[i] * h_eff, t_end, u_end) if i < 5 else u_next)
+            # xi is now the stage-6 state, which is the 5th-order solution.
+            # The error norm is sqrt(max over rows of sum(e^2) / n): division
+            # and the square root are monotone and correctly rounded, so this
+            # is bitwise the largest per-row RMS.
+            np.matmul(_E, k_flat, out=err_flat)
+            err_flat *= h_eff
+            np.abs(x, out=sc)
+            np.maximum(sc, np.abs(xi), out=sc)
+            sc *= rel_tol
+            sc += abs_tol
+            err_vec /= sc
+            err_vec *= err_vec
+            err = math.sqrt(float(np.maximum.reduce(np.add.reduce(err_vec, axis=-1))) / n)
+            # One finiteness test over all seven stages: a step with a
+            # non-finite stage is rejected once every stage has been evaluated.
+            if not (_all_finite(k_flat) and _all_finite(xi) and math.isfinite(err)):
                 nonfinite_streak += 1
                 h *= 0.25
                 continue

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import contraction_lab
-from contraction_lab import counterexample
+from contraction_lab import cli, counterexample
 from contraction_lab.cli import _EXPERIMENTS, EXPERIMENTS, main
 from contraction_lab.contraction import bounded_metric_m_parameter
 from contraction_lab.dynamics import ConstantInput, _steps, integrate
@@ -263,6 +263,16 @@ class TestInterface:
             "flow-compose",
             "flow-limit",
         )
+
+    def test_cached_parser_carries_no_flag_values(self, tmp_path, capsys):
+        # The parser is built once per process; each call still starts from
+        # the defaults and still exits 64 on a bad flag.
+        assert cli._build_parser() is cli._build_parser()
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli("run", "ges-check", "--rate", "0.6", "--out", str(a)) == 1
+        assert run_cli("run", "ges-check", "--out", str(b)) == 0
+        assert json.loads((b / "ges-check.json").read_text())["rate"] == 0.5
+        assert run_cli("run", "ges-check", "--rate", "nan", "--out", str(b)) == 64
 
     def test_module_entrypoint(self, tmp_path):
         # The child runs in tmp_path, so a relative PYTHONPATH entry such as

@@ -548,6 +548,27 @@ class TestFindViolatingInput:
         assert np.array_equal(found.z, z)
         assert found.value == value
 
+    def test_three_dimensional_search_memory_is_bounded(self, monkeypatch):
+        # 9,261 states x 19 directions x 19 vectors is 26 MB of scores held
+        # at once; blocks of states keep the peak far below that and leave
+        # the winner the one search over all scores at once would find.
+        import tracemalloc
+
+        field, metric, box = linear_additive_field(3), coupled_metric(3), [(-3.0, 3.0)] * 3
+        tracemalloc.start()
+        try:
+            found = find_violating_input(field, metric, box, x_resolution=21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        monkeypatch.setattr(contraction, "_SCORE_BLOCK", 21**3 * 19 * 19)
+        whole = find_violating_input(field, metric, box, x_resolution=21)
+        assert np.array_equal(found.x, whole.x)
+        assert np.array_equal(found.c, whole.c)
+        assert np.array_equal(found.z, whole.z)
+        assert found.value == whole.value
+
     def test_non_finite_gradient_raises(self):
         # The NaN gradient sits at the first grid point; the search must not
         # let it win the comparison and loop forever on a NaN alpha.

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from contraction_lab.counterexample import circle_field
 from contraction_lab.dynamics import (
     ConcatenatedInput,
     ConstantInput,
@@ -92,6 +93,26 @@ class TestIntegrate:
         base = integrate(field, sig, [0.4], (0.5, 3.5)).final_state
         moved = integrate(field, shift_signal(sig, shift), [0.4], (0.5 - shift, 3.5 - shift)).final_state
         assert np.linalg.norm(base - moved) < 10 * 1e-9 * max(1.0, np.linalg.norm(base))
+
+    def test_nonfinite_interior_stage_is_retried(self):
+        # Field call 11 is stage 3 of the second step (call 1 is the first
+        # derivative, call 2 the starting-step probe, then six per step).
+        # That step is rejected and retried at a quarter of its length.
+        def poisoned(bad_call):
+            calls = []
+
+            def f(x, u):
+                calls.append(None)
+                return np.full_like(x, np.nan) if len(calls) == bad_call else -x
+
+            return VectorField(f, 1, 1)
+
+        clean = integrate(poisoned(None), ConstantInput([0.0]), [1.0], (0.0, 1.0))
+        traj = integrate(poisoned(11), ConstantInput([0.0]), [1.0], (0.0, 1.0))
+        assert traj.times[1] == clean.times[1]
+        assert traj.times[2] - traj.times[1] == pytest.approx(0.25 * (clean.times[2] - clean.times[1]))
+        assert np.all(np.isfinite(traj.states))
+        assert traj.final_state[0] == pytest.approx(math.exp(-1), abs=1e-9)
 
     def test_restarts_at_breakpoints(self):
         sig = PiecewiseConstantInput([0.5], [[0.0], [1.0]])
@@ -353,3 +374,33 @@ class TestIntegratorConfig:
             with pytest.raises(ValueError):
                 IntegratorConfig(**kwargs)
         assert IntegratorConfig().max_step == math.inf
+
+
+class TestGoldenBits:
+    """Exact step counts and final bits of two reference runs.
+
+    Any change to the integrator's arithmetic, its step-size control or its
+    input lookups moves these values; a rewrite that claims the same
+    numbers must leave them untouched.  They were recorded with NumPy 2.4
+    on x86-64; another BLAS may round the stage sums differently.
+    """
+
+    def test_forced_orbit_over_one_period(self, forced_system, r_star):
+        field, signal = forced_system
+        traj = integrate(field, signal, [r_star, 0.0], (0.0, TWO_PI))
+        assert len(traj.times) - 1 == 131
+        assert [float(v).hex() for v in traj.final_state] == ["0x1.653f1ba2347e5p+1", "-0x1.b5fb4b0000000p-31"]
+
+    def test_lockstep_batch_under_sixteen_pieces(self):
+        k = np.arange(16)
+        signal = PiecewiseConstantInput(
+            np.linspace(0.0, TWO_PI, 17)[1:-1], np.column_stack([(5 * k % 7 - 3) / 4, (3 * k % 5 - 2) / 2])
+        )
+        starts = [[1.0, 0.0], [0.0, -2.0], [-0.5, 0.25]]
+        traj = integrate(circle_field(), signal, starts, (0.0, TWO_PI))
+        assert len(traj.times) - 1 == 239
+        assert [[float(v).hex() for v in row] for row in traj.final_state] == [
+            ["-0x1.8a9dfc5530324p-8", "-0x1.168c5afb19b3ep-2"],
+            ["-0x1.2ab7c35f216eap-7", "-0x1.20168342da579p-2"],
+            ["-0x1.4ff95ca9a287cp-7", "-0x1.15e4d7d8f135ep-2"],
+        ]
