@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .certificates import Certificate
-from .counterexample import radial_f, radial_f_slope
+from .counterexample import _float_if_scalar, radial_f, radial_f_slope
 from .dynamics import VectorField, _central_difference
 from .errors import DimensionMismatchError, MetricAppearsConstantError, NonFiniteError
 from .linalg import max_eigenvalue, symmetric_eigenvalues, symmetric_part
@@ -177,15 +177,13 @@ def contraction_matrix(field: VectorField, metric: RiemannianMetric, x, c) -> np
 def scalar_metric(x):
     """m(x) = 1/(sin(x^2)/2 - 1)^2; bounded within (4/9, 4]."""
     x = np.asarray(x, dtype=float)
-    out = 1.0 / (0.5 * np.sin(x * x) - 1.0) ** 2
-    return float(out) if out.ndim == 0 else out
+    return _float_if_scalar(1.0 / (0.5 * np.sin(x * x) - 1.0) ** 2)
 
 
 def scalar_metric_derivative(x):
     """m'(x) = 16 x cos(x^2) / (2 - sin(x^2))^3."""
     x = np.asarray(x, dtype=float)
-    out = 16.0 * x * np.cos(x * x) / (2.0 - np.sin(x * x)) ** 3
-    return float(out) if out.ndim == 0 else out
+    return _float_if_scalar(16.0 * x * np.cos(x * x) / (2.0 - np.sin(x * x)) ** 3)
 
 
 def scalar_example_system():
@@ -201,6 +199,7 @@ def scalar_example_system():
         1,
         jacobian=lambda x, u: radial_f_slope(x)[..., None],
         name="scalar oscillatory-drift system",
+        per_row_inputs=True,
     )
     metric = RiemannianMetric.from_scalar(
         scalar_metric, scalar_metric_derivative, lower_bound=4.0 / 9.0, name="inverse-square drift metric"
@@ -211,7 +210,9 @@ def scalar_example_system():
 def linear_additive_field(dim: int = 1) -> VectorField:
     """x' = -x + u in the given dimension."""
     eye = np.eye(dim)
-    return VectorField(lambda x, u: -x + u, dim, dim, jacobian=lambda x, u: -eye, name="linear additive")
+    return VectorField(
+        lambda x, u: -x + u, dim, dim, jacobian=lambda x, u: -eye, name="linear additive", per_row_inputs=True
+    )
 
 
 def _axes(region, resolution):
@@ -253,11 +254,11 @@ def _region_certificate(field, metric, region, resolution, beta: float, inputs: 
     return Certificate(
         holds=bool(values[row] <= 0.0),
         margin=float(values[row]),
-        witness={"x": [float(v) for v in states[i]], "c": [float(v) for v in inputs[k]]},
+        witness={"x": states[i].tolist(), "c": inputs[k].tolist()},
         grid_spec={
-            "lo": [float(v) for v in region[:, 0]],
-            "hi": [float(v) for v in region[:, 1]],
-            "counts": [int(v) for v in counts],
+            "lo": region[:, 0].tolist(),
+            "hi": region[:, 1].tolist(),
+            "counts": counts.tolist(),
             "beta": float(beta),
         },
     )
@@ -313,9 +314,9 @@ def check_uniform_contraction(
     return replace(
         cert,
         grid_spec={
-            "input_lo": [float(v) for v in input_box[:, 0]],
-            "input_hi": [float(v) for v in input_box[:, 1]],
-            "input_counts": [int(v) for v in input_counts],
+            "input_lo": input_box[:, 0].tolist(),
+            "input_hi": input_box[:, 1].tolist(),
+            "input_counts": input_counts.tolist(),
             "state_grid": cert.grid_spec,
         },
         note=(
@@ -339,9 +340,9 @@ class ViolatingInput:
             holds=False,
             margin=float(self.value),
             witness={
-                "x": [float(v) for v in self.x],
-                "c": [float(v) for v in self.c],
-                "z": [float(v) for v in self.z],
+                "x": self.x.tolist(),
+                "c": self.c.tolist(),
+                "z": self.z.tolist(),
             },
             grid_spec=None,
             note="constructive violating-input search",

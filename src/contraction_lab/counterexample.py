@@ -43,18 +43,21 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 
+def _float_if_scalar(out: np.ndarray):
+    """A 0-d result as a Python float, any other array as it is."""
+    return float(out) if out.ndim == 0 else out
+
+
 def radial_f(r):
     """Radial drift f(r) = -r + (r/2) sin(r^2)."""
     r = np.asarray(r, dtype=float)
-    out = -r + 0.5 * r * np.sin(r * r)
-    return float(out) if out.ndim == 0 else out
+    return _float_if_scalar(-r + 0.5 * r * np.sin(r * r))
 
 
 def radial_f_slope(r):
     """f'(r) = sin(r^2)/2 + r^2 cos(r^2) - 1; zero at stationary radii."""
     r = np.asarray(r, dtype=float)
-    out = 0.5 * np.sin(r * r) + r * r * np.cos(r * r) - 1.0
-    return float(out) if out.ndim == 0 else out
+    return _float_if_scalar(0.5 * np.sin(r * r) + r * r * np.cos(r * r) - 1.0)
 
 
 def second_order_value(r):
@@ -64,8 +67,7 @@ def second_order_value(r):
     scanned range, so it separates maxima from minima of the radial drift.
     """
     r = np.asarray(r, dtype=float)
-    out = 3.0 * r * np.cos(r * r) - 2.0 * r * r * np.sin(r * r)
-    return float(out) if out.ndim == 0 else out
+    return _float_if_scalar(3.0 * r * np.cos(r * r) - 2.0 * r * r * np.sin(r * r))
 
 
 @dataclass(frozen=True)
@@ -172,8 +174,8 @@ def find_r_star(search_interval=(0.1, 4.0), tol: float = 1e-13) -> RStarCertific
 
 
 def _field_rhs(x, u):
-    # x is one state (2,) or a batch (N, 2); u is shared by the batch.  Both
-    # forms do the same arithmetic, so batch rows equal single states bit for bit.
+    # x is one state (2,) or a batch (N, 2); u is shared, or one row per state.
+    # Both forms do the same arithmetic, so batch rows equal single states bit for bit.
     if x.ndim == 1:
         x1, x2 = x
         s = np.sin(x1 * x1 + x2 * x2)
@@ -197,7 +199,7 @@ def _field_jacobian(x, u):
 
 def circle_field() -> VectorField:
     """The planar vector field with radial drift f(r) and unit rotation."""
-    return VectorField(_field_rhs, 2, 2, jacobian=_field_jacobian, name="circle-forcing example")
+    return VectorField(_field_rhs, 2, 2, jacobian=_field_jacobian, name="circle-forcing example", per_row_inputs=True)
 
 
 def build_counterexample(r_star: float):
@@ -230,8 +232,7 @@ def circle_orbit_residual(r_star: float, sample_count: int) -> float:
     t = np.linspace(0.0, TWO_PI, sample_count, endpoint=False)
     gamma = r_star * np.column_stack([np.cos(t), np.sin(t)])
     gamma_dot = r_star * np.column_stack([-np.sin(t), np.cos(t)])
-    # The input is elementwise in t; the field takes one input per call, so one call per sample.
-    rhs = np.stack([field(x, u) for x, u in zip(gamma, signal.eval(t).T)])
+    rhs = field(gamma, signal.eval(t).T)
     return float(np.max(np.linalg.norm(rhs - gamma_dot, axis=1)))
 
 

@@ -73,23 +73,29 @@ class VectorField:
     """Dynamics x' = f(x, u) with state-Jacobian access.
 
     ``f(x, u)`` maps one state ``(n,)`` or a stack ``(N, n)`` sharing the
-    input ``u``, row by row, to derivatives of exactly ``x.shape``.  The
-    Jacobian returns ``x.shape + (n,)``, or ``(n, n)`` when it does not
-    depend on the state, which is broadcast; any other result shape raises
-    ``ValueError``.  Without an analytic ``jacobian``, central finite
-    differences with step 1e-6 stand in.
+    input ``u``, row by row, to derivatives of exactly ``x.shape``; a field
+    built with ``per_row_inputs=True`` also takes an ``(N, m)`` input, one
+    row per state, and any other field given a 2-D input raises
+    ``ValueError``.  The Jacobian takes a shared input and returns
+    ``x.shape + (n,)``, or ``(n, n)`` when it does not depend on the state,
+    which is broadcast; any other result shape raises ``ValueError``.
+    Without an analytic ``jacobian``, central differences with step 1e-6 stand in.
     """
 
-    def __init__(self, f, state_dim: int, input_dim: int, jacobian=None, name: str = ""):
+    def __init__(self, f, state_dim: int, input_dim: int, jacobian=None, name: str = "", per_row_inputs: bool = False):
         self._f = f
         self.state_dim = int(state_dim)
         self.input_dim = int(input_dim)
         self._jacobian = jacobian
         self.name = name
+        self.per_row_inputs = bool(per_row_inputs)
 
     def __call__(self, x, u) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        out = np.asarray(self._f(x, np.asarray(u, dtype=float)), dtype=float)
+        u = np.asarray(u, dtype=float)
+        if u.ndim > 1 and not (self.per_row_inputs and x.ndim == 2 and len(u) == len(x)):
+            raise ValueError(f"inputs {u.shape} for states {x.shape}: need one row per state and per_row_inputs=True")
+        out = np.asarray(self._f(x, u), dtype=float)
         if out.shape != x.shape:
             raise ValueError(f"field returned shape {out.shape} for states of shape {x.shape}")
         return out
@@ -427,9 +433,10 @@ def _steps(field, signal, x0, t_span, config=None):
 def integrate(field: VectorField, signal: InputSignal, x0, t_span, config: IntegratorConfig | None = None) -> Trajectory:
     """Solve x' = f(x, u(t)) over ``t_span`` with local error control.
 
-    ``x0`` is one state ``(n,)`` or a batch ``(N, n)`` of starts that share
-    the signal and are advanced in lockstep, each stage making one field
-    call on the whole batch (see :class:`VectorField`).  A shared step is
+    ``x0`` is one state ``(n,)`` or a batch ``(N, n)`` of starts advanced in
+    lockstep, each stage making one field call on the whole batch (see
+    :class:`VectorField`); the starts share the signal's value, unless a
+    field with per-row inputs gets an ``(N, m)`` one.  A shared step is
     accepted only when the largest per-row error norm is within tolerance,
     so no row's local error is worse than it would be integrated alone.
     Every input discontinuity inside the span is a step end, so each

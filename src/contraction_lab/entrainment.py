@@ -56,7 +56,7 @@ class EntrainmentVerdict(JsonRecord):
     def to_dict(self) -> dict:
         return {
             "status": self.status,
-            "orbit_sample": None if self.orbit_sample is None else [float(v) for v in self.orbit_sample],
+            "orbit_sample": None if self.orbit_sample is None else self.orbit_sample.tolist(),
             "witness_pair": None if self.witness_pair is None else list(self.witness_pair),
             "iterations": self.iterations,
             "iterates": self.iterates.tolist(),
@@ -160,11 +160,8 @@ class DivergenceReport(JsonRecord):
         for path, traj in ((perturbed_path, self.trajectory), (orbit_path, self.orbit_trajectory)):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("t,x,y,r\n")
-                for t, state in zip(traj.times, traj.states):
-                    r = float(np.linalg.norm(state))
-                    fh.write(
-                        ",".join(format_float(v) for v in (t, state[0], state[1], r)) + "\n"
-                    )
+                for t, state, r in zip(traj.times, traj.states, vector_norms(traj.states)):
+                    fh.write(",".join(format_float(v) for v in (t, *state, r)) + "\n")
 
 
 def counterexample_divergence(

@@ -56,13 +56,17 @@ class FlowMap:
 
     ``apply`` takes one point ``(n,)`` or a batch ``(N, n)`` of points that
     share the signal and returns the same shape; ``apply_fn`` must map the
-    rows of a batch independently.  Satisfies the composition law
-    numerically: applying over [t1, t2] and then [t2, t3] equals applying
-    the concatenation at t2 over [t1, t3], within integrator tolerance.
+    rows of a batch independently.  ``apply_each`` maps the points under
+    each of a list of S signals to ``(S, *points.shape)``: one ``apply`` per
+    signal, or one integration for a field's flow (:func:`flow_from_field`).
+    Satisfies the composition law numerically: applying over [t1, t2] and
+    then [t2, t3] equals applying the concatenation at t2 over [t1, t3],
+    within integrator tolerance.
     """
 
     def __init__(self, apply_fn, name: str = ""):
         self._apply = apply_fn
+        self._apply_each = None
         self.name = name
 
     def apply(self, signal: InputSignal, t1: float, t2: float, points) -> np.ndarray:
@@ -72,11 +76,35 @@ class FlowMap:
             raise ValueError(f"flow mapped points of shape {points.shape} to shape {images.shape}")
         return images
 
+    def apply_each(self, signals: list, t1: float, t2: float, points) -> np.ndarray:
+        if self._apply_each is None:
+            return np.stack([self.apply(signal, t1, t2, points) for signal in signals])
+        return self._apply_each(signals, float(t1), float(t2), np.atleast_1d(np.asarray(points, dtype=float)))
+
+
+class _StackedInput(InputSignal):
+    """Member j's value on row block j of a lockstep batch, breaking wherever a member does."""
+
+    def __init__(self, members, rows: int):
+        self.members, self.rows = members, rows
+        self.dim = members[0].dim
+
+    def eval(self, t):
+        return np.repeat([member.eval(t) for member in self.members], self.rows, axis=0)
+
+    def eval_left(self, t):
+        return np.repeat([member.eval_left(t) for member in self.members], self.rows, axis=0)
+
+    def breakpoints_in(self, t0, t1):
+        return sorted(set().union(*(member.breakpoints_in(t0, t1) for member in self.members)))
+
 
 def flow_from_field(field: VectorField, config: IntegratorConfig | None = None) -> FlowMap:
     """The ODE solution operator of ``field`` as a FlowMap.
 
-    A batch of points goes through ``integrate`` as one lockstep run.
+    A batch of points goes through ``integrate`` as one lockstep run.  For a
+    field with per-row inputs, so do all the signals of ``apply_each``: the
+    points are tiled once per signal, and block j of the batch follows signal j.
     """
 
     def apply_fn(signal, t1, t2, points):
@@ -84,7 +112,14 @@ def flow_from_field(field: VectorField, config: IntegratorConfig | None = None) 
             raise ValueError("flow application requires t2 > t1")
         return integrate(field, signal, points, (t1, t2), config).final_state
 
-    return FlowMap(apply_fn, name=field.name or "ode flow")
+    def each_fn(signals, t1, t2, points):
+        rows = points.reshape(-1, points.shape[-1])
+        images = apply_fn(_StackedInput(signals, len(rows)), t1, t2, np.tile(rows, (len(signals), 1)))
+        return images.reshape((len(signals),) + points.shape)
+
+    flow = FlowMap(apply_fn, name=field.name or "ode flow")
+    flow._apply_each = each_fn if field.per_row_inputs else None
+    return flow
 
 
 @dataclass(frozen=True)
@@ -166,11 +201,6 @@ def _gaps(pairs) -> np.ndarray:
     return vector_norms(pairs[..., 0, :] - pairs[..., 1, :])
 
 
-def _flow_pairs(flow: FlowMap, signal: InputSignal, t1: float, t2: float, pairs) -> np.ndarray:
-    """Image pairs of ``pairs``, all 2P points flowed as one batch."""
-    return flow.apply(signal, t1, t2, pairs.reshape(-1, pairs.shape[-1])).reshape(pairs.shape)
-
-
 def _worst_ratio(pairs, images) -> tuple[float, int]:
     """Largest d(x', y') / d(x, y) over the pairs (x, y) at positive distance, and the first pair attaining it.
 
@@ -204,7 +234,8 @@ def check_piecewise_contraction(
     if not len(pairs):
         raise ValueError("need at least one pair of distinct points")
     bound = float(np.exp(lam * schedule.span)) * _APPROX_SLACK
-    worst, i = _worst_ratio(pairs, _flow_pairs(flow, schedule.as_signal(), schedule.t1, schedule.t2, pairs))
+    images = flow.apply(schedule.as_signal(), schedule.t1, schedule.t2, pairs.reshape(-1, pairs.shape[-1]))
+    worst, i = _worst_ratio(pairs, images.reshape(pairs.shape))
     x, y = pairs[i].tolist()
     return Certificate(
         holds=bool(worst <= bound),
@@ -219,12 +250,13 @@ def check_piecewise_contraction(
     )
 
 
-def _dyadic_schedule(signal: InputSignal, level: int, t1: float, t2: float) -> PiecewiseSchedule:
+def _dyadic_schedule(probe_values, level: int, t1: float, t2: float) -> PiecewiseSchedule:
+    """2^level equal pieces of [t1, t2], piece k holding the target's value at
+    its midpoint, read from the values at ``np.linspace(t1, t2, 2^(L+2) + 1)``:
+    probe (2k + 1) * 2^(L+1-level) is the same float as t1 + (k + 1/2) * (t2 - t1) / 2^level."""
     pieces = 2**level
-    h = (t2 - t1) / pieces
-    mids = t1 + (np.arange(pieces) + 0.5) * h
-    values = np.stack([np.atleast_1d(signal.eval(t)) for t in mids], axis=0)
-    return PiecewiseSchedule(values, np.full(pieces, 1.0 / pieces), t1, t2)
+    q = (len(probe_values) - 1) // (2 * pieces)
+    return PiecewiseSchedule(probe_values[q :: 2 * q], np.full(pieces, 1.0 / pieces), t1, t2)
 
 
 def check_limit_contraction(
@@ -243,7 +275,8 @@ def check_limit_contraction(
     approximant contracts point pairs at rate ``lam``, that the flow
     outputs are Cauchy across levels with gaps at least halving, and
     finally that the flow under the target signal itself contracts at rate
-    ``lam`` with relative slack 1e-4.
+    ``lam`` with relative slack 1e-4.  All levels and the target go to the
+    flow in one ``apply_each`` call.
     """
     t1, t2 = float(t_span[0]), float(t_span[1])
     if not t2 > t1:
@@ -251,16 +284,17 @@ def check_limit_contraction(
     if refinement_levels < 1:
         raise ValueError("need at least one refinement level")
     probes = np.linspace(t1, t2, 4 * 2**refinement_levels + 1)
-    inside = _in_box(np.stack([np.atleast_1d(target_signal.eval(t)) for t in probes]), box)
+    probe_values = np.stack([np.atleast_1d(target_signal.eval(t)) for t in probes])
+    inside = _in_box(probe_values, box)
     if not np.all(inside):
         raise ValueError(f"target signal leaves the input box at t={probes[np.argmin(inside)]}")
     pairs = _pair_array(point_pairs)
     if not np.any(_gaps(pairs) > 0):
         raise ValueError("need at least one pair of distinct points")
 
-    # One lockstep batch per level: every point of a level shares its signal.
-    schedules = [_dyadic_schedule(target_signal, level, t1, t2) for level in range(refinement_levels + 1)]
-    levels = np.stack([_flow_pairs(flow, schedule.as_signal(), t1, t2, pairs) for schedule in schedules])
+    signals = [_dyadic_schedule(probe_values, level, t1, t2).as_signal() for level in range(refinement_levels + 1)]
+    images = flow.apply_each(signals + [target_signal], t1, t2, pairs.reshape(-1, pairs.shape[-1]))
+    levels, target = images[:-1].reshape(-1, *pairs.shape), images[-1].reshape(pairs.shape)
     worst_approx, _ = _worst_ratio(pairs, levels)
     # The largest move of any point from each level to the next.
     gaps = np.max(vector_norms(levels[:-1] - levels[1:]), axis=(1, 2))
@@ -272,7 +306,6 @@ def check_limit_contraction(
             f"(previous {gaps[level - 1]:.3e})"
         )
 
-    target = _flow_pairs(flow, target_signal, t1, t2, pairs)
     tail = float(np.max(vector_norms(levels[-1] - target)))
     if tail > max(2.0 * gaps[-1], 1e-8):
         raise ApproximationNotConvergingError(

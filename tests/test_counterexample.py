@@ -183,8 +183,8 @@ class TestCircleOrbitResidual:
         with pytest.raises(ValueError):
             circle_orbit_residual(r_star, 4)
 
-    def test_one_field_call_per_sample_with_its_own_input(self, monkeypatch, r_star):
-        # A field call shares one input over its states, so no call may see an input stack.
+    def test_one_field_call_with_one_input_per_sample(self, monkeypatch, r_star):
+        # All samples go to the field in one call, row i with the input at t_i.
         states, inputs, signals = [], [], []
 
         def recorded(radius):
@@ -196,13 +196,14 @@ class TestCircleOrbitResidual:
                 inputs.append(u)
                 return field(x, u)
 
-            return VectorField(rhs, 2, 2), signal
+            return VectorField(rhs, 2, 2, per_row_inputs=True), signal
 
         monkeypatch.setattr(counterexample, "build_counterexample", recorded)
         assert circle_orbit_residual(r_star, 16) <= 1e-10
         t = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
-        assert np.array_equal(states, r_star * np.column_stack([np.cos(t), np.sin(t)]))
-        assert np.array_equal(inputs, [signals[0].eval(ti) for ti in t])
+        assert len(states) == len(inputs) == 1
+        assert np.array_equal(states[0], r_star * np.column_stack([np.cos(t), np.sin(t)]))
+        assert np.array_equal(inputs[0], [signals[0].eval(ti) for ti in t])
 
 
 class TestVerifyGes:

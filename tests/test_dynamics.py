@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from contraction_lab.contraction import linear_additive_field, scalar_example_system
 from contraction_lab.counterexample import circle_field
 from contraction_lab.dynamics import (
     ConcatenatedInput,
@@ -352,6 +353,36 @@ class TestVectorField:
     def test_state_independent_jacobian_broadcasts_over_a_stack(self):
         field = VectorField(lambda x, u: -x, 2, 1, jacobian=lambda x, u: -np.eye(2))
         assert np.array_equal(field.jacobian_x(np.ones((3, 2)), [0.0]), np.broadcast_to(-np.eye(2), (3, 2, 2)))
+
+    def test_per_row_inputs_need_a_declaration(self):
+        calls = []
+
+        def f(x, u):
+            calls.append(u)
+            return -x + u
+
+        with pytest.raises(ValueError, match="per_row_inputs"):
+            VectorField(f, 1, 1)(np.ones((3, 1)), np.zeros((3, 1)))
+        assert not calls
+        declared = VectorField(f, 1, 1, per_row_inputs=True)
+        assert np.array_equal(declared(np.ones((3, 1)), [[0.0], [1.0], [2.0]]), [[-1.0], [0.0], [1.0]])
+        # one input row per state
+        for x, u in ((np.ones((3, 1)), np.zeros((2, 1))), (np.ones(1), np.zeros((1, 1)))):
+            with pytest.raises(ValueError, match="per_row_inputs"):
+                declared(x, u)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: linear_additive_field(2), lambda: scalar_example_system()[0], circle_field]
+    )
+    def test_stock_per_row_inputs_match_shared_input_calls(self, make, rng):
+        field = make()
+        assert field.per_row_inputs
+        x = rng.uniform(-3.0, 3.0, size=(9, field.state_dim))
+        u = rng.uniform(-2.0, 2.0, size=(9, field.input_dim))
+        rows = field(x, u)
+        for i in range(len(x)):
+            assert np.array_equal(rows[i], field(x[i], u[i]))
+            assert np.array_equal(rows[i : i + 1], field(x[i : i + 1], u[i]))
 
 
 class TestIntegratorConfig:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from contraction_lab import flowspace
 from contraction_lab.contraction import (
     RiemannianMetric,
     check_contraction_region,
@@ -10,7 +11,14 @@ from contraction_lab.contraction import (
     linear_additive_field,
 )
 from contraction_lab.counterexample import circle_field
-from contraction_lab.dynamics import ConstantInput, PeriodicInput, PiecewiseConstantInput, VectorField, concat
+from contraction_lab.dynamics import (
+    ConstantInput,
+    PeriodicInput,
+    PiecewiseConstantInput,
+    VectorField,
+    concat,
+    integrate,
+)
 from contraction_lab.errors import ApproximationNotConvergingError
 from contraction_lab.flowspace import (
     FlowMap,
@@ -313,6 +321,97 @@ class TestLockstepFlows:
         assert_images_exact(calls)
         assert cert.holds
         assert cert.margin == pytest.approx(math.exp(-TWO_PI), rel=1e-7)
+
+
+class TestLimitLevelsInOneIntegration:
+    PAIRS = [([-2.0], [2.0]), ([0.5], [1.5]), ([3.0], [3.0]), ([-0.7], [0.1])]
+
+    @staticmethod
+    def counted_integrate(monkeypatch):
+        inputs = []
+
+        def counting(field, signal, x0, t_span, config=None):
+            inputs.append(signal)
+            return integrate(field, signal, x0, t_span, config)
+
+        monkeypatch.setattr(flowspace, "integrate", counting)
+        return inputs
+
+    def test_declaring_field_makes_one_integration(self, monkeypatch):
+        flow = linear_flow()
+        target = PeriodicInput(TWO_PI, lambda t: [0.8 * math.sin(t)])
+        # the per-level loop of a generic FlowMap over the same flow
+        looped = check_limit_contraction(FlowMap(flow.apply), (-1.0, 1.0), -1.0, target, 6, self.PAIRS, (0.0, TWO_PI))
+        runs = self.counted_integrate(monkeypatch)
+        cert = check_limit_contraction(flow, (-1.0, 1.0), -1.0, target, 6, self.PAIRS, (0.0, TWO_PI))
+        assert len(runs) == 1
+        # the finest level's breakpoints are every level's
+        assert len(runs[0].breakpoints_in(0.0, TWO_PI)) == 2**6 - 1
+        assert cert.holds and looped.holds
+        assert cert.margin == pytest.approx(looped.margin, abs=1e-9)
+        assert cert.grid_spec["tail_gap"] == pytest.approx(looped.grid_spec["tail_gap"], abs=1e-9)
+        assert np.allclose(cert.grid_spec["cauchy_gaps"], looped.grid_spec["cauchy_gaps"], rtol=0, atol=1e-9)
+
+    def test_apply_each_matches_one_apply_per_signal(self):
+        flow = flow_from_field(circle_field())
+        signals = [
+            ConstantInput([0.3, -0.2]),
+            PiecewiseConstantInput([0.4, 1.1], [[1.0, 0.0], [-0.5, 0.5], [0.0, 2.0]]),
+            PeriodicInput(TWO_PI, lambda t: [math.cos(t), math.sin(t)]),
+        ]
+        points = np.array([[1.0, 0.5], [-0.3, 2.0]])
+        each = flow.apply_each(signals, 0.0, 1.5, points)
+        assert each.shape == (3, 2, 2)
+        for images, signal in zip(each, signals):
+            assert np.max(np.abs(images - flow.apply(signal, 0.0, 1.5, points))) <= 1e-9
+        assert flow.apply_each(signals, 0.0, 1.5, points[0]).shape == (3, 2)
+
+    def test_undeclared_field_keeps_one_run_per_level(self, monkeypatch):
+        shapes = []
+
+        def f(x, u):
+            shapes.append(np.shape(u))
+            return -x + u
+
+        field = VectorField(f, 1, 1, jacobian=lambda x, u: -np.eye(1))
+        target = PeriodicInput(TWO_PI, lambda t: [0.8 * math.sin(t)])
+        runs = self.counted_integrate(monkeypatch)
+        cert = check_limit_contraction(flow_from_field(field), (-1.0, 1.0), -1.0, target, 4, self.PAIRS, (0.0, TWO_PI))
+        assert len(runs) == 4 + 2
+        assert set(shapes) == {(1,)}
+        # the bits of the per-level loop, before the levels shared one run
+        assert cert.margin.hex() == "0x1.e989f5dd84741p-10"
+        assert [gap.hex() for gap in cert.grid_spec["cauchy_gaps"]] == [
+            "0x1.76f6cccf8c0d4p-1",
+            "0x1.b74c37b4b83b4p-3",
+            "0x1.68613efcf0be8p-4",
+            "0x1.77a31a0432d90p-6",
+        ]
+        assert cert.grid_spec["tail_gap"].hex() == "0x1.f7cce576b7700p-8"
+        assert cert.witness == {"x": [-0.7], "y": [0.1]}
+
+    def test_level_values_are_the_target_at_piece_midpoints(self, rng):
+        # The target is read once on its probe grid; each level's value must
+        # still be the target at t1 + (k + 1/2) h to the last bit.
+        signals = []
+
+        def identity(signal, t1, t2, points):
+            signals.append(signal)
+            return points
+
+        clock = PeriodicInput(1.0, lambda t: [t], validate=False)
+        for _ in range(100):
+            t1 = float(rng.uniform(-50.0, 50.0))
+            t2 = t1 + float(rng.choice([1e-3, 1.0, 7.0, 300.0]) * rng.uniform(0.1, 1.0))
+            levels = int(rng.integers(1, 7))
+            signals.clear()
+            box = (t1 - 1.0, t2 + 1.0)
+            check_limit_contraction(FlowMap(identity), box, -1.0, clock, levels, [([0.0], [1.0])], (t1, t2))
+            assert len(signals) == levels + 2
+            for level, signal in enumerate(signals[:-1]):
+                pieces = 2**level
+                mids = t1 + (np.arange(pieces) + 0.5) * ((t2 - t1) / pieces)
+                assert np.array_equal(signal.values[:, 0], mids)
 
 
 class TestRateConventionBridge:
