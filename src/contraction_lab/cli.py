@@ -414,15 +414,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         if args.command == "find-rstar":
             return _cmd_find_rstar(args)
         if args.command == "run":
             return _cmd_run(parser, args)
         return _cmd_report(args)
-    except SystemExit as exc:  # argparse errors raised during command handling
+    except SystemExit as exc:  # argparse exits, while parsing or from a command's own checks
         return int(exc.code or 0)
 
 

@@ -71,36 +71,41 @@ def _unit_directions(n: int, count: int) -> np.ndarray:
     raise ValueError("hull containment is implemented for dimensions 1-3")
 
 
-def hull_contains_ball(points, rho: float) -> bool:
+def hull_contains_ball(points, rho: float) -> bool | np.ndarray:
     """Support-function test for B(0, rho) inside the convex hull of points.
 
     The ball lies in conv(points) iff max_p d.p >= rho for every unit
     direction d; the test samples 512 directions from a deterministic
     low-discrepancy set (uniform angles in 2-D, Fibonacci sphere in 3-D), so
     it is exact in the dense-direction limit and can only err on the
-    permissive side at finite resolution.  A NaN, infinite or non-positive
-    ``rho`` raises ``ValueError``.
+    permissive side at finite resolution.  One set ``(k, n)`` gives a bool, a
+    ``(..., k, n)`` stack of sets one bool per set.  A NaN, infinite or
+    non-positive ``rho`` raises ``ValueError``.
     """
     if not (np.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and positive")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    support = np.max(_unit_directions(pts.shape[1], _HULL_DIRECTIONS) @ pts.T, axis=1)
-    return bool(np.all(support >= rho))
+    support = np.max(_unit_directions(pts.shape[-1], _HULL_DIRECTIONS) @ np.swapaxes(pts, -1, -2), axis=-1)
+    holds = np.all(support >= rho, axis=-1)
+    return bool(holds) if holds.ndim == 0 else holds
 
 
 def _directions_at(field: VectorField, x: np.ndarray, inputs) -> tuple[np.ndarray, np.ndarray]:
     """Unit field directions f(x, u)/||f(x, u)|| and ratios ||df/dx(x, u)||_2 / ||f(x, u)||_2.
 
-    One field call per input.  A field that vanishes at some input raises
-    ``ZeroFieldError`` carrying ``x`` and the 1-based input index ``j``.
+    One field call and one Jacobian call per input, for one state ``(n,)`` or
+    a stack ``(S, n)``: ``(..., J, n)`` directions and ``(..., J)`` ratios.
+    A field that vanishes at some input raises ``ZeroFieldError`` carrying
+    the first such state ``x`` and its first such 1-based input index ``j``.
     """
-    values = np.stack([field(x, u) for u in inputs])
+    values = np.stack([field(x, u) for u in inputs], axis=-2)
     norms = vector_norms(values)
     if np.any(vanish := norms < 1e-14):
-        j = int(np.argmax(vanish))
+        s, j = divmod(int(np.argmax(vanish)), len(inputs))
+        x = np.atleast_2d(x)[s]
         raise ZeroFieldError(f"field vanishes at x={x.tolist()}, u={inputs[j].tolist()}", x=x, j=j + 1)
-    ratios = spectral_norm(np.stack([field.jacobian_x(x, u) for u in inputs])) / norms
-    return values / norms[:, None], ratios
+    ratios = spectral_norm(np.stack([field.jacobian_x(x, u) for u in inputs], axis=-3)) / norms
+    return values / norms[..., None], ratios
 
 
 def jacobian_field_ratio(field: VectorField, u, x) -> float:
@@ -178,28 +183,28 @@ def check_constant_metric_conditions(
         raise ValueError("need indices, each >= 1")
     if not (np.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and positive")
-    samples = [np.atleast_1d(np.asarray(x, dtype=float)) for x in x_samples]
-    if not samples:
+    samples = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in x_samples])
+    if not len(samples):
         raise ValueError("need at least one sample state")
     report = ConstantMetricReport(i_list=list(i_list), rho=float(rho))
-    for x in samples:
-        hull_flags, ratios = [], []
-        for i in i_list:
-            try:
-                directions, input_ratios = _directions_at(field, x, family.inputs_at(i))
-            except ZeroFieldError as exc:
-                exc.i = i
-                raise
-            hull_flags.append(hull_contains_ball(directions, rho))
-            ratios.append(float(np.max(input_ratios)))
-            report.entries.append({"x": x.tolist(), "i": i, "hull_holds": hull_flags[-1], "max_ratio": ratios[-1]})
-        # stable[s]: the hull condition holds at every index from i_list[s] on.
-        stable = np.logical_and.accumulate(hull_flags[::-1])[::-1]
-        report.hull_certified_from.append(i_list[int(np.argmax(stable))] if stable[-1] else None)
-        ratios = np.array(ratios)
-        halvings = np.divide(ratios[1:], ratios[:-1], out=np.full(len(ratios) - 1, np.inf), where=ratios[:-1] > 0)
-        in_band = (_HALVING_BAND[0] <= halvings) & (halvings <= _HALVING_BAND[1])
-        report.ratio_decay_ok.append(bool(ratios[-1] < _RATIO_LIMIT and np.all(in_band)))
+    hulls, ratios = [], []  # per index, each sample's hull verdict and worst ratio
+    for i in i_list:
+        try:
+            directions, input_ratios = _directions_at(field, samples, family.inputs_at(i))
+        except ZeroFieldError as exc:
+            exc.i = i
+            raise
+        hulls.append(hull_contains_ball(directions, rho))
+        ratios.append(np.max(input_ratios, axis=-1))
+    hulls, ratios = np.transpose(hulls), np.transpose(ratios)  # [s, c]: sample s at index i_list[c]
+    for x, row_holds, row_ratios in zip(samples.tolist(), hulls.tolist(), ratios.tolist()):
+        report.entries += [{"x": x, "i": i, "hull_holds": h, "max_ratio": r} for i, h, r in zip(i_list, row_holds, row_ratios)]
+    # stable[s, c]: the hull condition holds at sample s at every index from i_list[c] on.
+    stable = np.logical_and.accumulate(hulls[:, ::-1], axis=1)[:, ::-1]
+    report.hull_certified_from = [i_list[c] if ok else None for c, ok in zip(np.argmax(stable, axis=1), stable[:, -1])]
+    halvings = np.divide(ratios[:, 1:], ratios[:, :-1], out=np.full_like(ratios[:, 1:], np.inf), where=ratios[:, :-1] > 0)
+    in_band = (_HALVING_BAND[0] <= halvings) & (halvings <= _HALVING_BAND[1])
+    report.ratio_decay_ok = ((ratios[:, -1] < _RATIO_LIMIT) & np.all(in_band, axis=1)).tolist()
     return report
 
 

@@ -24,10 +24,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .certificates import Certificate
-from .counterexample import _float_if_scalar, radial_f, radial_f_slope
+from .counterexample import radial_f, radial_f_slope
 from .dynamics import VectorField, _central_difference
 from .errors import DimensionMismatchError, MetricAppearsConstantError, NonFiniteError
-from .linalg import max_eigenvalue, symmetric_eigenvalues, symmetric_part
+from .linalg import _float_if_scalar, max_eigenvalue, symmetric_eigenvalues, symmetric_part, vector_norms
 
 __all__ = [
     "RiemannianMetric",
@@ -400,11 +400,8 @@ def find_violating_input(
     rng = np.random.default_rng(seed)
 
     def unit_samples(count):
-        vecs = [np.eye(n)[i] for i in range(n)]
-        for _ in range(count):
-            v = rng.normal(size=n)
-            vecs.append(v / np.linalg.norm(v))
-        return np.array(vecs)
+        v = rng.normal(size=(count, n))
+        return np.concatenate([np.eye(n), v / vector_norms(v)[:, None]])
 
     c_dirs = unit_samples(c_direction_samples)
     zs = unit_samples(z_search)

@@ -16,7 +16,7 @@ certifies each step of that argument numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,6 +24,7 @@ import numpy as np
 from .certificates import Certificate, JsonRecord
 from .dynamics import ConstantInput, IntegratorConfig, PeriodicInput, VectorField, _steps
 from .errors import NoRootFoundError, NonFiniteError
+from .linalg import _float_if_scalar
 
 __all__ = [
     "radial_f",
@@ -41,11 +42,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-
-
-def _float_if_scalar(out: np.ndarray):
-    """A 0-d result as a Python float, any other array as it is."""
-    return float(out) if out.ndim == 0 else out
 
 
 def radial_f(r):
@@ -94,12 +90,7 @@ class RStarCertificate(JsonRecord):
             raise ValueError("f(r_star) <= -r_star/2 fails")
 
     def to_dict(self) -> dict:
-        return {
-            "r_star": self.r_star,
-            "first_order_residual": self.first_order_residual,
-            "second_order_value": self.second_order_value,
-            "f_at_rstar": self.f_at_rstar,
-        }
+        return asdict(self)
 
 
 _SCAN_STEP = 1e-3

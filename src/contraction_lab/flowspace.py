@@ -16,8 +16,6 @@ cross-module test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .certificates import Certificate
@@ -122,26 +120,19 @@ def flow_from_field(field: VectorField, config: IntegratorConfig | None = None) 
     return flow
 
 
-@dataclass(frozen=True)
-class PiecewiseSchedule:
-    """Constant values c_i held for fractions alpha_i of the span [t1, t2].
+class PiecewiseSchedule(PiecewiseConstantInput):
+    """Constant values c_i held for fractions alpha_i of the span [t1, t2]: a step signal.
 
     Fractions must be positive and sum to 1 within 1e-12; they are
     renormalized exactly so the product of per-piece contraction factors
-    telescopes to the full-span factor at machine precision.
+    telescopes to the full-span factor at machine precision.  Piece i
+    starts at t1 + (alpha_1 + ... + alpha_{i-1}) * (t2 - t1); values and
+    cuts must be finite, as for any step signal.
     """
 
-    values: np.ndarray
-    fractions: np.ndarray
-    t1: float
-    t2: float
-
     def __init__(self, values, fractions, t1: float, t2: float):
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
         fracs = np.asarray(fractions, dtype=float)
-        if len(fracs) != vals.shape[0] or len(fracs) == 0:
+        if len(fracs) != len(values) or len(fracs) == 0:
             raise ValueError("need one fraction per value")
         if np.any(fracs <= 0):
             raise ValueError("fractions must be positive")
@@ -150,10 +141,8 @@ class PiecewiseSchedule:
             raise ValueError(f"fractions sum to {total}, expected 1 within 1e-12")
         if not t2 > t1:
             raise ValueError("span must satisfy t2 > t1")
-        object.__setattr__(self, "values", vals.copy())
-        object.__setattr__(self, "fractions", fracs / total)
-        object.__setattr__(self, "t1", float(t1))
-        object.__setattr__(self, "t2", float(t2))
+        self.fractions, self.t1, self.t2 = fracs / total, float(t1), float(t2)
+        super().__init__(self.t1 + np.cumsum(self.fractions)[:-1] * self.span, values)
 
     @property
     def span(self) -> float:
@@ -163,8 +152,8 @@ class PiecewiseSchedule:
         return self.values.shape[0]
 
     def as_signal(self) -> PiecewiseConstantInput:
-        cuts = self.t1 + np.cumsum(self.fractions)[:-1] * self.span
-        return PiecewiseConstantInput(cuts, self.values)
+        """The schedule itself, which is already a step signal."""
+        return self
 
     def values_within(self, box) -> bool:
         return bool(np.all(_in_box(self.values, box)))
@@ -234,7 +223,7 @@ def check_piecewise_contraction(
     if not len(pairs):
         raise ValueError("need at least one pair of distinct points")
     bound = float(np.exp(lam * schedule.span)) * _APPROX_SLACK
-    images = flow.apply(schedule.as_signal(), schedule.t1, schedule.t2, pairs.reshape(-1, pairs.shape[-1]))
+    images = flow.apply(schedule, schedule.t1, schedule.t2, pairs.reshape(-1, pairs.shape[-1]))
     worst, i = _worst_ratio(pairs, images.reshape(pairs.shape))
     x, y = pairs[i].tolist()
     return Certificate(
@@ -292,7 +281,7 @@ def check_limit_contraction(
     if not np.any(_gaps(pairs) > 0):
         raise ValueError("need at least one pair of distinct points")
 
-    signals = [_dyadic_schedule(probe_values, level, t1, t2).as_signal() for level in range(refinement_levels + 1)]
+    signals = [_dyadic_schedule(probe_values, level, t1, t2) for level in range(refinement_levels + 1)]
     images = flow.apply_each(signals + [target_signal], t1, t2, pairs.reshape(-1, pairs.shape[-1]))
     levels, target = images[:-1].reshape(-1, *pairs.shape), images[-1].reshape(pairs.shape)
     worst_approx, _ = _worst_ratio(pairs, levels)

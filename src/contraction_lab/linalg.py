@@ -27,6 +27,11 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
+def _float_if_scalar(out: np.ndarray):
+    """A 0-d result as a Python float, any other array as it is."""
+    return float(out) if out.ndim == 0 else out
+
+
 def symmetric_part(a) -> np.ndarray:
     """(A + A^T)/2.  Callers symmetrize explicitly; nothing here is silent."""
     a = _as_square(a)
@@ -51,16 +56,14 @@ def symmetric_eigenvalues(a) -> np.ndarray:
 
 def max_eigenvalue(a) -> float | np.ndarray:
     """Largest eigenvalue of a symmetric matrix, or of each matrix of a stack."""
-    lam = symmetric_eigenvalues(a)[..., -1]
-    return float(lam) if lam.ndim == 0 else lam
+    return _float_if_scalar(symmetric_eigenvalues(a)[..., -1])
 
 
 def spectral_norm(a) -> float | np.ndarray:
     """Euclidean-induced matrix norm sqrt(lambda_max(A^T A)), or one per matrix of a stack."""
     a = _as_square(a)
     gram = symmetric_part(np.swapaxes(a, -1, -2) @ a)
-    norm = np.sqrt(np.maximum(max_eigenvalue(gram), 0.0))
-    return float(norm) if norm.ndim == 0 else norm
+    return _float_if_scalar(np.sqrt(np.maximum(max_eigenvalue(gram), 0.0)))
 
 
 def log_norm_2(a) -> float:

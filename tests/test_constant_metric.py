@@ -54,6 +54,15 @@ class TestHullContainsBall:
             rho = rng.uniform(0.05, 0.5)
             assert hull_contains_ball(pts, rho) == hull_contains_ball(scale * pts, scale * rho)
 
+    def test_stacked_sets_match_per_set_calls(self, rng):
+        for n in (1, 2, 3):
+            sets = rng.normal(size=(3, 4, 8, n)) * rng.uniform(0.05, 2.0, size=(3, 4, 1, 1))
+            stacked = hull_contains_ball(sets, 0.3)
+            assert stacked.shape == (3, 4)
+            assert stacked.tolist() == [[hull_contains_ball(pts, 0.3) for pts in row] for row in sets]
+            assert any(stacked.flat) and not all(stacked.flat)
+        assert type(hull_contains_ball(sets[0, 0], 0.3)) is bool
+
     def test_validations(self):
         with pytest.raises(ValueError):
             hull_contains_ball([[1, 0]], -1.0)
@@ -174,6 +183,24 @@ class TestCheckConditions:
         assert exc_info.value.i == 1
         assert exc_info.value.j == 1
 
+    def test_zero_field_reports_first_index_then_sample_then_input(self):
+        # f(x, u) = -x + B u vanishes where B u = x: input 3 is e3 from index 4
+        # on, zeroing f at sample 1; input 2 is e2 from index 2 on, zeroing f
+        # at sample 2.
+        field, _ = example_3d_system()
+        samples = [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+        zeroing = {3: 4, 2: 2}  # input j -> first index at which it zeroes f
+
+        def generator(i, j):
+            return np.eye(4)[j - 1] * (1.0 if i >= zeroing.get(j, math.inf) else 10.0 * i)
+
+        family = InputSequenceFamily(k=4, generator=generator)
+        for i_list, expected in [((1, 2, 4), (2, 1, 2)), ((4,), (4, 0, 3))]:
+            with pytest.raises(ZeroFieldError) as exc_info:
+                check_constant_metric_conditions(field, family, samples, 0.1, i_list=i_list)
+            i, sample, j = expected
+            assert (exc_info.value.i, exc_info.value.x.tolist(), exc_info.value.j) == (i, samples[sample], j)
+
     def test_report_serializes(self):
         field, family = example_3d_system()
         report = check_constant_metric_conditions(field, family, [[0, 0, 0]], 0.1, i_list=(1, 2))
@@ -183,7 +210,7 @@ class TestCheckConditions:
         assert {"x", "i", "hull_holds", "max_ratio"} <= set(doc["entries"][0])
 
     def test_one_field_call_per_input(self):
-        # 2 samples x 11 indices x 4 inputs: each field value is computed once.
+        # 11 indices x 4 inputs: one field call per input covers both samples.
         field, family = example_3d_system()
         calls = []
 
@@ -195,7 +222,7 @@ class TestCheckConditions:
         rho = polytope_inradius(EXAMPLE1_DIRECTIONS) / 2
         samples = [[0, 0, 0], [0.05, -0.05, 0.05]]
         report = check_constant_metric_conditions(counting, family, samples, rho)
-        assert len(calls) == 88
+        assert len(calls) == 44
         assert report.to_json() == check_constant_metric_conditions(field, family, samples, rho).to_json()
 
     @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from contraction_lab.contraction import (
 from contraction_lab.counterexample import circle_field
 from contraction_lab.dynamics import (
     ConstantInput,
+    InputSignal,
     PeriodicInput,
     PiecewiseConstantInput,
     VectorField,
@@ -122,6 +123,24 @@ class TestSchedule:
         assert signal.eval(0.5)[0] == 1.0
         assert signal.eval(1.0)[0] == 2.0  # right-continuous at the cut
         assert signal.eval(3.9)[0] == 3.0
+
+    def test_schedule_is_its_own_signal(self, rng):
+        for k in (1, 2, 5, 17):
+            fracs = rng.uniform(0.2, 1.0, size=k)
+            fracs /= fracs.sum()
+            t1 = float(rng.uniform(-1.0, 1.0))
+            t2 = t1 + float(rng.uniform(0.5, 3.0))
+            sched = PiecewiseSchedule(rng.uniform(-1, 1, size=k), fracs, t1, t2)
+            assert isinstance(sched, InputSignal)
+            assert sched.as_signal() is sched
+            assert sched.values.shape == (k, 1) and sched.piece_count() == k
+            # the cuts of the former schedule-to-signal conversion, bit for bit
+            normalized = fracs / float(np.sum(fracs))
+            assert np.array_equal(sched.breakpoints, t1 + np.cumsum(normalized)[:-1] * (t2 - t1))
+
+    def test_non_finite_value_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseSchedule([[math.nan], [0.5]], [0.5, 0.5], 0.0, 1.0)
 
 
 class TestPiecewiseContraction:
