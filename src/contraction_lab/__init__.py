@@ -8,92 +8,14 @@ constructively, and exercises the flow-map composition arguments that carry
 constant-input contraction rates to arbitrary bounded signals.
 """
 
-from .certificates import Certificate, dumps_fixed, write_json
-from .constant_metric import (
-    ConstantMetricReport,
-    InputSequenceFamily,
-    check_constant_metric_conditions,
-    example_3d_system,
-    example_additive_3d,
-    hull_contains_ball,
-    jacobian_field_ratio,
-    polytope_inradius,
-    simplex_directions,
-)
-from .contraction import (
-    RiemannianMetric,
-    ViolatingInput,
-    bounded_example_metric,
-    bounded_metric_m_parameter,
-    check_contraction_region,
-    check_uniform_contraction,
-    contraction_matrix,
-    find_violating_input,
-    linear_additive_field,
-    scalar_example_system,
-    scalar_metric,
-    scalar_metric_derivative,
-)
-from .counterexample import (
-    RStarCertificate,
-    build_counterexample,
-    circle_field,
-    circle_orbit_residual,
-    find_r_star,
-    polar_equivalence_check,
-    radial_f,
-    radial_f_slope,
-    radial_rate,
-    random_initial_conditions,
-    second_order_value,
-    verify_ges,
-)
-from .dynamics import (
-    ConcatenatedInput,
-    ConstantInput,
-    IntegratorConfig,
-    InputSignal,
-    PeriodicInput,
-    PiecewiseConstantInput,
-    Trajectory,
-    VectorField,
-    concat,
-    integrate,
-    shift_signal,
-)
-from .entrainment import (
-    DivergenceReport,
-    EntrainmentVerdict,
-    counterexample_divergence,
-    detect_entrainment,
-    poincare_map,
-)
-from .errors import (
-    ApproximationNotConvergingError,
-    ContractionLabError,
-    DimensionMismatchError,
-    MetricAppearsConstantError,
-    NoRootFoundError,
-    NonFiniteError,
-    NonSymmetricError,
-    StepSizeUnderflowError,
-    ZeroFieldError,
-)
-from .flowspace import (
-    FlowMap,
-    PiecewiseSchedule,
-    check_limit_contraction,
-    check_piecewise_contraction,
-    flow_from_field,
-    schedule_contraction_factor,
-)
-from .linalg import (
-    is_negative_definite,
-    log_norm_2,
-    max_eigenvalue,
-    spectral_norm,
-    symmetric_eigenvalues,
-    symmetric_part,
-)
+from .certificates import *
+from .constant_metric import *
+from .contraction import *
+from .counterexample import *
+from .dynamics import *
+from .entrainment import *
+from .errors import *
+from .flowspace import *
+from .linalg import *
 
 __version__ = "0.1.0"

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+
+__all__ = ["Certificate", "dumps_fixed", "write_json"]
 
 
 def format_float(x) -> str:
@@ -25,13 +27,7 @@ def dumps_fixed(obj) -> str:
     so output bytes do not depend on repr shortening heuristics.  Raises
     ``ValueError`` on NaN or infinity, which JSON cannot represent.
     """
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
+    if obj is None or isinstance(obj, (bool, str)):
         return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, int):
         return str(obj)
@@ -57,7 +53,13 @@ def write_json(path, obj) -> None:
 
 
 class JsonRecord:
-    """Base of the verdict records: ``to_json`` is ``to_dict`` as fixed JSON."""
+    """Base of the verdict dataclasses: ``to_dict`` maps each field not named in
+    ``_json_skip`` to its value, in declaration order; ``to_json`` is that as fixed JSON."""
+
+    _json_skip: tuple[str, ...] = ()
+
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in self._json_skip}
 
     def to_json(self) -> str:
         return dumps_fixed(self.to_dict())

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import constant_metric, contraction, counterexample, entrainment, flowspace
-from .certificates import write_json
+from .certificates import dumps_fixed
 from .dynamics import PeriodicInput, concat, integrate, shift_signal
 from .errors import ContractionLabError, NoRootFoundError
 
@@ -324,13 +324,14 @@ def _exp_flow_limit(args):
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
-def _conclude(doc: dict, out_dir, fmt: str = "json", csvs=()) -> int:
-    """Write ``doc`` under ``out_dir`` unless it is None; exit 0 confirmed, 1 refuted, 2 unwritable."""
+def _conclude(doc: dict, text: str, out_dir, fmt: str = "json", csvs=()) -> int:
+    """Write ``doc`` as ``text`` under ``out_dir`` unless it is None; exit 0 confirmed, 1 refuted, 2 unwritable."""
     if out_dir is not None:
         try:
             os.makedirs(out_dir, exist_ok=True)
             if fmt in ("json", "both"):
-                write_json(os.path.join(out_dir, f"{doc['experiment']}.json"), doc)
+                with open(os.path.join(out_dir, f"{doc['experiment']}.json"), "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
             if fmt in ("csv", "both"):
                 for write_csvs in csvs:
                     write_csvs(out_dir)
@@ -360,7 +361,7 @@ def _cmd_find_rstar(args) -> int:
         "confirmed": confirmed,
         "certificate": cert.to_dict(),
     }
-    return _conclude(doc, args.out)
+    return _conclude(doc, dumps_fixed(doc), args.out)
 
 
 def _cmd_run(parser, args) -> int:
@@ -372,8 +373,13 @@ def _cmd_run(parser, args) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     doc = {"experiment": args.experiment, "claim": claim, "confirmed": bool(confirmed), "seed": args.seed, **payload}
+    try:
+        text = dumps_fixed(doc)  # before the verdict line: a non-finite value gets no verdict
+    except ValueError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     print(f"{args.experiment}: {'confirmed' if confirmed else 'REFUTED'} -- {claim}")
-    return _conclude(doc, args.out, args.format, csvs)
+    return _conclude(doc, text, args.out, args.format, csvs)
 
 
 def _artifact_fields(doc) -> tuple:

@@ -11,7 +11,7 @@ sample points and reproduces the stock 3-D examples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,13 +129,11 @@ class ConstantMetricReport(JsonRecord):
 
     i_list: list[int]
     rho: float
-    entries: list[dict] = dataclass_field(default_factory=list)
-    hull_certified_from: list = dataclass_field(default_factory=list)
-    ratio_decay_ok: list = dataclass_field(default_factory=list)
-
-    @property
-    def largest_checked_index(self) -> int:
-        return max(self.i_list)
+    largest_checked_index: int
+    hull_certified_from: list
+    ratio_decay_ok: list
+    certified: bool
+    entries: list[dict]
 
     @property
     def hull_ok(self) -> bool:
@@ -144,21 +142,6 @@ class ConstantMetricReport(JsonRecord):
     @property
     def ratios_ok(self) -> bool:
         return all(self.ratio_decay_ok)
-
-    @property
-    def certified(self) -> bool:
-        return self.hull_ok and self.ratios_ok
-
-    def to_dict(self) -> dict:
-        return {
-            "i_list": list(self.i_list),
-            "rho": self.rho,
-            "largest_checked_index": self.largest_checked_index,
-            "hull_certified_from": self.hull_certified_from,
-            "ratio_decay_ok": self.ratio_decay_ok,
-            "certified": self.certified,
-            "entries": self.entries,
-        }
 
 
 def check_constant_metric_conditions(
@@ -186,7 +169,6 @@ def check_constant_metric_conditions(
     samples = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in x_samples])
     if not len(samples):
         raise ValueError("need at least one sample state")
-    report = ConstantMetricReport(i_list=list(i_list), rho=float(rho))
     hulls, ratios = [], []  # per index, each sample's hull verdict and worst ratio
     for i in i_list:
         try:
@@ -197,15 +179,17 @@ def check_constant_metric_conditions(
         hulls.append(hull_contains_ball(directions, rho))
         ratios.append(np.max(input_ratios, axis=-1))
     hulls, ratios = np.transpose(hulls), np.transpose(ratios)  # [s, c]: sample s at index i_list[c]
+    entries = []
     for x, row_holds, row_ratios in zip(samples.tolist(), hulls.tolist(), ratios.tolist()):
-        report.entries += [{"x": x, "i": i, "hull_holds": h, "max_ratio": r} for i, h, r in zip(i_list, row_holds, row_ratios)]
+        entries += [{"x": x, "i": i, "hull_holds": h, "max_ratio": r} for i, h, r in zip(i_list, row_holds, row_ratios)]
     # stable[s, c]: the hull condition holds at sample s at every index from i_list[c] on.
     stable = np.logical_and.accumulate(hulls[:, ::-1], axis=1)[:, ::-1]
-    report.hull_certified_from = [i_list[c] if ok else None for c, ok in zip(np.argmax(stable, axis=1), stable[:, -1])]
+    hull_from = [i_list[c] if ok else None for c, ok in zip(np.argmax(stable, axis=1), stable[:, -1])]
     halvings = np.divide(ratios[:, 1:], ratios[:, :-1], out=np.full_like(ratios[:, 1:], np.inf), where=ratios[:, :-1] > 0)
     in_band = (_HALVING_BAND[0] <= halvings) & (halvings <= _HALVING_BAND[1])
-    report.ratio_decay_ok = ((ratios[:, -1] < _RATIO_LIMIT) & np.all(in_band, axis=1)).tolist()
-    return report
+    decay_ok = ((ratios[:, -1] < _RATIO_LIMIT) & np.all(in_band, axis=1)).tolist()
+    certified = None not in hull_from and all(decay_ok)
+    return ConstantMetricReport(i_list, float(rho), i_list[-1], hull_from, decay_ok, certified, entries)
 
 
 def example_3d_system():

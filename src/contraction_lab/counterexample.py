@@ -16,7 +16,7 @@ certifies each step of that argument numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -88,9 +88,6 @@ class RStarCertificate(JsonRecord):
             raise ValueError("second-order value is not negative")
         if not self.f_at_rstar <= -self.r_star / 2:
             raise ValueError("f(r_star) <= -r_star/2 fails")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 _SCAN_STEP = 1e-3
@@ -250,6 +247,11 @@ def verify_ges(initial_conditions, horizon: float, rate: float, config: Integrat
     slack 1e-9.  All nonzero starts are integrated in lockstep on shared
     steps, and only the running worst excess is kept.  A failure of either
     check yields holds=False with a witness.
+
+    Resolution limit: once exp(-rate*t) ||x(0)|| falls below the integrator's
+    ``abs_tol`` (1e-11 by default), the trajectory check compares integrator
+    noise with the bound, and refutes a stable system: margin 2.75 at t = 58.24
+    (bound 2.3e-12) for rate 1/2, horizon 60 and starts of norm up to 10.
     """
     if not (math.isfinite(rate) and rate > 0):
         raise ValueError("rate must be positive and finite")

@@ -42,25 +42,16 @@ class EntrainmentVerdict(JsonRecord):
     orbit_sample -- phase-0 point of the detected limit cycle (entrains only)
     witness_pair -- indices of initial conditions whose iterate distance
                     doubled from its minimum (diverges only)
+    iterations   -- number of return-map applications performed
     iterates     -- ``(starts, iterations + 1, n)`` array: each initial
                     condition followed by its return-map values
-    iterations   -- number of return-map applications performed
     """
 
     status: str
     orbit_sample: np.ndarray | None = None
     witness_pair: tuple[int, int] | None = None
-    iterates: np.ndarray = dataclass_field(default_factory=lambda: np.empty((0, 0, 0)))
     iterations: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "orbit_sample": None if self.orbit_sample is None else self.orbit_sample.tolist(),
-            "witness_pair": None if self.witness_pair is None else list(self.witness_pair),
-            "iterations": self.iterations,
-            "iterates": self.iterates.tolist(),
-        }
+    iterates: np.ndarray = dataclass_field(default_factory=lambda: np.empty((0, 0, 0)))
 
 
 def poincare_map(field: VectorField, signal: PeriodicInput, x0, config: IntegratorConfig | None = None) -> np.ndarray:
@@ -133,7 +124,7 @@ class DivergenceReport(JsonRecord):
     shrink under the integrator noise floor the comparison uses a 1e-8
     slack, recorded as ``monotone_prefix``.  The perturbed trajectory and
     the on-orbit reference share their time stamps and are retained for CSV
-    export.
+    export, not serialized.
     """
 
     r_star: float
@@ -145,15 +136,7 @@ class DivergenceReport(JsonRecord):
     trajectory: Trajectory
     orbit_trajectory: Trajectory
 
-    def to_dict(self) -> dict:
-        return {
-            "r_star": self.r_star,
-            "delta": self.delta,
-            "periods": self.periods,
-            "distances": [float(d) for d in self.distances],
-            "monotone_prefix": self.monotone_prefix,
-            "grew": self.grew,
-        }
+    _json_skip = ("trajectory", "orbit_trajectory")
 
     def export_csv(self, perturbed_path, orbit_path) -> None:
         """Write both trajectories as `t,x,y,r` rows for external plotting."""

@@ -151,13 +151,6 @@ class PiecewiseSchedule(PiecewiseConstantInput):
     def piece_count(self) -> int:
         return self.values.shape[0]
 
-    def as_signal(self) -> PiecewiseConstantInput:
-        """The schedule itself, which is already a step signal."""
-        return self
-
-    def values_within(self, box) -> bool:
-        return bool(np.all(_in_box(self.values, box)))
-
 
 def schedule_contraction_factor(lam: float, schedule: PiecewiseSchedule) -> float:
     """Product of per-piece factors exp(lam * alpha_i * span).
@@ -216,7 +209,7 @@ def check_piecewise_contraction(
     schedule value must lie in the box.  The certificate margin is the
     worst observed ratio d(phi x, phi y) / d(x, y).
     """
-    if not schedule.values_within(box):
+    if not np.all(_in_box(schedule.values, box)):
         raise ValueError("schedule values leave the declared input box")
     pairs = _pair_array(point_pairs)
     pairs = pairs[_gaps(pairs) > 0]

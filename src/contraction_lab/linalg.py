@@ -13,6 +13,15 @@ import numpy as np
 
 from .errors import NonFiniteError, NonSymmetricError
 
+__all__ = [
+    "symmetric_part",
+    "symmetric_eigenvalues",
+    "max_eigenvalue",
+    "spectral_norm",
+    "log_norm_2",
+    "is_negative_definite",
+]
+
 SYMMETRY_TOL = 1e-12
 
 

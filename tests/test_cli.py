@@ -203,6 +203,17 @@ class TestRun:
         assert run_cli(*argv, "--out", str(blocker / "out")) == 2
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("flags", [["--horizon", "2000"], ["--rate", "1e308"]])
+    def test_non_finite_verdict_exits_2_and_writes_nothing(self, tmp_path, capsys, flags):
+        # The margin overflows to inf, which JSON cannot hold: a numerical failure, not a refutation.
+        out = tmp_path / "out"
+        assert run_cli("run", "ges-check", *flags, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "numerical failure: JSON cannot represent the float inf\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_csv_only_format_skips_json(self, tmp_path, capsys):
         run_cli("run", "divergence", "--periods", "2", "--out", str(tmp_path), "--format", "csv")
         assert not (tmp_path / "divergence.json").exists()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from contraction_lab.entrainment import (
     DIVERGES,
     ENTRAINS,
     INCONCLUSIVE,
+    EntrainmentVerdict,
     counterexample_divergence,
     detect_entrainment,
     poincare_map,
@@ -221,8 +223,13 @@ class TestCounterexampleDivergence:
     def test_verdict_serializes(self, r_star, forced_system):
         field, signal = forced_system
         verdict = detect_entrainment(field, signal, [[r_star, 0.0], [r_star - 0.1, 0.0]], 50, 1e-8)
-        import json
-
         doc = json.loads(verdict.to_json())
         assert doc["status"] == "diverges"
         assert len(doc["iterates"]) == 2
+
+    def test_verdict_keys_in_field_order(self):
+        verdict = EntrainmentVerdict("entrains", orbit_sample=np.array([-0.5]), iterations=1, iterates=np.zeros((2, 2, 1)))
+        doc = json.loads(verdict.to_json())
+        assert list(doc) == ["status", "orbit_sample", "witness_pair", "iterations", "iterates"]
+        assert doc["orbit_sample"] == [-0.5] and doc["witness_pair"] is None
+        assert doc["iterates"] == [[[0.0], [0.0]], [[0.0], [0.0]]]

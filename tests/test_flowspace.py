@@ -117,12 +117,11 @@ class TestSchedule:
         with pytest.raises(ValueError):
             PiecewiseSchedule([[0.0]], [1.0], 1.0, 1.0)
 
-    def test_as_signal_piece_layout(self):
+    def test_step_signal_piece_layout(self):
         sched = PiecewiseSchedule([[1.0], [2.0], [3.0]], [0.25, 0.25, 0.5], 0.0, 4.0)
-        signal = sched.as_signal()
-        assert signal.eval(0.5)[0] == 1.0
-        assert signal.eval(1.0)[0] == 2.0  # right-continuous at the cut
-        assert signal.eval(3.9)[0] == 3.0
+        assert sched.eval(0.5)[0] == 1.0
+        assert sched.eval(1.0)[0] == 2.0  # right-continuous at the cut
+        assert sched.eval(3.9)[0] == 3.0
 
     def test_schedule_is_its_own_signal(self, rng):
         for k in (1, 2, 5, 17):
@@ -132,7 +131,6 @@ class TestSchedule:
             t2 = t1 + float(rng.uniform(0.5, 3.0))
             sched = PiecewiseSchedule(rng.uniform(-1, 1, size=k), fracs, t1, t2)
             assert isinstance(sched, InputSignal)
-            assert sched.as_signal() is sched
             assert sched.values.shape == (k, 1) and sched.piece_count() == k
             # the cuts of the former schedule-to-signal conversion, bit for bit
             normalized = fracs / float(np.sum(fracs))
@@ -187,7 +185,7 @@ class TestPiecewiseContraction:
         s1 = PiecewiseSchedule([[0.3], [-0.3]], [0.5, 0.5], 0.0, 1.0)
         s2 = PiecewiseSchedule([[0.8]], [1.0], 1.0, 3.0)
         x, y = np.array([2.0]), np.array([-1.0])
-        sig = concat(s1.as_signal(), s2.as_signal(), 1.0)
+        sig = concat(s1, s2, 1.0)
         x2 = flow.apply(sig, 0.0, 3.0, x)
         y2 = flow.apply(sig, 0.0, 3.0, y)
         factor = schedule_contraction_factor(-1.0, s1) * schedule_contraction_factor(-1.0, s2)
