@@ -15,16 +15,15 @@ from dataclasses import dataclass, fields
 __all__ = ["Certificate", "dumps_fixed", "write_json"]
 
 
-def format_float(x) -> str:
-    """Render a float with 17 significant digits (round-trip safe)."""
-    return f"{float(x):.17g}"
+# Every float of a JSON or CSV artifact: 17 significant digits, round-trip safe.
+FLOAT_FORMAT = "%.17g"
 
 
 def dumps_fixed(obj) -> str:
     """Serialize dicts/lists/scalars to JSON with deterministic float text.
 
-    Unlike ``json.dumps`` this prints every float via :func:`format_float`
-    so output bytes do not depend on repr shortening heuristics.  Raises
+    Unlike ``json.dumps`` this prints every float with ``FLOAT_FORMAT`` so
+    output bytes do not depend on repr shortening heuristics.  Raises
     ``ValueError`` on NaN or infinity, which JSON cannot represent.
     """
     if obj is None or isinstance(obj, (bool, str)):
@@ -34,7 +33,7 @@ def dumps_fixed(obj) -> str:
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"JSON cannot represent the float {obj!r}")
-        return format_float(obj)
+        return FLOAT_FORMAT % obj
     if isinstance(obj, dict):
         items = ", ".join(f"{dumps_fixed(str(k))}: {dumps_fixed(v)}" for k, v in obj.items())
         return "{" + items + "}"

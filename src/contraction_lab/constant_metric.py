@@ -18,7 +18,7 @@ import numpy as np
 from .certificates import JsonRecord
 from .contraction import linear_additive_field
 from .dynamics import VectorField
-from .errors import ZeroFieldError
+from .errors import NonFiniteError, ZeroFieldError
 from .linalg import spectral_norm, vector_norms
 
 __all__ = [
@@ -95,11 +95,14 @@ def _directions_at(field: VectorField, x: np.ndarray, inputs) -> tuple[np.ndarra
 
     One field call and one Jacobian call per input, for one state ``(n,)`` or
     a stack ``(S, n)``: ``(..., J, n)`` directions and ``(..., J)`` ratios.
-    A field that vanishes at some input raises ``ZeroFieldError`` carrying
-    the first such state ``x`` and its first such 1-based input index ``j``.
+    A field value of non-finite norm raises ``NonFiniteError``; a field that
+    vanishes at some input raises ``ZeroFieldError`` carrying the first such
+    state ``x`` and its first such 1-based input index ``j``.
     """
     values = np.stack([field(x, u) for u in inputs], axis=-2)
     norms = vector_norms(values)
+    if not np.all(np.isfinite(norms)):
+        raise NonFiniteError("a field value has a non-finite norm")
     if np.any(vanish := norms < 1e-14):
         s, j = divmod(int(np.argmax(vanish)), len(inputs))
         x = np.atleast_2d(x)[s]

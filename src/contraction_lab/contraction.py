@@ -99,18 +99,16 @@ class RiemannianMetric:
         return metric
 
     @classmethod
-    def constant(cls, matrix, lower_bound: float | None = None) -> "RiemannianMetric":
-        """M(x) = ``matrix`` everywhere, broadcast over a stack, with zero gradient."""
+    def constant(cls, matrix) -> "RiemannianMetric":
+        """M(x) = ``matrix`` with zero gradient, bounded below by its symmetric part's least eigenvalue."""
         matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         dim = matrix.shape[0]
-        if lower_bound is None:
-            lower_bound = max_eigenvalue(-symmetric_part(matrix)) * -1.0
         zero = np.zeros((dim, dim, dim))
         return cls._of_stacks(
             dim,
             lambda xs: np.broadcast_to(matrix, (len(xs),) + matrix.shape),
             lambda xs: np.broadcast_to(zero, (len(xs),) + zero.shape),
-            lower_bound,
+            max_eigenvalue(-symmetric_part(matrix)) * -1.0,
         )
 
     @classmethod
@@ -224,6 +222,8 @@ def _axes(region, resolution):
         raise ValueError("resolution must give one count per region axis")
     if np.any(counts < 1):
         raise ValueError("resolution counts must be >= 1")
+    if not np.all(np.isfinite(region)):
+        raise ValueError("region bounds must be finite")
     axes = []
     for (lo, hi), n in zip(region, counts):
         if hi < lo:
@@ -407,23 +407,20 @@ def find_violating_input(
     zs = unit_samples(z_search)
     zz = np.einsum("zi,zj->ijz", zs, zs).reshape(n * n, len(zs))  # column z is z (x) z
 
-    # |alpha| for every (x, c0, z), a block of states at a time so at most
-    # _SCORE_BLOCK scores are held.  Each block's flat argmax is its first
-    # maximum with x slowest, then c0, then z, and a later block wins only
-    # when strictly larger, so the winner is the first maximum overall; a
-    # NaN wins at once, as it would in one argmax.
+    # The peak |alpha| over (c0, z) of each state, a block of states at a
+    # time so at most _SCORE_BLOCK scores are held, in place and over flat
+    # rows (a second block-sized array, or a max over two axes, costs more
+    # than the products).  The winner is the first state with the largest
+    # peak, then its first maximum: one flat argmax's, a NaN included.
     grads_t = np.swapaxes(grads.reshape(len(xs), n * n, n), -1, -2)
     per_block = max(1, _SCORE_BLOCK // (len(c_dirs) * len(zs)))
-    best = best_at = None
+    peaks = np.empty(len(xs))
     for lo in range(0, len(xs), per_block):
         scores = c_dirs @ grads_t[lo : lo + per_block] @ zz
         np.abs(scores, out=scores)
-        j = int(np.argmax(scores))
-        if best is None or not scores.flat[j] <= best:
-            best, best_at = scores.flat[j], lo * len(c_dirs) * len(zs) + j
-            if np.isnan(best):
-                break
-    i, kc, kz = np.unravel_index(best_at, (len(xs), len(c_dirs), len(zs)))
+        peaks[lo : lo + per_block] = scores.reshape(len(scores), -1).max(axis=1)
+    i = int(np.argmax(peaks))
+    kc, kz = np.unravel_index(np.argmax(np.abs(c_dirs @ grads_t[i] @ zz)), (len(c_dirs), len(zs)))
     x, g, c0, z = xs[i], grads[i], c_dirs[kc], zs[kz]
     alpha = float(z @ (g @ c0) @ z)
     if abs(alpha) < 1e-12:

@@ -246,7 +246,8 @@ def verify_ges(initial_conditions, horizon: float, rate: float, config: Integrat
     trajectory-level bound at every accepted integrator step, with relative
     slack 1e-9.  All nonzero starts are integrated in lockstep on shared
     steps, and only the running worst excess is kept.  A failure of either
-    check yields holds=False with a witness.
+    check yields holds=False with a witness; a non-finite scan value or
+    excess raises ``NonFiniteError``.
 
     Resolution limit: once exp(-rate*t) ||x(0)|| falls below the integrator's
     ``abs_tol`` (1e-11 by default), the trajectory check compares integrator
@@ -262,6 +263,8 @@ def verify_ges(initial_conditions, horizon: float, rate: float, config: Integrat
         starts = starts.reshape(0, 2)
     if starts.ndim != 2 or starts.shape[1] != 2:
         raise ValueError("initial conditions must be an (N, 2) array of planar states")
+    if not math.isfinite(rate * _GES_GRID_MAX):
+        raise NonFiniteError(f"rate * r overflows on the generator scan grid for rate {rate!r}")
     grid = np.linspace(0.0, _GES_GRID_MAX, _GES_GRID_POINTS)
     gen_vals = radial_f(grid) + rate * grid
     gen_margin = float(np.max(gen_vals))
@@ -288,12 +291,17 @@ def verify_ges(initial_conditions, horizon: float, rate: float, config: Integrat
     moving = norms != 0.0
     if np.any(moving):
         x0, norm0 = starts[moving], norms[moving]
-        for t, x in _steps(circle_field(), ConstantInput.zero(2), x0, (0.0, horizon), config):
-            excess = np.sqrt(np.add.reduce(x * x, axis=1)) / (np.exp(-rate * t) * norm0) - 1.0
-            i = int(np.argmax(excess))
-            if excess[i] > traj_margin:
-                traj_margin = float(excess[i])
-                witness = {"x0": x0[i].tolist(), "t": float(t)}
+        # Far past resolution the bound underflows, so the excess overflows or is
+        # 0/0; with NumPy's warnings off, such an excess wins below and raises.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for t, x in _steps(circle_field(), ConstantInput.zero(2), x0, (0.0, horizon), config):
+                excess = np.sqrt(np.add.reduce(x * x, axis=1)) / (np.exp(-rate * t) * norm0) - 1.0
+                i = int(np.argmax(excess))
+                if not excess[i] <= traj_margin:
+                    if not math.isfinite(excess[i]):
+                        raise NonFiniteError(f"the relative excess is not finite at t={t}")
+                    traj_margin = float(excess[i])
+                    witness = {"x0": x0[i].tolist(), "t": float(t)}
     holds = traj_margin <= _GES_SLACK
     return Certificate(
         holds=holds,

@@ -46,16 +46,10 @@ __all__ = [
 class IntegratorConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
-    max_step: float = math.inf
-    initial_step: float | None = None
 
     def __post_init__(self):
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise ValueError("tolerances must be finite and positive")
-        if not self.max_step > 0:
-            raise ValueError("max_step must be positive")
-        if self.initial_step is not None and not 0 < self.initial_step < math.inf:
-            raise ValueError("initial_step must be finite and positive")
 
 
 _FD_STEP = 1e-6
@@ -157,19 +151,18 @@ class ConstantInput(InputSignal):
 class PeriodicInput(InputSignal):
     """u(t + period) = u(t); periodicity is spot-checked at construction."""
 
-    def __init__(self, period: float, fn, validate: bool = True):
+    def __init__(self, period: float, fn):
         if not 0 < period < math.inf:
             raise ValueError("period must be finite and positive")
         self.period = float(period)
         self._fn = fn
         self.dim = np.atleast_1d(np.asarray(fn(0.0), dtype=float)).shape[0]
-        if validate:
-            for k in range(8):
-                t = k * self.period / 8.0
-                a = np.atleast_1d(np.asarray(fn(t), dtype=float))
-                b = np.atleast_1d(np.asarray(fn(t + self.period), dtype=float))
-                if not np.allclose(a, b, rtol=1e-9, atol=1e-9):
-                    raise ValueError(f"signal is not {period}-periodic at t={t}")
+        for k in range(8):
+            t = k * self.period / 8.0
+            a = np.atleast_1d(np.asarray(fn(t), dtype=float))
+            b = np.atleast_1d(np.asarray(fn(t + self.period), dtype=float))
+            if not np.allclose(a, b, rtol=1e-9, atol=1e-9):
+                raise ValueError(f"signal is not {period}-periodic at t={t}")
 
     def eval(self, t):
         u = np.asarray(self._fn(t), dtype=float)
@@ -177,7 +170,7 @@ class PeriodicInput(InputSignal):
 
     def shifted(self, offset):
         fn = self._fn
-        return PeriodicInput(self.period, lambda t: fn(t + offset), validate=False)
+        return PeriodicInput(self.period, lambda t: fn(t + offset))
 
 
 class PiecewiseConstantInput(InputSignal):
@@ -311,8 +304,6 @@ def _input_at(signal, s, t_end, u_end):
 
 def _hinit(field, signal, t0, t_end, u_end, x0, f0, config):
     seg_span = t_end - t0
-    if config.initial_step is not None:
-        return min(config.initial_step, seg_span, config.max_step)
     sc = config.abs_tol + config.rel_tol * np.abs(x0)
     # A batch takes its smallest state scale and its largest derivative scales.
     d0, d1 = np.min(_rms(x0 / sc)), np.max(_rms(f0 / sc))
@@ -322,7 +313,7 @@ def _hinit(field, signal, t0, t_end, u_end, x0, f0, config):
     d2 = np.max(_rms((f1 - f0) / sc)) / h0
     dm = max(d1, d2)
     h1 = max(1e-6, h0 * 1e-3) if dm <= 1e-15 else (0.01 / dm) ** 0.2
-    return min(100 * h0, h1, seg_span, config.max_step)
+    return min(100 * h0, h1, seg_span)
 
 
 def _steps(field, signal, x0, t_span, config=None):
@@ -421,10 +412,9 @@ def _steps(field, signal, x0, t_span, config=None):
                 fac = fac11 / (facold ** _PI_BETA)
                 fac = max(1.0 / _FAC_MAX, min(1.0 / _FAC_MIN, fac / _SAFETY))
                 facold = max(err, 1e-4)
-                proposal = min(h_eff / fac, config.max_step)
                 # A step cut short to land on the segment end keeps the
                 # longer proposal it was cut from.
-                h = max(proposal, h) if final else proposal
+                h = max(h_eff / fac, h) if final else h_eff / fac
             else:
                 fac11 = err ** _EXPO
                 h = h_eff / min(1.0 / _FAC_MIN, fac11 / _SAFETY)

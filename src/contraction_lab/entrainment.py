@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .certificates import JsonRecord, format_float
+from .certificates import FLOAT_FORMAT, JsonRecord
 from .counterexample import TWO_PI, build_counterexample
 from .dynamics import IntegratorConfig, PeriodicInput, Trajectory, VectorField, integrate
 from .linalg import vector_norms
@@ -141,10 +141,8 @@ class DivergenceReport(JsonRecord):
     def export_csv(self, perturbed_path, orbit_path) -> None:
         """Write both trajectories as `t,x,y,r` rows for external plotting."""
         for path, traj in ((perturbed_path, self.trajectory), (orbit_path, self.orbit_trajectory)):
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("t,x,y,r\n")
-                for t, state, r in zip(traj.times, traj.states, vector_norms(traj.states)):
-                    fh.write(",".join(format_float(v) for v in (t, *state, r)) + "\n")
+            rows = np.column_stack([traj.times, traj.states, vector_norms(traj.states)])
+            np.savetxt(path, rows, fmt=FLOAT_FORMAT, delimiter=",", header="t,x,y,r", comments="")
 
 
 def counterexample_divergence(

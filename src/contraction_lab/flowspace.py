@@ -26,7 +26,7 @@ from .dynamics import (
     VectorField,
     integrate,
 )
-from .errors import ApproximationNotConvergingError
+from .errors import ApproximationNotConvergingError, NonFiniteError
 from .linalg import vector_norms
 
 __all__ = [
@@ -72,6 +72,8 @@ class FlowMap:
         images = np.atleast_1d(np.asarray(self._apply(signal, float(t1), float(t2), points), dtype=float))
         if images.shape != points.shape:
             raise ValueError(f"flow mapped points of shape {points.shape} to shape {images.shape}")
+        if not np.all(np.isfinite(images)):
+            raise NonFiniteError("flow images have non-finite entries")
         return images
 
     def apply_each(self, signals: list, t1: float, t2: float, points) -> np.ndarray:

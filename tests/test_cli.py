@@ -203,14 +203,17 @@ class TestRun:
         assert run_cli(*argv, "--out", str(blocker / "out")) == 2
         assert "cannot write" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("flags", [["--horizon", "2000"], ["--rate", "1e308"]])
     def test_non_finite_verdict_exits_2_and_writes_nothing(self, tmp_path, capsys, flags):
-        # The margin overflows to inf, which JSON cannot hold: a numerical failure, not a refutation.
+        # The margin would overflow to inf: a numerical failure, not a refutation.
+        error = {
+            "--horizon": "the relative excess is not finite at t=1475.5229471863781",
+            "--rate": "rate * r overflows on the generator scan grid for rate 1e+308",
+        }[flags[0]]
         out = tmp_path / "out"
         assert run_cli("run", "ges-check", *flags, "--out", str(out)) == 2
         captured = capsys.readouterr()
-        assert captured.err == "numerical failure: JSON cannot represent the float inf\n"
+        assert captured.err == f"numerical failure: {error}\n"
         assert captured.out == ""
         assert not out.exists()
 

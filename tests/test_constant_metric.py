@@ -16,7 +16,7 @@ from contraction_lab.constant_metric import (
 )
 from contraction_lab.contraction import RiemannianMetric, check_contraction_region
 from contraction_lab.dynamics import VectorField
-from contraction_lab.errors import ZeroFieldError
+from contraction_lab.errors import NonFiniteError, ZeroFieldError
 
 EXAMPLE1_DIRECTIONS = np.array(
     [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [-1.0 / math.sqrt(3)] * 3]
@@ -182,6 +182,16 @@ class TestCheckConditions:
             check_constant_metric_conditions(field, family, [[0.0, 0.0, 0.0]], 0.1)
         assert exc_info.value.i == 1
         assert exc_info.value.j == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_field_raises(self, bad):
+        # The analytic Jacobian stays finite, so only the field values can tell.
+        field, family = example_3d_system()
+        poisoned = VectorField(
+            lambda x, u: np.where(u[0] >= 4.0, bad, field(x, u)), 3, 4, jacobian=lambda x, u: -np.eye(3)
+        )
+        with pytest.raises(NonFiniteError):
+            check_constant_metric_conditions(poisoned, family, [[0.0, 0.0, 0.0], [0.5, 0.25, 0.0]], 0.1)
 
     def test_zero_field_reports_first_index_then_sample_then_input(self):
         # f(x, u) = -x + B u vanishes where B u = x: input 3 is e3 from index 4

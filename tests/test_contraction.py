@@ -496,6 +496,21 @@ class TestStackedCertificates:
             CHECKS[check](field, metric, beta)
         assert log == []
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["region", "uniform-states", "uniform-inputs", "violating-search"])
+    def test_non_finite_bound_rejected_before_any_call(self, where, bound):
+        field, metric, log = recorded(linear_additive_field(1), bounded_example_metric(2.0))
+        box, unit = (bound, 1.0), (-1.0, 1.0)
+        run = {
+            "region": lambda: check_contraction_region(field, metric, box, 3, BETA, [0.0]),
+            "uniform-states": lambda: check_uniform_contraction(field, metric, unit, 3, box, 3, BETA),
+            "uniform-inputs": lambda: check_uniform_contraction(field, metric, box, 3, unit, 3, BETA),
+            "violating-search": lambda: find_violating_input(field, metric, box),
+        }[where]
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            run()
+        assert log == []
+
 
 class TestFindViolatingInput:
     def test_scalar_system_violation(self, scalar_system):
@@ -535,7 +550,12 @@ class TestFindViolatingInput:
         ],
     )
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_matches_streaming_reference_exactly(self, scalar_system, system, x_search, x_resolution, seed):
+    @pytest.mark.parametrize("block", [1, contraction._SCORE_BLOCK], ids=["one-state-blocks", "default-blocks"])
+    def test_matches_streaming_reference_exactly(
+        self, monkeypatch, scalar_system, system, x_search, x_resolution, seed, block
+    ):
+        # With one state per block, the scalar (-3, 3) tie falls across blocks.
+        monkeypatch.setattr(contraction, "_SCORE_BLOCK", block)
         if system == "scalar":
             field, metric = scalar_system
         else:

@@ -246,6 +246,14 @@ class TestVerifyGes:
         assert cert.witness == {"x0": starts[i].tolist(), "t": float(traj.times[k])}
         assert type(cert.witness["t"]) is float
 
+    @pytest.mark.parametrize("horizon, rate", [(2000.0, 0.5), (1.0, 1e308)], ids=["bound-underflows", "scan-overflows"])
+    def test_non_finite_excess_raises(self, horizon, rate):
+        # Far past resolution e^{-rate t} underflows and the excess overflows;
+        # a huge rate overflows the scan.  Either raises, with no warning,
+        # instead of returning a margin that JSON cannot hold.
+        with pytest.raises(NonFiniteError):
+            verify_ges(random_initial_conditions(100, 10.0, seed=0), horizon, rate)
+
     @pytest.mark.parametrize(
         "horizon, rate",
         [(1.0, 0.0), (1.0, math.nan), (1.0, math.inf), (math.nan, 0.5), (math.inf, 0.5), (0.0, 0.5), (-1.0, 0.5)],

@@ -20,7 +20,7 @@ from contraction_lab.dynamics import (
     concat,
     integrate,
 )
-from contraction_lab.errors import ApproximationNotConvergingError
+from contraction_lab.errors import ApproximationNotConvergingError, NonFiniteError
 from contraction_lab.flowspace import (
     FlowMap,
     PiecewiseSchedule,
@@ -35,6 +35,22 @@ TWO_PI = 2 * math.pi
 
 def linear_flow():
     return flow_from_field(linear_additive_field(1))
+
+
+# A flow whose images are all NaN, as a diverging integration might return them.
+NAN_FLOW = FlowMap(lambda signal, t1, t2, points: np.full(points.shape, math.nan))
+
+
+class FnInput(InputSignal):
+    """u(t) = fn(t), a 1-D signal with no periodicity to check."""
+
+    dim = 1
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def eval(self, t):
+        return np.atleast_1d(np.asarray(self.fn(t), dtype=float))
 
 
 class TestFlowFromField:
@@ -180,6 +196,11 @@ class TestPiecewiseContraction:
         with pytest.raises(ValueError):
             check_piecewise_contraction(flow, (-1.0, 1.0), -1.0, sched, [([0.0], [1.0])])
 
+    def test_non_finite_image_raises(self):
+        sched = PiecewiseSchedule([[0.3], [-0.3]], [0.5, 0.5], 0.0, 1.0)
+        with pytest.raises(NonFiniteError):
+            check_piecewise_contraction(NAN_FLOW, (-1.0, 1.0), -1.0, sched, [([0.0], [1.0])])
+
     def test_certified_rates_compose_across_concatenation(self):
         flow = linear_flow()
         s1 = PiecewiseSchedule([[0.3], [-0.3]], [0.5, 0.5], 0.0, 1.0)
@@ -226,6 +247,11 @@ class TestLimitContraction:
         assert cert.holds
         assert max(cert.grid_spec["cauchy_gaps"]) <= 1e-9
 
+    def test_non_finite_image_raises(self):
+        target = ConstantInput([0.5])
+        with pytest.raises(NonFiniteError):
+            check_limit_contraction(NAN_FLOW, (-1.0, 1.0), -1.0, target, 2, [([1.0], [-1.0])], (0.0, 1.5))
+
     def test_signal_outside_box_rejected_before_integration(self):
         flow = linear_flow()
         target = PeriodicInput(TWO_PI, lambda t: [2.0 * math.sin(t)])
@@ -236,7 +262,7 @@ class TestLimitContraction:
         def unreachable(signal, t1, t2, points):
             raise AssertionError("no flow may run")
 
-        target = PeriodicInput(TWO_PI, lambda t: [math.nan if t > 1.0 else 0.0], validate=False)
+        target = FnInput(lambda t: [math.nan if t > 1.0 else 0.0])
         with pytest.raises(ValueError, match="leaves the input box"):
             check_limit_contraction(FlowMap(unreachable), (-1.0, 1.0), -1.0, target, 3, [([0.0], [1.0])], (0.0, 2.0))
 
@@ -416,7 +442,7 @@ class TestLimitLevelsInOneIntegration:
             signals.append(signal)
             return points
 
-        clock = PeriodicInput(1.0, lambda t: [t], validate=False)
+        clock = FnInput(lambda t: [t])
         for _ in range(100):
             t1 = float(rng.uniform(-50.0, 50.0))
             t2 = t1 + float(rng.choice([1e-3, 1.0, 7.0, 300.0]) * rng.uniform(0.1, 1.0))
