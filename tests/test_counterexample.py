@@ -246,13 +246,61 @@ class TestVerifyGes:
         assert cert.witness == {"x0": starts[i].tolist(), "t": float(traj.times[k])}
         assert type(cert.witness["t"]) is float
 
-    @pytest.mark.parametrize("horizon, rate", [(2000.0, 0.5), (1.0, 1e308)], ids=["bound-underflows", "scan-overflows"])
-    def test_non_finite_excess_raises(self, horizon, rate):
+    @pytest.mark.parametrize("block", [1, 5, counterexample._GES_BLOCK], ids=lambda b: f"block-{b}")
+    def test_witness_past_the_first_block(self, monkeypatch, block):
+        # Past the integrator's resolution the excess grows, so its first
+        # maximum is the 766th of 767 accepted steps, three default blocks in.
+        monkeypatch.setattr(counterexample, "_GES_BLOCK", block)
+        starts = random_initial_conditions(20, 10.0, seed=3)
+        cert = verify_ges(starts, 60.0, 0.5)
+        # Reference: the stored lockstep trajectory, scored at every step.
+        traj = integrate(circle_field(), ConstantInput.zero(2), starts, (0.0, 60.0))
+        norms = np.linalg.norm(traj.states, axis=2)
+        excess = norms / (np.exp(-0.5 * traj.times)[:, None] * norms[0]) - 1.0
+        k, i = np.unravel_index(np.argmax(excess), excess.shape)
+        assert (len(traj.times) - 1, k) == (767, 766)
+        assert not cert.holds and cert.margin == excess[k, i]
+        assert cert.witness == {"x0": starts[i].tolist(), "t": float(traj.times[k])}
+
+    @pytest.mark.parametrize(
+        "horizon, rate, message",
+        [(2000.0, 0.5, "not finite at t=1475.5229471863781$"), (1.0, 1e308, "overflows on the generator scan grid")],
+        ids=["bound-underflows", "scan-overflows"],
+    )
+    def test_non_finite_excess_raises(self, horizon, rate, message):
         # Far past resolution e^{-rate t} underflows and the excess overflows;
         # a huge rate overflows the scan.  Either raises, with no warning,
-        # instead of returning a margin that JSON cannot hold.
-        with pytest.raises(NonFiniteError):
+        # instead of returning a margin that JSON cannot hold.  The first
+        # non-finite excess is named, as the step-by-step scoring named it.
+        with pytest.raises(NonFiniteError, match=message):
             verify_ges(random_initial_conditions(100, 10.0, seed=0), horizon, rate)
+
+    @pytest.mark.parametrize("block", [1, counterexample._GES_BLOCK], ids=lambda b: f"block-{b}")
+    def test_tied_excess_keeps_the_earlier_witness(self, monkeypatch, block):
+        # exp(-rate t) rounds to 1 at these times, so both steps reach the
+        # excess 1 exactly, on different starts; the earlier step is the witness.
+        def steps(field, signal, x0, t_span, config):
+            yield 1e-20, np.array([[1.0, 0.0], [0.0, 2.0]])
+            yield 2e-20, np.array([[2.0, 0.0], [0.0, 1.0]])
+
+        monkeypatch.setattr(counterexample, "_steps", steps)
+        monkeypatch.setattr(counterexample, "_GES_BLOCK", block)
+        cert = verify_ges([[1.0, 0.0], [0.0, 1.0]], 1.0, 0.5)
+        assert not cert.holds and cert.margin == 1.0
+        assert cert.witness == {"x0": [0.0, 1.0], "t": 1e-20}
+
+    def test_first_non_finite_step_is_named(self, monkeypatch):
+        # One block holds an infinite excess (the bound underflows) and, a step
+        # later, a NaN one (0/0); the NaN is the block's argmax, but the error
+        # names the earlier step, as a step-by-step scan does.
+        def steps(field, signal, x0, t_span, config):
+            yield 1.0, np.array([[1.0, 0.0], [0.0, 1.0]])
+            yield 1e4, np.array([[1.0, 0.0], [0.0, 1.0]])
+            yield 2e4, np.array([[0.0, 0.0], [0.0, 1.0]])
+
+        monkeypatch.setattr(counterexample, "_steps", steps)
+        with pytest.raises(NonFiniteError, match=r"at t=10000\.0$"):
+            verify_ges([[1.0, 0.0], [0.0, 1.0]], 3e4, 0.5)
 
     @pytest.mark.parametrize(
         "horizon, rate",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from contraction_lab import flowspace
 from contraction_lab.contraction import linear_additive_field, scalar_example_system
 from contraction_lab.counterexample import circle_field
 from contraction_lab.dynamics import (
@@ -264,6 +265,26 @@ class TestInputSignals:
         for t in np.linspace(0, 10, 23):
             assert sig.eval(t)[0] == pytest.approx(math.cos(t), abs=1e-12)
 
+    @pytest.mark.parametrize("offset", [1e8, 1e10])
+    def test_shift_by_large_offset_is_not_checked_again(self, offset):
+        # At these offsets rounding alone would fail the 1e-9 spot check, and a
+        # shift cannot break periodicity: it makes no fn call.
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return [math.sin(t)]
+
+        base = PeriodicInput(TWO_PI, fn)
+        calls.clear()
+        sig = shift_signal(base, offset)
+        assert calls == []
+        for t in (0.0, 0.3, 2.5, -7.0):
+            assert sig.eval(t).tolist() == fn(t + offset)
+        assert sig.period == TWO_PI and sig.dim == 1
+        with pytest.raises(ValueError, match="periodic"):
+            PeriodicInput(TWO_PI, lambda t: [math.sin(t) + 1e-3 * t])
+
     def test_shift_moves_breakpoints(self):
         sig = PiecewiseConstantInput([1.0, 2.0], [[0.0], [1.0], [2.0]])
         moved = shift_signal(sig, 0.5)
@@ -403,7 +424,7 @@ class TestIntegratorConfig:
 
 
 class TestGoldenBits:
-    """Exact step counts and final bits of two reference runs.
+    """Exact step counts and final bits of reference runs.
 
     Any change to the integrator's arithmetic, its step-size control or its
     input lookups moves these values; a rewrite that claims the same
@@ -429,4 +450,41 @@ class TestGoldenBits:
             ["-0x1.8a9dfc5530324p-8", "-0x1.168c5afb19b3ep-2"],
             ["-0x1.2ab7c35f216eap-7", "-0x1.20168342da579p-2"],
             ["-0x1.4ff95ca9a287cp-7", "-0x1.15e4d7d8f135ep-2"],
+        ]
+
+    def test_non_finite_stage_retry(self):
+        # The run of test_nonfinite_interior_stage_is_retried: field call 11
+        # is NaN, so the second step is rejected and retried.
+        calls = []
+
+        def f(x, u):
+            calls.append(None)
+            return np.full_like(x, np.nan) if len(calls) == 11 else -x
+
+        traj = integrate(VectorField(f, 1, 1), ConstantInput([0.0]), [1.0], (0.0, 1.0))
+        assert len(traj.times) - 1 == 21
+        assert [float(v).hex() for v in traj.final_state] == ["0x1.78b56363ac6c7p-2"]
+
+    def test_per_row_inputs_across_schedule_breakpoints(self, monkeypatch):
+        runs = []
+
+        def recording(*args):
+            runs.append(integrate(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(flowspace, "integrate", recording)
+        signals = [
+            PiecewiseSchedule([[-1.0], [2.0], [0.5]], [0.25, 0.5, 0.25], 0.0, 2.0),
+            PiecewiseSchedule([[1.5], [-0.5]], [0.6, 0.4], 0.0, 2.0),
+        ]
+        images = flow_from_field(linear_additive_field(1)).apply_each(signals, 0.0, 2.0, [[0.3], [-1.2], [2.0]])
+        assert len(runs) == 1 and {0.5, 1.2, 1.5} <= set(runs[0].times.tolist())
+        assert len(runs[0].times) - 1 == 56
+        assert [float(v).hex() for v in images.reshape(-1)] == [
+            "0x1.d52ab26f35fcap-1",
+            "0x1.6d3ab2989eff7p-1",
+            "0x1.257b36fe019eap+0",
+            "0x1.e3d9f84ca037ep-3",
+            "0x1.1067e3c9110e7p-5",
+            "0x1.dd84733fea9e2p-2",
         ]
