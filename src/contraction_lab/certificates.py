@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 
-__all__ = ["Certificate", "dumps_fixed", "write_json"]
+__all__ = ["Certificate", "dumps_fixed"]
 
 
 # Every float of a JSON or CSV artifact: 17 significant digits, round-trip safe.
@@ -42,13 +42,6 @@ def dumps_fixed(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(dumps_fixed(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def write_json(path, obj) -> None:
-    """Write ``obj`` as UTF-8, newline-terminated JSON."""
-    text = dumps_fixed(obj) + "\n"  # serialize first: a refused value leaves no file
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 class JsonRecord:

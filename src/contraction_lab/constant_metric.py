@@ -24,7 +24,6 @@ from .linalg import spectral_norm, vector_norms
 __all__ = [
     "InputSequenceFamily",
     "hull_contains_ball",
-    "jacobian_field_ratio",
     "ConstantMetricReport",
     "check_constant_metric_conditions",
     "example_3d_system",
@@ -111,13 +110,6 @@ def _directions_at(field: VectorField, x: np.ndarray, inputs) -> tuple[np.ndarra
     return values / norms[..., None], ratios
 
 
-def jacobian_field_ratio(field: VectorField, u, x) -> float:
-    """||df/dx(x, u)||_2 / ||f(x, u)||_2."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _, ratios = _directions_at(field, x, [np.atleast_1d(np.asarray(u, dtype=float))])
-    return float(ratios[0])
-
-
 @dataclass
 class ConstantMetricReport(JsonRecord):
     """Per-(x, i) hull verdicts and ratio values, with aggregate conclusions.
@@ -137,14 +129,6 @@ class ConstantMetricReport(JsonRecord):
     ratio_decay_ok: list
     certified: bool
     entries: list[dict]
-
-    @property
-    def hull_ok(self) -> bool:
-        return all(i0 is not None for i0 in self.hull_certified_from)
-
-    @property
-    def ratios_ok(self) -> bool:
-        return all(self.ratio_decay_ok)
 
 
 def check_constant_metric_conditions(

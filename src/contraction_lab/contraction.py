@@ -334,20 +334,6 @@ class ViolatingInput:
     z: np.ndarray
     value: float
 
-    def to_certificate(self) -> Certificate:
-        """The found violation as a holds=False certificate with z witness."""
-        return Certificate(
-            holds=False,
-            margin=float(self.value),
-            witness={
-                "x": self.x.tolist(),
-                "c": self.c.tolist(),
-                "z": self.z.tolist(),
-            },
-            grid_spec=None,
-            note="constructive violating-input search",
-        )
-
 
 # Most (x, c0, z) scores the violating-input search holds at once (2 MiB),
 # enough for a default 2-D search in one block.

@@ -37,7 +37,6 @@ __all__ = [
     "build_counterexample",
     "circle_orbit_residual",
     "verify_ges",
-    "radial_rate",
     "polar_equivalence_check",
     "random_initial_conditions",
 ]
@@ -321,28 +320,18 @@ def verify_ges(initial_conditions, horizon: float, rate: float, config: Integrat
     )
 
 
-def radial_rate(r: float, theta: float, t: float, r_star: float) -> float:
-    """Instantaneous value of d(r^2)/dt / 2 for the forced system.
-
-    Equals r*f(r) - r*cos(t - theta)*f(r_star); maximized over the phase at
-    cos = 1, where it reduces to r*(f(r) - f(r_star)).
-    """
-    if r <= 0:
-        raise ValueError("r must be positive")
-    return float(r * radial_f(r) - r * np.cos(t - theta) * radial_f(r_star))
-
-
 def polar_equivalence_check(grid_points) -> Certificate:
     """Check the unforced field maps to (r', theta') = (f(r), 1) pointwise.
 
-    ``grid_points`` is an iterable of (r, theta) pairs with r > 0.  The
-    Cartesian field is pushed through the polar Jacobian and compared with
+    ``grid_points`` is a nonempty iterable of (r, theta) pairs with r > 0.
+    The Cartesian field is pushed through the polar Jacobian and compared with
     the closed-form polar dynamics to 1e-12; the witness is the first point
-    of largest deviation.  A non-finite deviation raises ``NonFiniteError``.
+    of largest deviation.  No points, or a point with r <= 0, raise
+    ``ValueError``; a non-finite deviation raises ``NonFiniteError``.
     """
-    points = np.array(list(grid_points) or np.empty((0, 2)), dtype=float)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError("grid points must be (r, theta) pairs")
+    points = np.array(list(grid_points), dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2:  # no points give shape (0,)
+        raise ValueError("grid points must be one or more (r, theta) pairs")
     r, theta = points[:, 0], points[:, 1]
     if np.any(r <= 0):
         raise ValueError("polar grid requires r > 0")
@@ -353,8 +342,8 @@ def polar_equivalence_check(grid_points) -> Certificate:
     devs = np.maximum(np.abs(r_dot - radial_f(r)), np.abs(theta_dot - 1.0))
     if not np.all(np.isfinite(devs)):
         raise NonFiniteError("the polar deviation is not finite at some grid point")
-    i = int(np.argmax(devs)) if len(devs) else None
-    worst = 0.0 if i is None else float(devs[i])
+    i = int(np.argmax(devs))
+    worst = float(devs[i])
     holds = worst <= 1e-12
     return Certificate(
         holds=holds,

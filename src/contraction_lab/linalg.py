@@ -1,4 +1,4 @@
-"""Dense small-matrix primitives: eigenvalues, norms, definiteness tests.
+"""Dense small-matrix primitives: eigenvalues and norms.
 
 Every routine checks its input (square, finite, symmetric where required)
 and hands the numerics to NumPy's LAPACK bindings.  Eigenvalues and norms
@@ -19,7 +19,6 @@ __all__ = [
     "max_eigenvalue",
     "spectral_norm",
     "log_norm_2",
-    "is_negative_definite",
 ]
 
 SYMMETRY_TOL = 1e-12
@@ -84,13 +83,3 @@ def vector_norms(v) -> np.ndarray:
     """Euclidean norm along the last axis, equal to the last bit to ``np.linalg.norm`` of each vector."""
     v = np.asarray(v, dtype=float)
     return np.sqrt(np.vecdot(v, v))
-
-
-def is_negative_definite(a, margin: float = 0.0) -> bool:
-    """True iff lambda_max(A) <= -margin (strict < 0 when margin == 0)."""
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
-    lam = max_eigenvalue(a)
-    if margin == 0.0:
-        return lam < 0.0
-    return lam <= -margin

@@ -603,16 +603,6 @@ class TestFindViolatingInput:
         with pytest.raises(NonFiniteError):
             find_violating_input(linear_additive_field(1), metric, (-3.0, 3.0))
 
-    def test_certificate_view_serializes_witness(self, scalar_system):
-        import json
-
-        field, metric = scalar_system
-        found = find_violating_input(field, metric, (-3.0, 3.0))
-        doc = json.loads(found.to_certificate().to_json())
-        assert doc["holds"] is False
-        assert set(doc["witness"]) == {"x", "c", "z"}
-        assert doc["margin"] == found.value
-
 
 class TestBoundedMetricParameter:
     def test_unit_bound(self):

@@ -16,7 +16,6 @@ from contraction_lab.counterexample import (
     polar_equivalence_check,
     radial_f,
     radial_f_slope,
-    radial_rate,
     random_initial_conditions,
     second_order_value,
     verify_ges,
@@ -332,22 +331,26 @@ class TestIntegratorOracle:
 
 
 class TestRadialRate:
-    def test_on_orbit_tangency(self, r_star):
-        assert radial_rate(r_star, 0.0, 0.0, r_star) == 0.0
+    """x . F(x, u(0)), half of d|x|^2/dt, for the forced system at x = r (cos theta, sin theta)."""
 
-    def test_inside_worst_case_is_negative(self, r_star):
+    @staticmethod
+    def rate(forced_system, r, theta):
+        field, signal = forced_system
+        theta = np.atleast_1d(theta)
+        x = r * np.column_stack([np.cos(theta), np.sin(theta)])
+        return np.vecdot(x, field(x, signal.eval(0.0)))
+
+    def test_on_orbit_tangency(self, r_star, forced_system):
+        assert self.rate(forced_system, r_star, 0.0)[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_inside_worst_case_is_negative(self, r_star, forced_system):
         r = r_star - 0.05
-        worst = max(radial_rate(r, theta, 0.0, r_star) for theta in np.linspace(0, 2 * math.pi, 720))
+        worst = np.max(self.rate(forced_system, r, np.linspace(0, 2 * math.pi, 720)))
         assert worst < 0
         assert worst == pytest.approx(r * (radial_f(r) - radial_f(r_star)), abs=1e-10)
 
-    def test_opposite_phase_strictly_smaller(self, r_star):
-        r = r_star - 0.05
-        assert radial_rate(r, math.pi, 0.0, r_star) < radial_rate(r, 0.0, 0.0, r_star)
-
-    def test_requires_positive_radius(self, r_star):
-        with pytest.raises(ValueError):
-            radial_rate(0.0, 0.0, 0.0, r_star)
+    def test_opposite_phase_strictly_smaller(self, r_star, forced_system):
+        assert np.diff(self.rate(forced_system, r_star - 0.05, [0.0, math.pi]))[0] < 0
 
 
 class TestPolarEquivalence:
@@ -366,6 +369,11 @@ class TestPolarEquivalence:
     def test_rejects_origin(self):
         with pytest.raises(ValueError):
             polar_equivalence_check([(0.0, 0.0)])
+
+    @pytest.mark.parametrize("points", [[], np.empty((0, 2))], ids=["list", "array"])
+    def test_rejects_no_points(self, points):
+        with pytest.raises(ValueError, match="one or more"):
+            polar_equivalence_check(points)
 
     @pytest.mark.parametrize(
         "points", [[(1.0, 0.0), (1e200, 0.0)], [(1e200, 0.0), (1.0, 0.0)]], ids=["nan-last", "nan-first"]

@@ -27,13 +27,12 @@ PACKAGE_NAMES = {
     "check_constant_metric_conditions", "check_contraction_region", "check_limit_contraction",
     "check_piecewise_contraction", "check_uniform_contraction", "circle_field", "circle_orbit_residual",
     "concat", "contraction_matrix", "counterexample_divergence", "detect_entrainment", "dumps_fixed",
-    "example_3d_system", "example_additive_3d", "find_r_star", "find_violating_input", "flow_from_field",
-    "hull_contains_ball", "integrate", "is_negative_definite", "jacobian_field_ratio",
-    "linear_additive_field", "log_norm_2", "max_eigenvalue", "poincare_map", "polar_equivalence_check",
-    "polytope_inradius", "radial_f", "radial_f_slope", "radial_rate", "random_initial_conditions",
-    "scalar_example_system", "scalar_metric", "scalar_metric_derivative", "schedule_contraction_factor",
-    "second_order_value", "shift_signal", "simplex_directions", "spectral_norm", "symmetric_eigenvalues",
-    "symmetric_part", "verify_ges", "write_json",
+    "example_3d_system", "example_additive_3d", "find_r_star", "find_violating_input",
+    "flow_from_field", "hull_contains_ball", "integrate", "linear_additive_field", "log_norm_2",
+    "max_eigenvalue", "poincare_map", "polar_equivalence_check", "polytope_inradius", "radial_f",
+    "radial_f_slope", "random_initial_conditions", "scalar_example_system", "scalar_metric",
+    "scalar_metric_derivative", "schedule_contraction_factor", "second_order_value", "shift_signal",
+    "simplex_directions", "spectral_norm", "symmetric_eigenvalues", "symmetric_part", "verify_ges",
 }
 
 

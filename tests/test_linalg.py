@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from contraction_lab.errors import NonFiniteError, NonSymmetricError
 from contraction_lab.linalg import (
     SYMMETRY_TOL,
-    is_negative_definite,
     log_norm_2,
     max_eigenvalue,
     spectral_norm,
@@ -29,8 +28,17 @@ class TestMaxEigenvalue:
     def test_diagonal(self):
         assert max_eigenvalue(np.diag([-1.0, -3.0])) == pytest.approx(-1.0, abs=1e-12)
 
-    def test_two_by_two(self):
-        assert max_eigenvalue([[2.0, 1.0], [1.0, 2.0]]) == pytest.approx(3.0, abs=1e-12)
+    @pytest.mark.parametrize(
+        "a, lam",
+        [
+            ([[2.0, 1.0], [1.0, 2.0]], 3.0),
+            (np.diag([-1.0, -1.0]), -1.0),
+            (np.diag([-1.0, 0.0]), 0.0),
+            ([[-2.0, 1.0], [1.0, -2.0]], -1.0),
+        ],
+    )
+    def test_two_by_two(self, a, lam):
+        assert max_eigenvalue(a) == pytest.approx(lam, abs=1e-12)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NonSymmetricError):
@@ -101,24 +109,6 @@ class TestLogNorm:
         for _ in range(200):
             a = rng.normal(size=(4, 4))
             assert log_norm_2(a) <= spectral_norm(a) + 1e-10
-
-
-class TestNegativeDefinite:
-    def test_strictly_negative(self):
-        assert is_negative_definite(np.diag([-1.0, -1.0]), margin=0.5)
-
-    def test_zero_eigenvalue_fails_strict(self):
-        assert not is_negative_definite(np.diag([-1.0, 0.0]), margin=0.0)
-
-    def test_with_margin(self):
-        assert is_negative_definite([[-2.0, 1.0], [1.0, -2.0]], margin=0.9)
-
-    def test_margin_boundary(self):
-        assert not is_negative_definite([[-2.0, 1.0], [1.0, -2.0]], margin=1.1)
-
-    def test_rejects_negative_margin(self):
-        with pytest.raises(ValueError):
-            is_negative_definite(np.eye(2), margin=-1.0)
 
 
 class TestOrderingLemma:
