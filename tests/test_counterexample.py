@@ -375,6 +375,15 @@ class TestPolarEquivalence:
         with pytest.raises(ValueError, match="one or more"):
             polar_equivalence_check(points)
 
+    @pytest.mark.parametrize("points", [[(1.0, 0.0, 0.0)], [1.0, 0.0]], ids=["triple", "flat"])
+    def test_rejects_malformed_points(self, points):
+        with pytest.raises(ValueError, match="one or more"):
+            polar_equivalence_check(points)
+
+    def test_rejects_negative_radius_after_a_valid_point(self):
+        with pytest.raises(ValueError, match="r > 0"):
+            polar_equivalence_check([(1.0, 0.0), (-1.0, 0.0)])
+
     @pytest.mark.parametrize(
         "points", [[(1.0, 0.0), (1e200, 0.0)], [(1e200, 0.0), (1.0, 0.0)]], ids=["nan-last", "nan-first"]
     )
