@@ -267,8 +267,8 @@ class Trajectory:
     def __init__(self, times, states):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if self.states.shape[:1] != self.times.shape or np.any(np.diff(self.times) <= 0):
+            raise ValueError("times must be strictly increasing, with one state per time")
         if not np.all(np.isfinite(self.states)):
             raise NonFiniteError("trajectory contains non-finite states")
 
@@ -323,18 +323,25 @@ def _hinit(field, signal, t0, t_end, u_end, x0, f0, sc):
     return float(min(100 * h0, h1, seg_span))
 
 
-def _steps(field, signal, x0, t_span, config=None):
-    """Accepted steps of x' = f(x, u(t)) over ``t_span`` as (t, x).
+def integrate(field: VectorField, signal: InputSignal, x0, t_span, config: IntegratorConfig | None = None) -> Trajectory:
+    """Solve x' = f(x, u(t)) over ``t_span`` with local error control.
 
-    ``x0`` is one state ``(n,)`` or a batch ``(N, n)`` advanced in lockstep
-    on one step size; a step is accepted only when the largest
-    per-trajectory error norm is at most 1.
+    ``x0`` is one state ``(n,)`` or a batch ``(N, n)`` of starts advanced in
+    lockstep, each stage making one field call on the whole batch (see
+    :class:`VectorField`); the starts share the signal's value, unless a
+    field with per-row inputs gets an ``(N, m)`` one.  A shared step is
+    accepted only when the largest per-row error norm is within tolerance,
+    so no row's local error is worse than it would be integrated alone.
+    Every input discontinuity inside the span is a step end, so each
+    Runge-Kutta step sees a smooth right-hand side.  There the stages
+    restart from a fresh derivative, but the step size and the controller
+    memory carry over to the next piece.  The span must be finite.
     """
     config = config or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ValueError("t_span must satisfy t1 > t0")
-    x = np.asarray(x0, dtype=float)
+    if not -math.inf < t0 < t1 < math.inf:
+        raise ValueError("t_span must be finite and satisfy t1 > t0")
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("initial state has non-finite entries")
     if x.ndim > 2 or x.shape[-1] != field.state_dim:
@@ -362,6 +369,7 @@ def _steps(field, signal, x0, t_span, config=None):
     sc, sc_x, sc_xi = np.empty(err_vec.shape), np.abs(x) * rel_tol + abs_tol, np.empty(err_vec.shape)
     h = None
     facold = 1e-4
+    ts, xs = [t0], [x.copy()]
     for t, t_end in zip(cuts[:-1], cuts[1:]):
         # Every stage at or past the segment end sees its left limit, so a
         # breakpoint never leaks across a step.
@@ -415,7 +423,8 @@ def _steps(field, signal, x0, t_span, config=None):
                 continue
             nonfinite_streak = 0
             if err <= 1.0:
-                yield t_next, xi
+                ts.append(t_next)
+                xs.append(xi)
                 t, x = t_next, xi
                 sc_x, sc_xi = sc_xi, sc_x
                 k[0] = k[6]
@@ -429,25 +438,4 @@ def _steps(field, signal, x0, t_span, config=None):
             else:
                 fac11 = err ** _EXPO
                 h = h_eff / min(1.0 / _FAC_MIN, fac11 / _SAFETY)
-
-
-def integrate(field: VectorField, signal: InputSignal, x0, t_span, config: IntegratorConfig | None = None) -> Trajectory:
-    """Solve x' = f(x, u(t)) over ``t_span`` with local error control.
-
-    ``x0`` is one state ``(n,)`` or a batch ``(N, n)`` of starts advanced in
-    lockstep, each stage making one field call on the whole batch (see
-    :class:`VectorField`); the starts share the signal's value, unless a
-    field with per-row inputs gets an ``(N, m)`` one.  A shared step is
-    accepted only when the largest per-row error norm is within tolerance,
-    so no row's local error is worse than it would be integrated alone.
-    Every input discontinuity inside the span is a step end, so each
-    Runge-Kutta step sees a smooth right-hand side.  There the stages
-    restart from a fresh derivative, but the step size and the controller
-    memory carry over to the next piece.
-    """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    ts, xs = [float(t_span[0])], [x0.copy()]
-    for t, x in _steps(field, signal, x0, t_span, config):
-        ts.append(t)
-        xs.append(x)
     return Trajectory(np.array(ts), np.array(xs))

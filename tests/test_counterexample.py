@@ -20,7 +20,7 @@ from contraction_lab.counterexample import (
     second_order_value,
     verify_ges,
 )
-from contraction_lab.dynamics import ConstantInput, IntegratorConfig, VectorField, integrate
+from contraction_lab.dynamics import ConstantInput, IntegratorConfig, Trajectory, VectorField, integrate
 from contraction_lab.errors import NoRootFoundError, NonFiniteError
 
 PRINTED_R_STAR = 2.79098840365914
@@ -245,11 +245,9 @@ class TestVerifyGes:
         assert cert.witness == {"x0": starts[i].tolist(), "t": float(traj.times[k])}
         assert type(cert.witness["t"]) is float
 
-    @pytest.mark.parametrize("block", [1, 5, counterexample._GES_BLOCK], ids=lambda b: f"block-{b}")
-    def test_witness_past_the_first_block(self, monkeypatch, block):
+    def test_witness_past_the_first_block(self):
         # Past the integrator's resolution the excess grows, so its first
-        # maximum is the 766th of 767 accepted steps, three default blocks in.
-        monkeypatch.setattr(counterexample, "_GES_BLOCK", block)
+        # maximum is the 766th of 767 accepted steps, near the end of the run.
         starts = random_initial_conditions(20, 10.0, seed=3)
         cert = verify_ges(starts, 60.0, 0.5)
         # Reference: the stored lockstep trajectory, scored at every step.
@@ -274,30 +272,26 @@ class TestVerifyGes:
         with pytest.raises(NonFiniteError, match=message):
             verify_ges(random_initial_conditions(100, 10.0, seed=0), horizon, rate)
 
-    @pytest.mark.parametrize("block", [1, counterexample._GES_BLOCK], ids=lambda b: f"block-{b}")
-    def test_tied_excess_keeps_the_earlier_witness(self, monkeypatch, block):
+    def test_tied_excess_keeps_the_earlier_witness(self, monkeypatch):
         # exp(-rate t) rounds to 1 at these times, so both steps reach the
         # excess 1 exactly, on different starts; the earlier step is the witness.
-        def steps(field, signal, x0, t_span, config):
-            yield 1e-20, np.array([[1.0, 0.0], [0.0, 2.0]])
-            yield 2e-20, np.array([[2.0, 0.0], [0.0, 1.0]])
+        def fake_integrate(field, signal, x0, t_span, config):
+            return Trajectory([0.0, 1e-20, 2e-20], [x0, [[1.0, 0.0], [0.0, 2.0]], [[2.0, 0.0], [0.0, 1.0]]])
 
-        monkeypatch.setattr(counterexample, "_steps", steps)
-        monkeypatch.setattr(counterexample, "_GES_BLOCK", block)
+        monkeypatch.setattr(counterexample, "integrate", fake_integrate)
         cert = verify_ges([[1.0, 0.0], [0.0, 1.0]], 1.0, 0.5)
         assert not cert.holds and cert.margin == 1.0
         assert cert.witness == {"x0": [0.0, 1.0], "t": 1e-20}
 
     def test_first_non_finite_step_is_named(self, monkeypatch):
-        # One block holds an infinite excess (the bound underflows) and, a step
-        # later, a NaN one (0/0); the NaN is the block's argmax, but the error
-        # names the earlier step, as a step-by-step scan does.
-        def steps(field, signal, x0, t_span, config):
-            yield 1.0, np.array([[1.0, 0.0], [0.0, 1.0]])
-            yield 1e4, np.array([[1.0, 0.0], [0.0, 1.0]])
-            yield 2e4, np.array([[0.0, 0.0], [0.0, 1.0]])
+        # The excess is infinite at one step (the bound underflows) and, a step
+        # later, NaN (0/0); the NaN is the argmax, but the error names the
+        # earlier step, as a step-by-step scan does.
+        def fake_integrate(field, signal, x0, t_span, config):
+            states = [x0, [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]]]
+            return Trajectory([0.0, 1.0, 1e4, 2e4], states)
 
-        monkeypatch.setattr(counterexample, "_steps", steps)
+        monkeypatch.setattr(counterexample, "integrate", fake_integrate)
         with pytest.raises(NonFiniteError, match=r"at t=10000\.0$"):
             verify_ges([[1.0, 0.0], [0.0, 1.0]], 3e4, 0.5)
 

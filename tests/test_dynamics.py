@@ -55,9 +55,12 @@ class TestIntegrate:
         traj = integrate(forced_linear(), sine_input(), [0.0], (0.0, 50.0))
         assert traj.final_state[0] == pytest.approx(linear_sine_solution(50.0), abs=1e-6)
 
-    def test_requires_forward_span(self):
+    @pytest.mark.parametrize(
+        "t_span", [(1.0, 0.0), (0.0, math.inf), (-math.inf, 1.0)], ids=["backward", "endless", "beginningless"]
+    )
+    def test_requires_forward_span(self, t_span):
         with pytest.raises(ValueError):
-            integrate(decay_field(), ConstantInput([0.0]), [1.0], (1.0, 0.0))
+            integrate(decay_field(), ConstantInput([0.0]), [1.0], t_span)
 
     def test_rejects_nonfinite_start(self):
         with pytest.raises(NonFiniteError):
@@ -226,9 +229,14 @@ class TestTrajectory:
             assert np.max(np.abs(batch[k] - alone)) <= 1e-8
             assert abs(batch[k, 0] - linear_sine_solution(span[1], x0[0])) <= 1e-8
 
-    def test_rejects_non_increasing_times(self):
+    @pytest.mark.parametrize(
+        "times, states",
+        [([0.0, 1.0, 1.0], [[0.0], [1.0], [2.0]]), ([0.0, 1.0], [[1.0], [2.0], [3.0]])],
+        ids=["repeated-time", "extra-state"],
+    )
+    def test_rejects_non_increasing_times(self, times, states):
         with pytest.raises(ValueError):
-            Trajectory([0.0, 1.0, 1.0], [[0.0], [1.0], [2.0]])
+            Trajectory(times, states)
 
     def test_rejects_nonfinite_states(self):
         with pytest.raises(NonFiniteError):
