@@ -208,8 +208,9 @@ def scalar_example_system():
 def linear_additive_field(dim: int = 1) -> VectorField:
     """x' = -x + u in the given dimension."""
     eye = np.eye(dim)
+    # u - x is -x + u bit for bit, signed zeros included, in one NumPy call.
     return VectorField(
-        lambda x, u: -x + u, dim, dim, jacobian=lambda x, u: -eye, name="linear additive", per_row_inputs=True
+        lambda x, u: u - x, dim, dim, jacobian=lambda x, u: -eye, name="linear additive", per_row_inputs=True
     )
 
 

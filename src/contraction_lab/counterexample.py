@@ -160,6 +160,11 @@ def find_r_star(search_interval=(0.1, 4.0), tol: float = 1e-13) -> RStarCertific
     )
 
 
+# (x * x) @ _ONES is x1^2 + x2^2 in both columns; x @ _QUARTER_TURN is (-x2, x1).
+_ONES = np.ones((2, 2))
+_QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
 def _field_rhs(x, u):
     # x is one state (2,) or a batch (N, 2); u is shared, or one row per state.
     # Both forms do the same arithmetic, so batch rows equal single states bit for bit.
@@ -168,11 +173,15 @@ def _field_rhs(x, u):
         (x1, x2), (u1, u2) = x.tolist(), u.tolist()
         s = float(np.sin(x1 * x1 + x2 * x2))
         return np.array([-x1 + 0.5 * x1 * s - x2 + u1, -x2 + 0.5 * x2 * s + x1 + u2])
+    # A batch makes nine NumPy calls on (N, 2) arrays.  Every matmul product
+    # is by 0 or +-1, hence exact, so with or without FMA and in any order an
+    # entry rounds as x1^2 + x2^2 does, or is -x2 or x1 plus a signed zero.
+    # That zero's sign shows only when the other coordinate is 0, and then the
+    # column it is added to is +0 or nonzero, so the sum is the same.
     out = 0.5 * x
-    out *= np.sin(np.add.reduce(x * x, axis=1))[:, None]
+    out *= np.sin(np.dot(x * x, _ONES))
     out -= x
-    out[:, 0] -= x[:, 1]
-    out[:, 1] += x[:, 0]
+    out += np.dot(x, _QUARTER_TURN)
     out += u
     return out
 
@@ -216,6 +225,8 @@ def circle_orbit_residual(r_star: float, sample_count: int) -> float:
     """
     if sample_count < 8:
         raise ValueError("sample_count must be at least 8")
+    if not math.isfinite(r_star):
+        raise ValueError(f"radius must be finite, got {r_star}")
     field, signal = build_counterexample(_canonical_radius())
     t = np.linspace(0.0, TWO_PI, sample_count, endpoint=False)
     gamma = r_star * np.column_stack([np.cos(t), np.sin(t)])

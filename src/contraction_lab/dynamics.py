@@ -225,6 +225,8 @@ class ConcatenatedInput(InputSignal):
     def __init__(self, u: InputSignal, v: InputSignal, t_switch: float):
         if u.dim != v.dim:
             raise ValueError("concatenated signals must share a dimension")
+        if not math.isfinite(t_switch):
+            raise ValueError(f"switch time must be finite, got {t_switch}")
         self.u = u
         self.v = v
         self.t_switch = float(t_switch)
@@ -344,7 +346,9 @@ def integrate(field: VectorField, signal: InputSignal, x0, t_span, config: Integ
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     if not np.all(np.isfinite(x)):
         raise NonFiniteError("initial state has non-finite entries")
-    if x.ndim > 2 or x.shape[-1] != field.state_dim:
+    if x.ndim > 2 or x.size == 0:
+        raise ValueError(f"initial state has shape {x.shape}: need one state (n,) or a non-empty batch (N, n)")
+    if x.shape[-1] != field.state_dim:
         raise ValueError(f"initial state has dimension {x.shape[-1]}, field expects {field.state_dim}")
     if signal.dim != field.input_dim:
         raise ValueError(f"input signal has dimension {signal.dim}, field expects {field.input_dim}")

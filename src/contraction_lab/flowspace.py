@@ -16,6 +16,8 @@ cross-module test.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .certificates import Certificate
@@ -128,8 +130,8 @@ class PiecewiseSchedule(PiecewiseConstantInput):
     Fractions must be positive and sum to 1 within 1e-12; they are
     renormalized exactly so the product of per-piece contraction factors
     telescopes to the full-span factor at machine precision.  Piece i
-    starts at t1 + (alpha_1 + ... + alpha_{i-1}) * (t2 - t1); values and
-    cuts must be finite, as for any step signal.
+    starts at t1 + (alpha_1 + ... + alpha_{i-1}) * (t2 - t1); the span,
+    values and cuts must be finite, as for any step signal.
     """
 
     def __init__(self, values, fractions, t1: float, t2: float):
@@ -141,8 +143,8 @@ class PiecewiseSchedule(PiecewiseConstantInput):
         total = float(np.sum(fracs))
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"fractions sum to {total}, expected 1 within 1e-12")
-        if not t2 > t1:
-            raise ValueError("span must satisfy t2 > t1")
+        if not -math.inf < t1 < t2 < math.inf:
+            raise ValueError("span must be finite and satisfy t2 > t1")
         self.fractions, self.t1, self.t2 = fracs / total, float(t1), float(t2)
         super().__init__(self.t1 + np.cumsum(self.fractions)[:-1] * self.span, values)
 

@@ -28,3 +28,20 @@ def scalar_system():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def bit_test_states(rng, r_star):
+    """``make(n)`` gives 100 states of dimension n for the batch/single bit
+    tests: three with exact zeros (r* on the first axis, -2 on the last, the
+    origin), then points of the ball of radius 10 that ges-sweep and
+    ges-check sample."""
+
+    def make(n):
+        edges = np.zeros((3, n))
+        edges[0, 0], edges[1, -1] = r_star, -2.0
+        ball = rng.normal(size=(97, n))
+        ball *= 10.0 * rng.uniform(size=(97, 1)) / np.linalg.norm(ball, axis=1, keepdims=True)
+        return np.concatenate([edges, ball])
+
+    return make

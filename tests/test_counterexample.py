@@ -139,15 +139,20 @@ class TestBuildCounterexample:
             assert np.allclose(signal.eval(t), signal.eval(t + 2 * math.pi), atol=1e-12)
 
     @pytest.mark.parametrize("make_field", STOCK_FIELDS.values(), ids=STOCK_FIELDS)
-    def test_batch_rows_equal_single_states(self, make_field, rng):
+    def test_batch_rows_equal_single_states(self, make_field, rng, bit_test_states):
+        # Byte for byte: the golden artifacts print %.17g, where -0 and 0 differ.
         field = make_field()
-        x = rng.uniform(-4.0, 4.0, size=(7, field.state_dim))
-        u = rng.uniform(-1.0, 1.0, size=field.input_dim)
-        values, jacobians = field(x, u), field.jacobian_x(x, u)
-        assert jacobians.shape == x.shape + (field.state_dim,)
-        for state, value, jacobian in zip(x, values, jacobians):
-            assert np.array_equal(value, field(state, u))
-            assert np.array_equal(jacobian, field.jacobian_x(state, u))
+        x = bit_test_states(field.state_dim)
+        for u in (np.zeros(field.input_dim), rng.uniform(-1.0, 1.0, size=field.input_dim)):
+            values = np.array([field(state, u) for state in x])
+            jacobians = np.array([field.jacobian_x(state, u) for state in x])
+            for size in (1, 2, 3, 100):
+                for i in range(0, len(x), size):
+                    rows = slice(i, i + size)
+                    assert field(x[rows], u).tobytes() == values[rows].tobytes()
+                    jacobian = field.jacobian_x(x[rows], u)
+                    assert jacobian.shape == x[rows].shape + (field.state_dim,)
+                    assert jacobian.tobytes() == jacobians[rows].tobytes()
 
     def test_batch_has_polar_form(self, rng):
         field = circle_field()
@@ -181,6 +186,8 @@ class TestCircleOrbitResidual:
     def test_sample_count_validation(self, r_star):
         with pytest.raises(ValueError):
             circle_orbit_residual(r_star, 4)
+        with pytest.raises(ValueError, match="finite"):
+            circle_orbit_residual(math.nan, 100)
 
     def test_one_field_call_with_one_input_per_sample(self, monkeypatch, r_star):
         # All samples go to the field in one call, row i with the input at t_i.

@@ -69,6 +69,11 @@ class TestIntegrate:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             integrate(decay_field(), ConstantInput([0.0, 1.0]), [1.0], (0.0, 1.0))
+        # An empty batch is refused before the starting step is estimated.
+        with pytest.raises(ValueError, match=r"shape \(0, 1\)"):
+            integrate(decay_field(), ConstantInput([0.0]), np.zeros((0, 1)), (0.0, 1.0))
+        with pytest.raises(ValueError, match=r"shape \(1, 1, 1\)"):
+            integrate(decay_field(), ConstantInput([0.0]), np.zeros((1, 1, 1)), (0.0, 1.0))
 
     def test_nonfinite_dynamics_raise(self):
         # The dynamics hit a NaN wall at x = 1; step reduction cannot save it.
@@ -263,6 +268,9 @@ class TestInputSignals:
     def test_concat_dimension_check(self):
         with pytest.raises(ValueError):
             concat(ConstantInput([1.0]), ConstantInput([1.0, 2.0]), 0.0)
+        # A NaN switch time would make the signal v everywhere, with no breakpoint.
+        with pytest.raises(ValueError, match="finite"):
+            concat(ConstantInput([1.0]), ConstantInput([2.0]), math.nan)
 
     def test_shift_of_constant(self):
         sig = shift_signal(ConstantInput([3.0]), 17.0)
@@ -403,15 +411,20 @@ class TestVectorField:
     @pytest.mark.parametrize(
         "make", [lambda: linear_additive_field(2), lambda: scalar_example_system()[0], circle_field]
     )
-    def test_stock_per_row_inputs_match_shared_input_calls(self, make, rng):
+    def test_stock_per_row_inputs_match_shared_input_calls(self, make, rng, bit_test_states):
+        # Byte for byte: the golden artifacts print %.17g, where -0 and 0 differ.
         field = make()
         assert field.per_row_inputs
-        x = rng.uniform(-3.0, 3.0, size=(9, field.state_dim))
-        u = rng.uniform(-2.0, 2.0, size=(9, field.input_dim))
-        rows = field(x, u)
+        x = bit_test_states(field.state_dim)
+        u = rng.uniform(-2.0, 2.0, size=(len(x), field.input_dim))
+        u[:3] = 0.0  # the rows with exact zeros are also unforced
+        singles = np.array([field(x[i], u[i]) for i in range(len(x))])
         for i in range(len(x)):
-            assert np.array_equal(rows[i], field(x[i], u[i]))
-            assert np.array_equal(rows[i : i + 1], field(x[i : i + 1], u[i]))
+            assert field(x[i : i + 1], u[i]).tobytes() == singles[i].tobytes()
+        for size in (1, 2, 3, 100):
+            for i in range(0, len(x), size):
+                rows = slice(i, i + size)
+                assert field(x[rows], u[rows]).tobytes() == singles[rows].tobytes()
 
 
 class TestIntegratorConfig:

@@ -132,6 +132,9 @@ class TestSchedule:
             PiecewiseSchedule([[0.0], [1.0]], [1.0, -0.0001], 0.0, 1.0)
         with pytest.raises(ValueError):
             PiecewiseSchedule([[0.0]], [1.0], 1.0, 1.0)
+        # An infinite span would make every contraction factor 0.0.
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseSchedule([[0.1]], [1.0], 0.0, math.inf)
 
     def test_step_signal_piece_layout(self):
         sched = PiecewiseSchedule([[1.0], [2.0], [3.0]], [0.25, 0.25, 0.5], 0.0, 4.0)
