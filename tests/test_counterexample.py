@@ -146,7 +146,8 @@ class TestBuildCounterexample:
         for u in (np.zeros(field.input_dim), rng.uniform(-1.0, 1.0, size=field.input_dim)):
             values = np.array([field(state, u) for state in x])
             jacobians = np.array([field.jacobian_x(state, u) for state in x])
-            for size in (1, 2, 3, 100):
+            assert field(x[:0], u).shape == (0, field.state_dim)
+            for size in (1, 2, 3, 4, 5, 100):
                 for i in range(0, len(x), size):
                     rows = slice(i, i + size)
                     assert field(x[rows], u).tobytes() == values[rows].tobytes()
@@ -302,6 +303,14 @@ class TestVerifyGes:
         with pytest.raises(NonFiniteError, match=r"at t=10000\.0$"):
             verify_ges([[1.0, 0.0], [0.0, 1.0]], 3e4, 0.5)
 
+    def test_generator_scan_is_computed_once_and_read_only(self):
+        starts = random_initial_conditions(3, 10.0, seed=1)
+        assert verify_ges(starts, 5.0, 0.5).to_json() == verify_ges(starts, 5.0, 0.5).to_json()
+        for array in counterexample._ges_scan():
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        assert counterexample._ges_scan.cache_info().misses <= 1
+
     @pytest.mark.parametrize(
         "horizon, rate",
         [(1.0, 0.0), (1.0, math.nan), (1.0, math.inf), (math.nan, 0.5), (math.inf, 0.5), (0.0, 0.5), (-1.0, 0.5)],
@@ -401,3 +410,10 @@ class TestRandomInitialConditions:
         b = random_initial_conditions(100, 10.0, seed=0)
         assert np.array_equal(a, b)
         assert np.all(np.linalg.norm(a, axis=1) <= 10.0)
+        assert np.array_equal(random_initial_conditions(3, 0.0), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_rejects_negative_or_non_finite_radius(self, radius):
+        # NaN gave rows of NaN and -1 gave points of the unit disk.
+        with pytest.raises(ValueError, match=f"got {radius}$"):
+            random_initial_conditions(3, radius)

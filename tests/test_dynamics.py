@@ -421,7 +421,7 @@ class TestVectorField:
         singles = np.array([field(x[i], u[i]) for i in range(len(x))])
         for i in range(len(x)):
             assert field(x[i : i + 1], u[i]).tobytes() == singles[i].tobytes()
-        for size in (1, 2, 3, 100):
+        for size in (1, 2, 3, 4, 5, 100):
             for i in range(0, len(x), size):
                 rows = slice(i, i + size)
                 assert field(x[rows], u[rows]).tobytes() == singles[rows].tobytes()
