@@ -3,8 +3,9 @@
 Every experiment writes a machine-readable JSON verdict (UTF-8, newline
 terminated, fixed key order, 17-significant-digit floats) and exits 0 only
 when its claim is confirmed.  Exit codes: 0 confirmed, 1 claim refuted,
-2 numerical failure, 64 usage error.  Flag values are validated at parse
-time, so a bad value exits 64 before anything runs or is written.
+2 numerical failure or an inconclusive run (``"confirmed": null``), 64 usage
+error.  Flag values are validated at parse time, so a bad value exits 64
+before anything runs or is written.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .errors import ContractionLabError, NoRootFoundError
 
 # name -> (claim, {flag: default} for the flags taken beyond the common
 # out/format/seed set, runner), in the order the experiments are defined below.
+# A runner returns (confirmed, payload, csv writers), where confirmed is True,
+# False, or None when the evidence decides neither way.
 _EXPERIMENTS = {}
 
 
@@ -149,12 +152,16 @@ def _exp_divergence(args):
     report = entrainment.counterexample_divergence(r_star, args.delta, args.periods)
     field, signal = counterexample.build_counterexample(r_star)
     verdict = entrainment.detect_entrainment(field, signal, [[r_star, 0.0], [r_star - args.delta, 0.0]])
-    confirmed = (
+    moved_away = (
         report.grew
         and report.distances[1] > report.distances[0]
         and report.monotone_prefix >= min(3, args.periods)
-        and verdict.status == entrainment.DIVERGES
     )
+    confirmed = bool(moved_away) and verdict.status == entrainment.DIVERGES
+    if moved_away and verdict.status == entrainment.INCONCLUSIVE:
+        # Near the saddle-node at r_star a start escapes slowly, and the
+        # return-map iterates may neither converge nor double apart in time.
+        confirmed = None
     payload = {
         "divergence": report.to_dict(),
         "verdict": verdict.status,
@@ -324,8 +331,14 @@ def _exp_flow_limit(args):
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
+_EXIT_CODES = {True: 0, False: 1, None: 2}
+_VERDICTS = {True: "confirmed", False: "REFUTED", None: "INCONCLUSIVE"}
+_REPORT_VERDICTS = {True: "pass", False: "FAIL", None: "inconclusive"}
+
+
 def _conclude(doc: dict, text: str, out_dir, fmt: str = "json", csvs=()) -> int:
-    """Write ``doc`` as ``text`` under ``out_dir`` unless it is None; exit 0 confirmed, 1 refuted, 2 unwritable."""
+    """Write ``doc`` as ``text`` under ``out_dir`` unless it is None; exit 0
+    confirmed, 1 refuted, 2 inconclusive or unwritable."""
     if out_dir is not None:
         try:
             os.makedirs(out_dir, exist_ok=True)
@@ -338,7 +351,7 @@ def _conclude(doc: dict, text: str, out_dir, fmt: str = "json", csvs=()) -> int:
         except OSError as exc:
             print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
             return 2
-    return 0 if doc["confirmed"] else 1
+    return _EXIT_CODES[doc["confirmed"]]
 
 
 def _cmd_find_rstar(args) -> int:
@@ -372,23 +385,26 @@ def _cmd_run(parser, args) -> int:
     except ContractionLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    doc = {"experiment": args.experiment, "claim": claim, "confirmed": bool(confirmed), "seed": args.seed, **payload}
+    confirmed = None if confirmed is None else bool(confirmed)
+    doc = {"experiment": args.experiment, "claim": claim, "confirmed": confirmed, "seed": args.seed, **payload}
     try:
         text = dumps_fixed(doc)  # before the verdict line: a non-finite value gets no verdict
     except ValueError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    print(f"{args.experiment}: {'confirmed' if confirmed else 'REFUTED'} -- {claim}")
+    print(f"{args.experiment}: {_VERDICTS[confirmed]} -- {claim}")
     return _conclude(doc, text, args.out, args.format, csvs)
 
 
 def _artifact_fields(doc) -> tuple:
-    """(experiment, claim, confirmed) of an artifact; TypeError if mistyped."""
+    """(experiment, claim, confirmed) of an artifact; TypeError if mistyped.
+
+    ``confirmed`` is a boolean, or None for an inconclusive run."""
     if not isinstance(doc, dict):
         raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
     experiment, claim, confirmed = doc["experiment"], doc["claim"], doc["confirmed"]
-    if not (isinstance(experiment, str) and isinstance(claim, str) and isinstance(confirmed, bool)):
-        raise TypeError("'experiment' and 'claim' must be strings and 'confirmed' a boolean")
+    if not (isinstance(experiment, str) and isinstance(claim, str) and (confirmed is None or isinstance(confirmed, bool))):
+        raise TypeError("'experiment' and 'claim' must be strings and 'confirmed' a boolean or null")
     return experiment, claim, confirmed
 
 
@@ -408,11 +424,11 @@ def _cmd_report(args) -> int:
         except (json.JSONDecodeError, KeyError, TypeError, UnicodeDecodeError, OSError) as exc:
             print(f"error: unreadable output {path}: {exc}", file=sys.stderr)
             return 2
-        rows.append((experiment, "pass" if confirmed else "FAIL", claim))
+        rows.append((experiment, _REPORT_VERDICTS[confirmed], claim))
     width = max((len(r[0]) for r in rows), default=10)
-    print(f"{'experiment':<{width}}  verdict  claim")
+    print(f"{'experiment':<{width}}  {'verdict':<12}  claim")
     for experiment, verdict, claim in rows:
-        print(f"{experiment:<{width}}  {verdict:<7}  {claim}")
+        print(f"{experiment:<{width}}  {verdict:<12}  {claim}")
     return 0
 
 

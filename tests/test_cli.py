@@ -110,6 +110,18 @@ class TestRun:
         doc = json.loads((tmp_path / "ges-check.json").read_text())
         assert doc["confirmed"] is False
 
+    def test_inconclusive_divergence_exits_2_and_reports_inconclusive(self, tmp_path, capsys):
+        # A start 1e-6 inside r_star escapes too slowly for the return-map
+        # verdict to settle, though the start does move away: inconclusive,
+        # not refuted.
+        assert run_cli("run", "divergence", "--delta", "1e-6", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().out.startswith("divergence: INCONCLUSIVE -- ")
+        doc = json.loads((tmp_path / "divergence.json").read_text())
+        assert doc["confirmed"] is None
+        assert doc["verdict"] == "inconclusive" and doc["divergence"]["grew"] is True
+        assert run_cli("report", str(tmp_path)) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["divergence", "inconclusive"]
+
     @pytest.mark.parametrize(
         "argv",
         [

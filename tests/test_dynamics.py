@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from contraction_lab import flowspace
+from contraction_lab import dynamics, flowspace
 from contraction_lab.contraction import linear_additive_field, scalar_example_system
 from contraction_lab.counterexample import circle_field
 from contraction_lab.dynamics import (
@@ -473,6 +473,32 @@ class TestGoldenBits:
             ["-0x1.4ff95ca9a287cp-7", "-0x1.15e4d7d8f135ep-2"],
         ]
 
+    def test_lockstep_batch_above_the_norm_cut(self):
+        # 32 floats: the error norm takes the NumPy branch.
+        theta = np.linspace(0.0, TWO_PI, 16, endpoint=False)
+        starts = 3.0 * np.column_stack([np.cos(theta), np.sin(theta)])
+        assert starts.size > dynamics._PYTHON_NORM_MAX
+        traj = integrate(circle_field(), ConstantInput.zero(2), starts, (0.0, TWO_PI))
+        assert len(traj.times) - 1 == 213
+        assert [[float(v).hex() for v in row] for row in traj.final_state] == [
+            ["0x1.84c13cf249972p-7", "0x1.62ff410000000p-38"],
+            ["0x1.6729a28811370p-7", "0x1.298a420e9c466p-8"],
+            ["0x1.12e4246ca691ap-7", "0x1.12e4247092a67p-7"],
+            ["0x1.298a42045c7aep-8", "0x1.6729a28a309e9p-7"],
+            ["-0x1.62ff410000000p-38", "0x1.84c13cf249972p-7"],
+            ["-0x1.298a420e9c466p-8", "0x1.6729a28811370p-7"],
+            ["-0x1.12e4247092a67p-7", "0x1.12e4246ca691ap-7"],
+            ["-0x1.6729a28a309f9p-7", "0x1.298a42045c7b9p-8"],
+            ["-0x1.84c13cf24996dp-7", "-0x1.62ff420000000p-38"],
+            ["-0x1.6729a28811374p-7", "-0x1.298a420e9c462p-8"],
+            ["-0x1.12e4246ca691ap-7", "-0x1.12e4247092a67p-7"],
+            ["-0x1.298a42045c7bfp-8", "-0x1.6729a28a309edp-7"],
+            ["0x1.62ff320000000p-38", "-0x1.84c13cf249976p-7"],
+            ["0x1.298a420e9c466p-8", "-0x1.6729a28811370p-7"],
+            ["0x1.12e4247092a67p-7", "-0x1.12e4246ca691bp-7"],
+            ["0x1.6729a28a309edp-7", "-0x1.298a42045c7bfp-8"],
+        ]
+
     def test_non_finite_stage_retry(self):
         # The run of test_nonfinite_interior_stage_is_retried: field call 11
         # is NaN, so the second step is rejected and retried.
@@ -485,6 +511,34 @@ class TestGoldenBits:
         traj = integrate(VectorField(f, 1, 1), ConstantInput([0.0]), [1.0], (0.0, 1.0))
         assert len(traj.times) - 1 == 21
         assert [float(v).hex() for v in traj.final_state] == ["0x1.78b56363ac6c7p-2"]
+
+    @pytest.mark.parametrize("case", ["forced", "batch", "schedule", "nan-retry"])
+    def test_error_norm_is_the_same_on_both_sides_of_the_cut(self, case, forced_system, r_star, monkeypatch):
+        def run():
+            if case == "forced":
+                return integrate(*forced_system, [r_star, 0.0], (0.0, TWO_PI))
+            if case == "batch":
+                starts = [[1.0, 0.0], [0.0, -2.0], [-0.5, 0.25]]
+                return integrate(circle_field(), ConstantInput.zero(2), starts, (0.0, TWO_PI))
+            if case == "schedule":
+                schedule = PiecewiseSchedule([[-1.0], [2.0], [0.5]], [0.25, 0.5, 0.25], 0.0, 2.0)
+                return integrate(linear_additive_field(1), schedule, [0.3], (0.0, 2.0))
+            # The NaN field of test_non_finite_stage_retry.
+            calls = []
+
+            def f(x, u):
+                calls.append(None)
+                return np.full_like(x, np.nan) if len(calls) == 11 else -x
+
+            return integrate(VectorField(f, 1, 1), ConstantInput([0.0]), [1.0], (0.0, 1.0))
+
+        runs = []
+        for cut in (0, 10**6):
+            monkeypatch.setattr(dynamics, "_PYTHON_NORM_MAX", cut)
+            runs.append(run())
+        numpy_run, python_run = runs
+        assert python_run.times.tobytes() == numpy_run.times.tobytes()
+        assert python_run.states.tobytes() == numpy_run.states.tobytes()
 
     def test_per_row_inputs_across_schedule_breakpoints(self, monkeypatch):
         runs = []
