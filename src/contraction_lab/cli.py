@@ -25,15 +25,16 @@ from .dynamics import PeriodicInput, concat, integrate, shift_signal
 from .errors import ContractionLabError, NoRootFoundError
 
 # name -> (claim, {flag: default} for the flags taken beyond the common
-# out/format/seed set, runner), in the order the experiments are defined below.
-# A runner returns (confirmed, payload, csv writers), where confirmed is True,
-# False, or None when the evidence decides neither way.
+# out/format/seed set, runner, whether it writes CSV), in the order the
+# experiments are defined below.  A runner returns (confirmed, payload, csv
+# writers), where confirmed is True, False, or None when the evidence decides
+# neither way.
 _EXPERIMENTS = {}
 
 
-def _experiment(name: str, claim: str, **defaults):
+def _experiment(name: str, claim: str, writes_csv: bool = False, **defaults):
     def register(run):
-        _EXPERIMENTS[name] = (claim, defaults, run)
+        _EXPERIMENTS[name] = (claim, defaults, run, writes_csv)
         return run
 
     return register
@@ -113,7 +114,9 @@ def _build_parser() -> _Parser:
 
 
 def _check_params(parser, args) -> None:
-    _, defaults, _ = _EXPERIMENTS[args.experiment]
+    _, defaults, _, writes_csv = _EXPERIMENTS[args.experiment]
+    if args.format == "csv" and not writes_csv:
+        parser.error(f"experiment {args.experiment!r} writes no CSV; use --format json or both")
     for flag in ("grid", "tol", "horizon", "periods", "rate", "delta"):
         if getattr(args, flag) is None:
             setattr(args, flag, defaults.get(flag))
@@ -144,6 +147,7 @@ def _exp_circle_orbit(args):
 @_experiment(
     "divergence",
     "a start just inside the forced orbit moves away from it and never returns",
+    writes_csv=True,
     delta=0.1,
     periods=10,
 )
@@ -379,7 +383,7 @@ def _cmd_find_rstar(args) -> int:
 
 def _cmd_run(parser, args) -> int:
     _check_params(parser, args)
-    claim, _, run = _EXPERIMENTS[args.experiment]
+    claim, _, run, _ = _EXPERIMENTS[args.experiment]
     try:
         confirmed, payload, csvs = run(args)
     except ContractionLabError as exc:

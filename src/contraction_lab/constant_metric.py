@@ -194,13 +194,7 @@ def example_3d_system():
         ]
     )
     eye = np.eye(3)
-    field = VectorField(
-        lambda x, u: -x + bmat @ u,
-        3,
-        4,
-        jacobian=lambda x, u: -eye,
-        name="diagonal 3d with 4 input channels",
-    )
+    field = VectorField(lambda x, u: -x + bmat @ u, 3, 4, jacobian=lambda x, u: -eye)
     family = InputSequenceFamily(k=4, generator=lambda i, j: float(i) * np.eye(4)[j - 1])
     return field, family
 

@@ -192,12 +192,7 @@ def scalar_example_system():
     :func:`check_contraction_region` and :func:`find_violating_input`.
     """
     field = VectorField(
-        lambda x, u: radial_f(x) + u,
-        1,
-        1,
-        jacobian=lambda x, u: radial_f_slope(x)[..., None],
-        name="scalar oscillatory-drift system",
-        per_row_inputs=True,
+        lambda x, u: radial_f(x) + u, 1, 1, jacobian=lambda x, u: radial_f_slope(x)[..., None], per_row_inputs=True
     )
     metric = RiemannianMetric.from_scalar(
         scalar_metric, scalar_metric_derivative, lower_bound=4.0 / 9.0, name="inverse-square drift metric"
@@ -209,9 +204,7 @@ def linear_additive_field(dim: int = 1) -> VectorField:
     """x' = -x + u in the given dimension."""
     eye = np.eye(dim)
     # u - x is -x + u bit for bit, signed zeros included, in one NumPy call.
-    return VectorField(
-        lambda x, u: u - x, dim, dim, jacobian=lambda x, u: -eye, name="linear additive", per_row_inputs=True
-    )
+    return VectorField(lambda x, u: u - x, dim, dim, jacobian=lambda x, u: -eye, per_row_inputs=True)
 
 
 def _axes(region, resolution):

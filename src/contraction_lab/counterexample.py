@@ -56,13 +56,9 @@ def radial_f_slope(r):
 
 
 def second_order_value(r):
-    """Concavity indicator 3r cos(r^2) - 2r^2 sin(r^2); negative at maxima.
-
-    At stationary radii its sign agrees with the sign of f'' over the
-    scanned range, so it separates maxima from minima of the radial drift.
-    """
+    """f''(r) = 3r cos(r^2) - 2r^3 sin(r^2); negative at a strict local maximum."""
     r = np.asarray(r, dtype=float)
-    return _float_if_scalar(3.0 * r * np.cos(r * r) - 2.0 * r * r * np.sin(r * r))
+    return _float_if_scalar(3.0 * r * np.cos(r * r) - 2.0 * r**3 * np.sin(r * r))
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,7 @@ class RStarCertificate(JsonRecord):
 
     r_star               -- the radius
     first_order_residual -- f'(r_star), must vanish to 1e-12
-    second_order_value   -- concavity indicator, must be strictly negative
+    second_order_value   -- f''(r_star), must be strictly negative
     f_at_rstar           -- f(r_star), must satisfy f(r_star) <= -r_star/2
     """
 
@@ -101,11 +97,13 @@ def _scan_fits(a: float, b: float) -> bool:
 def find_r_star(search_interval=(0.1, 4.0), tol: float = 1e-13) -> RStarCertificate:
     """Smallest strict local maximizer of the radial drift in the interval.
 
-    Brackets sign changes of f' by a dense scan (step 1e-3), refines each by
-    bisection to ``tol``, polishes with Newton steps, and accepts the first
-    root whose concavity indicator is strictly negative.  An interval whose
-    scan would exceed a million points (wider than 1000), or a ``tol`` that
-    is not finite and positive, raises ``ValueError`` before the scan.
+    f' falls from positive to negative exactly at a strict local maximum of
+    f, so a dense scan of f' (step 1e-3) finds its first falling crossing,
+    which is bisected to ``tol`` and polished with Newton steps on f''.  An
+    interval with no falling crossing raises ``NoRootFoundError``.  An
+    interval whose scan would exceed a million points (wider than 1000), or
+    a ``tol`` that is not finite and positive, raises ``ValueError`` before
+    the scan.
     """
     a, b = float(search_interval[0]), float(search_interval[1])
     if not (0 < a < b):
@@ -118,45 +116,38 @@ def find_r_star(search_interval=(0.1, 4.0), tol: float = 1e-13) -> RStarCertific
     if grid[-1] < b:
         grid = np.append(grid, b)
     vals = radial_f_slope(grid)
-    signs = np.sign(vals)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    for i in flips:
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        flo = radial_f_slope(lo)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):  # lo and hi are adjacent floats; the bracket cannot shrink
-                break
-            fmid = radial_f_slope(mid)
-            if flo * fmid <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        root = 0.5 * (lo + hi)
-        # Newton polish: the bisection root is accurate to ~tol; a couple of
-        # steps with the analytic derivative push the residual to the
-        # floating-point floor.
-        for _ in range(3):
-            g = radial_f_slope(root)
-            dg = 3.0 * root * np.cos(root * root) - 2.0 * root**3 * np.sin(root * root)
-            if dg == 0:
-                break
-            nxt = root - g / dg
-            if not (lo - _SCAN_STEP <= nxt <= hi + _SCAN_STEP):
-                break
-            if abs(radial_f_slope(nxt)) < abs(g):
-                root = nxt
-            else:
-                break
-        if second_order_value(root) < 0:
-            return RStarCertificate(
-                r_star=float(root),
-                first_order_residual=radial_f_slope(root),
-                second_order_value=second_order_value(root),
-                f_at_rstar=radial_f(root),
-            )
-    raise NoRootFoundError(
-        f"no stationary radius with negative concavity in [{a}, {b}]"
+    falls = np.nonzero((vals[:-1] > 0) & (vals[1:] < 0))[0]
+    if not len(falls):
+        raise NoRootFoundError(f"f' has no falling crossing in [{a}, {b}]")
+    i = falls[0]
+    lo, hi = float(grid[i]), float(grid[i + 1])
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # lo and hi are adjacent floats; the bracket cannot shrink
+            break
+        if radial_f_slope(mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+    root = 0.5 * (lo + hi)
+    # Newton polish: the bisection root is accurate to ~tol; a couple of
+    # steps with f'' push the residual to the floating-point floor.
+    for _ in range(3):
+        g, dg = radial_f_slope(root), second_order_value(root)
+        if dg == 0:
+            break
+        nxt = root - g / dg
+        if not (lo - _SCAN_STEP <= nxt <= hi + _SCAN_STEP):
+            break
+        if abs(radial_f_slope(nxt)) < abs(g):
+            root = nxt
+        else:
+            break
+    return RStarCertificate(
+        r_star=float(root),
+        first_order_residual=radial_f_slope(root),
+        second_order_value=second_order_value(root),
+        f_at_rstar=radial_f(root),
     )
 
 
@@ -222,7 +213,7 @@ def _field_jacobian(x, u):
 
 def circle_field() -> VectorField:
     """The planar vector field with radial drift f(r) and unit rotation."""
-    return VectorField(_field_rhs, 2, 2, jacobian=_field_jacobian, name="circle-forcing example", per_row_inputs=True)
+    return VectorField(_field_rhs, 2, 2, jacobian=_field_jacobian, per_row_inputs=True)
 
 
 def build_counterexample(r_star: float):

@@ -91,12 +91,11 @@ class VectorField:
     Without an analytic ``jacobian``, central differences with step 1e-6 stand in.
     """
 
-    def __init__(self, f, state_dim: int, input_dim: int, jacobian=None, name: str = "", per_row_inputs: bool = False):
+    def __init__(self, f, state_dim: int, input_dim: int, jacobian=None, per_row_inputs: bool = False):
         self._f = f
         self.state_dim = int(state_dim)
         self.input_dim = int(input_dim)
         self._jacobian = jacobian
-        self.name = name
         self.per_row_inputs = bool(per_row_inputs)
 
     def __call__(self, x, u) -> np.ndarray:
@@ -142,9 +141,6 @@ class InputSignal:
     def shifted(self, offset: float) -> "InputSignal":
         """Signal s with s(t) = self(t + offset)."""
         raise NotImplementedError
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.eval(t)
 
 
 class ConstantInput(InputSignal):

@@ -64,10 +64,9 @@ class FlowMap:
     within integrator tolerance.
     """
 
-    def __init__(self, apply_fn, name: str = ""):
+    def __init__(self, apply_fn):
         self._apply = apply_fn
         self._apply_each = None
-        self.name = name
 
     def apply(self, signal: InputSignal, t1: float, t2: float, points) -> np.ndarray:
         points = np.atleast_1d(np.asarray(points, dtype=float))
@@ -119,7 +118,7 @@ def flow_from_field(field: VectorField, config: IntegratorConfig | None = None) 
         images = apply_fn(_StackedInput(signals, len(rows)), t1, t2, np.tile(rows, (len(signals), 1)))
         return images.reshape((len(signals),) + points.shape)
 
-    flow = FlowMap(apply_fn, name=field.name or "ode flow")
+    flow = FlowMap(apply_fn)
     flow._apply_each = each_fn if field.per_row_inputs else None
     return flow
 

@@ -234,6 +234,16 @@ class TestRun:
         assert not (tmp_path / "divergence.json").exists()
         assert (tmp_path / "divergence_perturbed.csv").exists()
 
+    @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "divergence"])
+    def test_csv_only_format_refused_without_csv_output(self, tmp_path, capsys, experiment):
+        # Only divergence writes CSV; elsewhere --format csv would write no file at all.
+        out = tmp_path / "out"
+        assert run_cli("run", experiment, "--format", "csv", "--out", str(out)) == 64
+        captured = capsys.readouterr()
+        assert "writes no CSV" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestReport:
     def test_empty_directory(self, tmp_path, capsys):

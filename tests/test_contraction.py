@@ -46,7 +46,7 @@ def twisted_field():
         jac[..., 0, 1], jac[..., 1, 0] = u[0] * sech2[..., 0], u[1] * sech2[..., 1]
         return jac
 
-    return VectorField(lambda x, u: -x + u * np.tanh(x[..., ::-1]), 2, 2, jacobian=jacobian, name="twisted")
+    return VectorField(lambda x, u: -x + u * np.tanh(x[..., ::-1]), 2, 2, jacobian=jacobian)
 
 
 def log_calls(log, name, fn):
@@ -248,7 +248,7 @@ class TestCheckContractionRegion:
             calls.append("metric")
             return np.eye(metric_dim)
 
-        field = VectorField(f, 1, 1, name="counting")
+        field = VectorField(f, 1, 1)
         metric = RiemannianMetric(metric_dim, evaluate, lambda x: np.zeros((metric_dim,) * 3))
         with pytest.raises(DimensionMismatchError):
             check_contraction_region(field, metric, region, 5, BETA, c)
@@ -316,6 +316,20 @@ class TestUniformContraction:
         half = 10.0 * math.sqrt(m)
         cert = check_uniform_contraction(field, metric, (-1.0, 1.0), 5, (-half, half), 2001, 1.0)
         assert cert.holds
+
+    @pytest.mark.parametrize("input_count", [2, 5, 101])
+    def test_input_box_ends_decide_the_bump_certificate(self, input_count):
+        # For x' = -x + u the value at each state is affine in c, and every
+        # operation on c rounds correctly and monotonically, so it is monotone
+        # in c: the box's two ends give the margin and witness of any finer
+        # input sample, bit for bit.
+        m, _ = bounded_metric_m_parameter(1.0)
+        half = 10.0 * math.sqrt(m)
+        cert = check_uniform_contraction(
+            linear_additive_field(1), bounded_example_metric(m), (-1.0, 1.0), input_count, (-half, half), 2001, 1.0
+        )
+        assert cert.margin.hex() == "-0x1.b59b734f43140p-4"
+        assert cert.witness == {"x": [-1.4849242404917504], "c": [1.0]}
 
     def test_rate_transfers_to_switched_signals(self):
         # With the uniform certificate at rate beta, trajectory pairs under a

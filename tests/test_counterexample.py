@@ -61,6 +61,12 @@ class TestRadialDrift:
             fd = (radial_f(r + h) - radial_f(r - h)) / (2 * h)
             assert radial_f_slope(r) == pytest.approx(fd, abs=1e-8)
 
+    def test_second_order_value_is_second_derivative(self):
+        h = 1e-6
+        for r in (0.7, 1.9, 3.3):
+            fd = (radial_f_slope(r + h) - radial_f_slope(r - h)) / (2 * h)
+            assert second_order_value(r) == pytest.approx(fd, rel=1e-6)
+
 
 class TestFindRStar:
     def test_matches_printed_value(self, r_star_cert):
@@ -80,9 +86,18 @@ class TestFindRStar:
         assert again.r_star == r_star_cert.r_star
         assert again.to_json() == r_star_cert.to_json()
 
+    def test_bits_of_printed_radius(self, r_star_cert):
+        assert r_star_cert.r_star.hex() == "0x1.653f1ba69d99fp+1"
+        assert r_star_cert.second_order_value == second_order_value(r_star_cert.r_star)
+
     def test_no_root_below_one(self):
         with pytest.raises(NoRootFoundError):
             find_r_star((0.1, 1.0), 1e-13)
+
+    def test_rising_crossing_alone_is_no_maximum(self):
+        # f' rises through zero at the local minimum r = 2.2387 of f.
+        with pytest.raises(NoRootFoundError):
+            find_r_star((2.0, 2.5), 1e-13)
 
     def test_next_maximum(self):
         cert = find_r_star((3.0, 6.0), 1e-13)
