@@ -155,39 +155,48 @@ def find_r_star(search_interval=(0.1, 4.0), tol: float = 1e-13) -> RStarCertific
 _ONES = np.ones((2, 2))
 _QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-# Batches of up to this many states are done row by row in Python floats: on
-# a tiny batch NumPy's per-call dispatch, not arithmetic, sets the cost.  The
-# median µs per call, Python-float rows / NumPy branch (2-vCPU Xeon VM,
-# Python 3.11, NumPy 2.4), with a shared input and with one input per row:
-#   rows       2          3          4          5          100
-#   shared     2.5 / 5.2  3.1 / 4.8  3.7 / 4.8  4.5 / 5.1  73 / 8.4
-#   per row    2.4 / 4.1  3.2 / 4.2  4.0 / 4.3  4.8 / 4.3  80 / 6.9
+# Batches of up to this many states take the row loop: on a tiny batch NumPy's
+# per-call dispatch, not arithmetic, sets the cost.  Median µs per call, row
+# loop / NumPy branch (2-vCPU Xeon VM, Python 3.11, NumPy 2.4), with a shared
+# input and with one input per row; the cut is the last size where both win:
+#   rows       2          3          4          5          6          8
+#   shared     1.7 / 4.8  2.1 / 5.0  2.6 / 5.0  3.0 / 5.0  3.3 / 4.9  4.0 / 4.8
+#   per row    2.5 / 4.0  3.1 / 4.2  3.9 / 4.2  4.7 / 4.3  5.2 / 4.3  6.4 / 4.3
 _PYTHON_ROWS_MAX = 4
 # Bound once: two module attribute lookups are about 3% of a single-state call.
 _sin, _array = math.sin, np.array
 
 
-def _state_rhs(x, u):
-    # One state and its input as Python floats, which dispatch faster than NumPy scalars.
-    (x1, x2), (u1, u2) = x, u
-    r2 = x1 * x1 + x2 * x2
-    # math.sin(inf) raises; an overflowed r^2 gives NaN, as np.sin does.
-    s = _sin(r2) if r2 != math.inf else math.nan
-    return [-x1 + 0.5 * x1 * s - x2 + u1, -x2 + 0.5 * x2 * s + x1 + u2]
+def _rows_rhs(rows, u1, u2):
+    # The field's one Python-float spelling, for rows of Python floats (cheaper
+    # than NumPy scalars) under one input; the derivatives come back flat.
+    out = []
+    for x1, x2 in rows:
+        r2 = x1 * x1 + x2 * x2
+        # math.sin(inf) raises; an overflowed r^2 gives NaN, as np.sin does.
+        s = _sin(r2) if r2 != math.inf else math.nan
+        out += (-x1 + 0.5 * x1 * s - x2 + u1, -x2 + 0.5 * x2 * s + x1 + u2)
+    return out
 
 
 def _field_rhs(x, u):
     # x is one state (2,) or a batch (N, 2); u is shared, or one row per state.
-    # The Python-float rows and the NumPy branch do the same arithmetic, and
-    # math.sin equals np.sin bit for bit with NumPy 2.4 on x86-64 (5M samples
-    # over [0, 1e8] and 1M log-uniform up to 1e308), so a batch's rows equal
-    # single states bit for bit on either side of the cut.
+    # A state or small batch under a shared input is one row-loop call, one
+    # input per row a call a row; u is unpacked, not splatted, so an input of
+    # another length raises ValueError, as in the NumPy branch.  Both do the
+    # same arithmetic, and math.sin equals np.sin bit for bit with NumPy 2.4
+    # on x86-64 (5M samples over [0, 1e8] and 1M log-uniform up to 1e308), so
+    # a batch's rows equal single states bit for bit on either side of the cut.
     if x.ndim == 1:
-        return _array(_state_rhs(x.tolist(), u.tolist()))
+        u1, u2 = u.tolist()
+        return _array(_rows_rhs((x.tolist(),), u1, u2))
     if 0 < len(x) <= _PYTHON_ROWS_MAX:
-        rows = x.tolist()
-        inputs = u.tolist() if u.ndim == 2 else [u.tolist()] * len(rows)
-        return _array([_state_rhs(row, ui) for row, ui in zip(rows, inputs)])
+        if u.ndim == 1:
+            u1, u2 = u.tolist()
+            out = _rows_rhs(x.tolist(), u1, u2)
+        else:
+            out = [v for row, (u1, u2) in zip(x.tolist(), u.tolist()) for v in _rows_rhs((row,), u1, u2)]
+        return _array(out).reshape(x.shape)
     # A larger batch makes nine NumPy calls on (N, 2) arrays.  Elementwise,
     # 0.5*x*s - x is -x + 0.5*x*s, as addition commutes; sin sees the same
     # argument, as every matmul product is by 0 or +-1, hence exact, so with

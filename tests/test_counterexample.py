@@ -170,6 +170,57 @@ class TestBuildCounterexample:
                     assert jacobian.shape == x[rows].shape + (field.state_dim,)
                     assert jacobian.tobytes() == jacobians[rows].tobytes()
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_overflowing_row_is_nan_on_both_sides_of_the_cut(self, monkeypatch, size):
+        # r^2 overflows at (1e200, 0): that row is NaN wherever it sits, in
+        # the row loop, in the NumPy branch and alone.  NaN payloads
+        # may differ in sign (np.sin(inf) against math.nan), so only their
+        # positions are compared; the finite rows stay byte for byte.
+        field = circle_field()
+        finite = [[0.5, -1.5], [-2.0, 0.25], [0.0, -2.0], [3.0, 3.0]][: size - 1]
+        u = np.array([0.25, -0.5])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for at in range(size):
+                x = np.array(finite[:at] + [[1e200, 0.0]] + finite[at:])
+                singles = np.array([field(state, u) for state in x])
+                batches = [field(x, u)]
+                with monkeypatch.context() as patched:
+                    patched.setattr(counterexample, "_PYTHON_ROWS_MAX", 0)
+                    batches.append(field(x, u))
+                finite_rows = np.arange(size) != at
+                for batch in batches:
+                    assert np.isnan(batch[at]).all()
+                    assert np.array_equal(np.isnan(batch), np.isnan(singles))
+                    assert batch[finite_rows].tobytes() == singles[finite_rows].tobytes()
+
+    @pytest.mark.parametrize("rows", [None, 3, 100])
+    def test_shared_input_of_wrong_length_is_refused(self, rows):
+        field = circle_field()
+        x = np.ones(2) if rows is None else np.ones((rows, 2))
+        with pytest.raises(ValueError):
+            field(x, np.zeros(3))
+
+    def test_every_evaluation_goes_through_the_field_call(self, monkeypatch, r_star):
+        # The tracer counts VectorField.__call__; a shortcut to the raw
+        # callable would make its field_evals undercount the work done.
+        raw, wrapped = [], []
+        field_rhs, field_call = counterexample._field_rhs, VectorField.__call__
+
+        def counted_rhs(x, u):
+            raw.append(None)
+            return field_rhs(x, u)
+
+        def counted_call(self, x, u):
+            wrapped.append(None)
+            return field_call(self, x, u)
+
+        monkeypatch.setattr(counterexample, "_field_rhs", counted_rhs)
+        monkeypatch.setattr(VectorField, "__call__", counted_call)
+        field, signal = build_counterexample(r_star)
+        integrate(field, signal, [r_star, 0.0], (0.0, 1.0))
+        integrate(field, signal, [[r_star, 0.0], [1.0, -1.0], [0.0, 2.0]], (0.0, 1.0))
+        assert len(raw) == len(wrapped) > 0
+
     def test_batch_has_polar_form(self, rng):
         field = circle_field()
         r = rng.uniform(0.1, 4.0, size=7)

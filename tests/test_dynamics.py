@@ -473,6 +473,27 @@ class TestGoldenBits:
             ["-0x1.4ff95ca9a287cp-7", "-0x1.15e4d7d8f135ep-2"],
         ]
 
+    def test_unforced_ges_batch(self):
+        # verify_ges's lockstep shape: three starts from the radius-10 disk.
+        starts = [[7.0, -6.5], [-3.0, 9.0], [0.5, 2.0]]
+        traj = integrate(circle_field(), ConstantInput.zero(2), starts, (0.0, 20.0))
+        assert len(traj.times) - 1 == 649
+        assert [[float(v).hex() for v in row] for row in traj.final_state] == [
+            ["0x1.7ef063a1d453ap-25", "0x1.45b64f8632c13p-26"],
+            ["-0x1.9a558f6abd72ep-25", "0x1.4497f1e4b5f8cp-28"],
+            ["-0x1.cc932054559e1p-28", "0x1.695fca7208455p-28"],
+        ]
+
+    def test_divergence_pair_over_one_period(self, forced_system, r_star):
+        # The first period of `run divergence`: (r* - 0.1, 0) beside the orbit start.
+        field, signal = forced_system
+        traj = integrate(field, signal, [[r_star - 0.1, 0.0], [r_star, 0.0]], (0.0, TWO_PI))
+        assert len(traj.times) - 1 == 232
+        assert [[float(v).hex() for v in row] for row in traj.final_state] == [
+            ["0x1.acc34465bf590p+0", "0x1.80ce6e0000000p-34"],
+            ["0x1.653f1ba661dadp+1", "-0x1.5234ce0000000p-35"],
+        ]
+
     def test_lockstep_batch_above_the_norm_cut(self):
         # 32 floats: the error norm takes the NumPy branch.
         theta = np.linspace(0.0, TWO_PI, 16, endpoint=False)
