@@ -332,14 +332,14 @@ class ViolatingInput:
 # Most (x, c0, z) scores the violating-input search holds at once (2 MiB),
 # enough for a default 2-D search in one block.
 _SCORE_BLOCK = 1 << 18
+# Random unit vectors the search draws for c0, and again for z.
+_UNIT_SAMPLES = 16
 
 
 def find_violating_input(
     field: VectorField,
     metric: RiemannianMetric,
     x_search,
-    z_search: int = 16,
-    c_direction_samples: int = 16,
     x_resolution: int = 21,
     seed: int = 0,
 ) -> ViolatingInput:
@@ -353,12 +353,12 @@ def find_violating_input(
     state_dim).
 
     The candidates are the x grid (first axis slowest), the unit vectors
-    followed by ``c_direction_samples`` random unit directions, and the unit
-    vectors followed by ``z_search`` random unit vectors, all drawn from
-    ``seed``.  The winner is the first triple attaining the largest |alpha|
-    in the order x slowest, then c0, then z.  Raises ``NonFiniteError`` when
-    a sampled metric gradient, or the winner's alpha or unforced quadratic
-    form, is not finite.
+    followed by 16 random unit directions for c0, and the unit vectors
+    followed by 16 random unit vectors for z, all drawn from ``seed``.  The
+    winner is the first triple attaining the largest |alpha| in the order x
+    slowest, then c0, then z.  Raises ``NonFiniteError`` when a sampled
+    metric gradient, or the winner's alpha or unforced quadratic form, is
+    not finite.
     """
     n = field.state_dim
     if field.input_dim != n:
@@ -383,8 +383,8 @@ def find_violating_input(
         v = rng.normal(size=(count, n))
         return np.concatenate([np.eye(n), v / vector_norms(v)[:, None]])
 
-    c_dirs = unit_samples(c_direction_samples)
-    zs = unit_samples(z_search)
+    c_dirs = unit_samples(_UNIT_SAMPLES)
+    zs = unit_samples(_UNIT_SAMPLES)
     zz = np.einsum("zi,zj->ijz", zs, zs).reshape(n * n, len(zs))  # column z is z (x) z
 
     # The peak |alpha| over (c0, z) of each state, a block of states at a

@@ -83,14 +83,15 @@ def _central_difference(fn, x, n: int) -> np.ndarray:
 class VectorField:
     """Dynamics x' = f(x, u) with state-Jacobian access.
 
-    ``f(x, u)`` maps one state ``(n,)`` or a stack ``(N, n)`` sharing the
-    input ``u``, row by row, to derivatives of exactly ``x.shape``; a field
-    built with ``per_row_inputs=True`` also takes an ``(N, m)`` input, one
-    row per state, and any other field given a 2-D input raises
-    ``ValueError``.  The Jacobian takes a shared input and returns
-    ``x.shape + (n,)``, or ``(n, n)`` when it does not depend on the state,
-    which is broadcast; any other result shape raises ``ValueError``.
-    Without an analytic ``jacobian``, central differences with step 1e-6 stand in.
+    ``f(x, u)`` maps one state ``(n,)`` or a stack ``(N, n)`` sharing one
+    input of shape exactly ``(m,)``, row by row, to derivatives of exactly
+    ``x.shape``; a field built with ``per_row_inputs=True`` also takes an
+    ``(N, m)`` input with an ``(N, n)`` stack, one row per state.  The
+    Jacobian takes a shared input only and returns ``x.shape + (n,)``, or
+    ``(n, n)`` when it does not depend on the state, which is broadcast.  Any
+    other input raises ``ValueError`` before ``f`` or the Jacobian runs, and
+    so does any other result shape.  Without an analytic ``jacobian``,
+    central differences with step 1e-6 stand in.
     """
 
     def __init__(self, f, state_dim: int, input_dim: int, jacobian=None, per_row_inputs: bool = False):
@@ -99,12 +100,17 @@ class VectorField:
         self.input_dim = int(input_dim)
         self._jacobian = jacobian
         self.per_row_inputs = bool(per_row_inputs)
+        self._shared = (self.input_dim,)
+
+    def _input_error(self, x, u) -> ValueError:
+        need = f"{self._shared}, or (N, {self.input_dim}) with per_row_inputs=True"
+        return ValueError(f"input of shape {u.shape} for states of shape {x.shape}: need {need}")
 
     def __call__(self, x, u) -> np.ndarray:
         x = _asarray(x, float)
         u = _asarray(u, float)
-        if u.ndim > 1 and not (self.per_row_inputs and x.ndim == 2 and len(u) == len(x)):
-            raise ValueError(f"inputs {u.shape} for states {x.shape}: need one row per state and per_row_inputs=True")
+        if u.shape != self._shared and not (self.per_row_inputs and x.ndim == 2 and u.shape == (len(x), self.input_dim)):
+            raise self._input_error(x, u)
         out = _asarray(self._f(x, u), float)
         if out.shape != x.shape:
             raise ValueError(f"field returned shape {out.shape} for states of shape {x.shape}")
@@ -113,6 +119,8 @@ class VectorField:
     def jacobian_x(self, x, u) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
+        if u.shape != self._shared:
+            raise self._input_error(x, u)
         if self._jacobian is None:
             return _central_difference(lambda y: self(y, u), x, self.state_dim)
         jac = np.asarray(self._jacobian(x, u), dtype=float)

@@ -14,7 +14,7 @@ from contraction_lab.constant_metric import (
     polytope_inradius,
     simplex_directions,
 )
-from contraction_lab.contraction import RiemannianMetric, check_contraction_region
+from contraction_lab.contraction import RiemannianMetric, check_contraction_region, linear_additive_field
 from contraction_lab.dynamics import VectorField
 from contraction_lab.errors import NonFiniteError, ZeroFieldError
 
@@ -247,6 +247,13 @@ class TestCheckConditions:
         _, family = example_3d_system()
         with pytest.raises(ValueError):
             check_constant_metric_conditions(VectorField(unreachable, 3, 4), family, samples, rho)
+
+    def test_input_of_another_length_is_refused_not_broadcast(self):
+        # One number per input for a 3-D additive field would be spread over
+        # all three coordinates, certifying a system nobody asked about.
+        family = InputSequenceFamily(4, lambda i, j: [float(i) * (-1) ** j])
+        with pytest.raises(ValueError, match="per_row_inputs"):
+            check_constant_metric_conditions(linear_additive_field(3), family, [[0, 0, 0]], 0.1)
 
     def test_hull_certified_from_first_index_of_the_stable_tail(self):
         # All four inputs point along e1 at i = 2, so the hull condition holds

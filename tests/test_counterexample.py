@@ -162,7 +162,7 @@ class TestBuildCounterexample:
             values = np.array([field(state, u) for state in x])
             jacobians = np.array([field.jacobian_x(state, u) for state in x])
             assert field(x[:0], u).shape == (0, field.state_dim)
-            for size in (1, 2, 3, 4, 5, 100):
+            for size in [*range(1, counterexample._PYTHON_ROWS_MAX + 2), 100]:
                 for i in range(0, len(x), size):
                     rows = slice(i, i + size)
                     assert field(x[rows], u).tobytes() == values[rows].tobytes()
@@ -170,14 +170,18 @@ class TestBuildCounterexample:
                     assert jacobian.shape == x[rows].shape + (field.state_dim,)
                     assert jacobian.tobytes() == jacobians[rows].tobytes()
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("size", range(1, counterexample._PYTHON_ROWS_MAX + 2))
     def test_overflowing_row_is_nan_on_both_sides_of_the_cut(self, monkeypatch, size):
         # r^2 overflows at (1e200, 0): that row is NaN wherever it sits, in
         # the row loop, in the NumPy branch and alone.  NaN payloads
         # may differ in sign (np.sin(inf) against math.nan), so only their
         # positions are compared; the finite rows stay byte for byte.
         field = circle_field()
-        finite = [[0.5, -1.5], [-2.0, 0.25], [0.0, -2.0], [3.0, 3.0]][: size - 1]
+        finite = [
+            [0.5, -1.5], [-2.0, 0.25], [0.0, -2.0], [3.0, 3.0], [-0.75, 1.25],
+            [1e-3, 0.0], [2.5, -0.5], [-0.0, 0.75], [-3.5, -1.0], [1.75, 2.25],
+        ]
+        finite = finite[: size - 1]
         u = np.array([0.25, -0.5])
         with np.errstate(over="ignore", invalid="ignore"):
             for at in range(size):

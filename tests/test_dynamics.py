@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from contraction_lab import dynamics, flowspace
+from contraction_lab import counterexample, dynamics, flowspace
+from contraction_lab.constant_metric import example_3d_system
 from contraction_lab.contraction import linear_additive_field, scalar_example_system
 from contraction_lab.counterexample import circle_field
 from contraction_lab.dynamics import (
@@ -34,6 +35,26 @@ def forced_linear():
 
 def sine_input():
     return PeriodicInput(TWO_PI, lambda t: [math.sin(t)])
+
+
+# Every stock field of the library, the contract tests' subjects.
+CONTRACT_FIELDS = {
+    "circle": circle_field,
+    "linear-1d": lambda: linear_additive_field(1),
+    "linear-2d": lambda: linear_additive_field(2),
+    "linear-3d": lambda: linear_additive_field(3),
+    "scalar-example": lambda: scalar_example_system()[0],
+    "example-3d": lambda: example_3d_system()[0],
+}
+
+
+def malformed_inputs(field, rows):
+    """Every input the field contract refuses with ``rows`` states (None: one state)."""
+    m, n = field.input_dim, rows or 1
+    bad = [np.array(0.5), np.zeros(m - 1), np.zeros(m + 1), np.zeros((n, 1, m)), np.zeros((n, m + 1)), np.zeros((n + 1, m))]
+    if rows is None or not field.per_row_inputs:
+        bad.append(np.zeros((n, m)))  # one row per state, where the field takes none
+    return bad
 
 
 def linear_sine_solution(t, x0=0.0):
@@ -413,6 +434,8 @@ class TestVectorField:
     )
     def test_stock_per_row_inputs_match_shared_input_calls(self, make, rng, bit_test_states):
         # Byte for byte: the golden artifacts print %.17g, where -0 and 0 differ.
+        # The circle field's row loop serves shared inputs only, so batches on
+        # both sides of its cut take the NumPy branch here.
         field = make()
         assert field.per_row_inputs
         x = bit_test_states(field.state_dim)
@@ -421,10 +444,41 @@ class TestVectorField:
         singles = np.array([field(x[i], u[i]) for i in range(len(x))])
         for i in range(len(x)):
             assert field(x[i : i + 1], u[i]).tobytes() == singles[i].tobytes()
-        for size in (1, 2, 3, 4, 5, 100):
+        for size in [*range(1, counterexample._PYTHON_ROWS_MAX + 2), 100]:
             for i in range(0, len(x), size):
                 rows = slice(i, i + size)
                 assert field(x[rows], u[rows]).tobytes() == singles[rows].tobytes()
+
+    @pytest.mark.parametrize("rows", [None, 3, 6, 12])
+    @pytest.mark.parametrize("make", CONTRACT_FIELDS.values(), ids=CONTRACT_FIELDS)
+    def test_malformed_inputs_are_refused_before_the_field_runs(self, make, rows, monkeypatch):
+        field = make()
+        m = field.input_dim
+        calls = []
+
+        def counted(fn):
+            def wrapper(x, u):
+                calls.append(u.shape)
+                return fn(x, u)
+
+            return wrapper
+
+        monkeypatch.setattr(field, "_f", counted(field._f))
+        monkeypatch.setattr(field, "_jacobian", counted(field._jacobian))
+        x = np.ones(field.state_dim) if rows is None else np.ones((rows, field.state_dim))
+        refused = [(field, u) for u in malformed_inputs(field, rows)]
+        refused += [(field.jacobian_x, u) for u in malformed_inputs(field, rows)]
+        if field.per_row_inputs and rows is not None:
+            refused.append((field.jacobian_x, np.zeros((rows, m))))  # the Jacobian takes a shared input only
+        for evaluate, u in refused:
+            with pytest.raises(ValueError, match="per_row_inputs") as error:
+                evaluate(x, u)
+            assert f"shape {u.shape} " in str(error.value)
+            assert f"need ({m},), or (N, {m})" in str(error.value)
+        assert not calls
+        field(x, np.zeros(m))
+        field.jacobian_x(x, np.zeros(m))
+        assert calls == [(m,), (m,)]
 
 
 class TestIntegratorConfig:
