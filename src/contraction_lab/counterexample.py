@@ -159,7 +159,7 @@ _QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
 # where NumPy's per-call dispatch sets the cost; at 11 rows the minima tie.
 # Median µs per call, row loop / NumPy (2-vCPU Xeon VM, Python 3.11, NumPy 2.4):
 #   rows   2          4          6          8          10         11         12
-#   µs     1.9 / 6.1  2.9 / 5.7  3.8 / 6.0  4.7 / 5.8  5.4 / 6.2  6.1 / 6.7  6.6 / 6.0
+#   µs     1.9 / 5.6  2.9 / 6.3  3.7 / 6.5  5.2 / 6.3  6.2 / 6.7  6.2 / 6.8  6.4 / 6.2
 _PYTHON_ROWS_MAX = 10
 # Bound once: two module attribute lookups are about 3% of a single-state call.
 _sin, _array = math.sin, np.array
