@@ -69,7 +69,6 @@ def _split_grid(text: str):
 
 # Comparisons with NaN are false, so each check below also rejects NaN.
 _positive = _flag(float, lambda v: 0 < v < math.inf, "a finite number > 0")
-_nonnegative = _flag(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 _periods = _flag(int, lambda v: v >= 1, "an integer >= 1")
 _seed = _flag(int, lambda v: v >= 0, "an integer >= 0")
 _interval = _flag(
@@ -103,7 +102,7 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--horizon", type=_positive, default=None)
     p_run.add_argument("--periods", type=_periods, default=None)
     p_run.add_argument("--rate", type=_positive, default=None)
-    p_run.add_argument("--delta", type=_nonnegative, default=None)
+    p_run.add_argument("--delta", type=_positive, default=None)
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--format", choices=("json", "csv", "both"), default="json")
     p_run.add_argument("--seed", type=_seed, default=0)
@@ -124,8 +123,9 @@ def _check_params(parser, args) -> None:
             parser.error(f"experiment {args.experiment!r} does not take --{flag}")
     if args.grid is not None and len(args.grid) > 1:
         parser.error(f"experiment {args.experiment!r} takes one --grid axis, got {len(args.grid)}")
-    if args.delta is not None and not args.delta < (r_star := counterexample._canonical_radius()):
-        parser.error(f"--delta must be below r_star = {r_star!r}, got {args.delta!r}")
+    # A delta below half of r_star's last bit leaves the start on the orbit: r_star - delta == r_star.
+    if args.delta is not None and not 0 < (r_star := counterexample._canonical_radius()) - args.delta < r_star:
+        parser.error(f"--delta must put the start strictly between 0 and r_star = {r_star!r}, got {args.delta!r}")
 
 
 @_experiment(

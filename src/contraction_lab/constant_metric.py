@@ -6,11 +6,15 @@ two checkable hypotheses are geometric (the normalized field values at a
 point eventually surround the origin: their convex hull contains a fixed
 ball) and asymptotic (the ratio of Jacobian norm to field norm vanishes
 along each input sequence).  This module evaluates both on user-supplied
-sample points and reproduces the stock 3-D examples.
+sample points and reproduces the stock 3-D examples.  The hull condition is
+decided exactly in 1-3 dimensions, by the signed distance from the origin to
+the nearest facet of the hull (:func:`polytope_inradius`).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +39,7 @@ __all__ = [
 DEFAULT_I_LIST = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 _RATIO_LIMIT = 1e-2
 _HALVING_BAND = (0.4, 0.6)  # ratio(2i)/ratio(i) for clean 1/i decay, +-20%
-_HULL_DIRECTIONS = 512
+_HULL_TABLE_MAX = 2**24  # facet heights (sets x k x C(k, n)), 128 MB of float64
 
 
 @dataclass(frozen=True)
@@ -55,37 +59,60 @@ class InputSequenceFamily:
         return [np.atleast_1d(np.asarray(self.generator(i, j), dtype=float)) for j in range(1, self.k + 1)]
 
 
-def _unit_directions(n: int, count: int) -> np.ndarray:
-    """Deterministic, nearly uniform unit vectors of R^n (both of them in 1-D)."""
+def polytope_inradius(points) -> float | np.ndarray:
+    """Signed distance from the origin to the nearest facet of conv(points).
+
+    Positive exactly when the origin is interior: then it is the radius of
+    the largest ball B(0, r) inside the hull.  Each n-subset of the k points
+    in R^n (n = 1, 2, 3) spans a candidate hyperplane, with the closed-form
+    normal of its dimension (1, the perpendicular of the 2-D edge, the 3-D
+    cross product); it is a facet when every point lies on one side of it
+    within 1e-12 of the largest point norm, and its signed distance is the
+    origin's depth behind it.  A flat set gives a value <= 0, and a set that
+    spans no hyperplane -inf.  One set ``(k, n)`` (a ``(n,)`` input is one
+    point) gives a float, a ``(..., k, n)`` stack of sets one value per set.
+    Another dimension, or a height table of more than 2^24 entries (sets x
+    k x C(k, n)), raises ``ValueError`` before any table is built; a
+    non-finite point raises ``NonFiniteError``.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    k, n = pts.shape[-2:]
+    if not 1 <= n <= 3:
+        raise ValueError("hull containment is implemented for dimensions 1-3")
+    if (entries := math.prod(pts.shape[:-2]) * k * math.comb(k, n)) > _HULL_TABLE_MAX:
+        raise ValueError(f"{k} points in {n}-D need {entries} facet heights, more than {_HULL_TABLE_MAX}")
+    if not np.all(np.isfinite(pts)):
+        raise NonFiniteError("a hull point is not finite")
+    faces = pts[..., np.array(list(itertools.combinations(range(k), n)), dtype=int).reshape(-1, n), :]
     if n == 1:
-        return np.array([[1.0], [-1.0]])
-    if n == 2:
-        angles = 2.0 * np.pi * np.arange(count) / count
-        return np.column_stack([np.cos(angles), np.sin(angles)])
-    if n == 3:  # Fibonacci sphere
-        idx = np.arange(count) + 0.5
-        phi = np.arccos(1.0 - 2.0 * idx / count)
-        theta = np.pi * (1.0 + np.sqrt(5.0)) * idx
-        return np.column_stack([np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi), np.cos(phi)])
-    raise ValueError("hull containment is implemented for dimensions 1-3")
+        normals = np.ones_like(faces[..., 0, :])
+    elif n == 2:
+        normals = np.stack([faces[..., 1, 1] - faces[..., 0, 1], faces[..., 0, 0] - faces[..., 1, 0]], axis=-1)
+    else:
+        normals = np.cross(faces[..., 1, :] - faces[..., 0, :], faces[..., 2, :] - faces[..., 0, :])
+    lengths = vector_norms(normals)  # 0 where the n points span no hyperplane
+    offsets = np.vecdot(normals, faces[..., 0, :])
+    heights = normals @ np.swapaxes(pts, -1, -2) - offsets[..., None]  # (..., F, k), times each normal's length
+    slack = 1e-12 * np.max(vector_norms(pts), axis=-1)[..., None, None] * lengths[..., None]
+    offsets = offsets / np.where(lengths > 0, lengths, np.inf)
+    # A facet has every point below it (outward normal +normal) or above it (-normal); a flat set has both.
+    outward = np.stack([np.all(heights <= slack, axis=-1), np.all(heights >= -slack, axis=-1)]) & (lengths > 0)
+    radius = np.min(np.where(outward, [offsets, -offsets], np.inf), axis=(0, -1), initial=np.inf)
+    radius = np.where(radius < np.inf, radius, -np.inf)  # no facet: the hull has no interior
+    return float(radius) if radius.ndim == 0 else radius
 
 
 def hull_contains_ball(points, rho: float) -> bool | np.ndarray:
-    """Support-function test for B(0, rho) inside the convex hull of points.
+    """Whether B(0, rho) lies inside the convex hull of points.
 
-    The ball lies in conv(points) iff max_p d.p >= rho for every unit
-    direction d; the test samples 512 directions from a deterministic
-    low-discrepancy set (uniform angles in 2-D, Fibonacci sphere in 3-D), so
-    it is exact in the dense-direction limit and can only err on the
-    permissive side at finite resolution.  One set ``(k, n)`` gives a bool, a
-    ``(..., k, n)`` stack of sets one bool per set.  A NaN, infinite or
-    non-positive ``rho`` raises ``ValueError``.
+    Exact up to the facet tolerance of :func:`polytope_inradius`: the ball
+    fits iff that signed facet distance is at least ``rho``.  One set
+    ``(k, n)`` gives a bool, a ``(..., k, n)`` stack of sets one bool per
+    set.  A NaN, infinite or non-positive ``rho`` raises ``ValueError``.
     """
     if not (np.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and positive")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    support = np.max(_unit_directions(pts.shape[-1], _HULL_DIRECTIONS) @ np.swapaxes(pts, -1, -2), axis=-1)
-    holds = np.all(support >= rho, axis=-1)
+    holds = np.asarray(polytope_inradius(points)) >= rho
     return bool(holds) if holds.ndim == 0 else holds
 
 
@@ -156,16 +183,16 @@ def check_constant_metric_conditions(
     samples = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in x_samples])
     if not len(samples):
         raise ValueError("need at least one sample state")
-    hulls, ratios = [], []  # per index, each sample's hull verdict and worst ratio
+    per_index = []  # each index's unit field values (S, J, n) and ratios (S, J)
     for i in i_list:
         try:
-            directions, input_ratios = _directions_at(field, samples, family.inputs_at(i))
+            per_index.append(_directions_at(field, samples, family.inputs_at(i)))
         except ZeroFieldError as exc:
             exc.i = i
             raise
-        hulls.append(hull_contains_ball(directions, rho))
-        ratios.append(np.max(input_ratios, axis=-1))
-    hulls, ratios = np.transpose(hulls), np.transpose(ratios)  # [s, c]: sample s at index i_list[c]
+    # [s, c, ...]: sample s at index i_list[c]
+    directions, ratios = (np.stack(tables, axis=1) for tables in zip(*per_index))
+    hulls, ratios = hull_contains_ball(directions, rho), np.max(ratios, axis=-1)
     entries = []
     for x, row_holds, row_ratios in zip(samples.tolist(), hulls.tolist(), ratios.tolist()):
         entries += [{"x": x, "i": i, "hull_holds": h, "max_ratio": r} for i, h, r in zip(i_list, row_holds, row_ratios)]
@@ -220,17 +247,3 @@ def example_additive_3d():
     dirs = simplex_directions(3)
     family = InputSequenceFamily(k=4, generator=lambda i, j: float(i) * dirs[j - 1])
     return field, family
-
-
-def polytope_inradius(vertices) -> float:
-    """Distance from the origin to the nearest facet of a 3-D simplex hull.
-
-    Exact for four affinely independent vertices whose hull contains the
-    origin; used as the analytic oracle for :func:`hull_contains_ball`.
-    """
-    pts = np.atleast_2d(np.asarray(vertices, dtype=float))
-    if pts.shape != (4, 3):
-        raise ValueError("expected four 3-D vertices")
-    facets = np.stack([np.delete(pts, drop, axis=0) for drop in range(4)])
-    normals = np.cross(facets[:, 1] - facets[:, 0], facets[:, 2] - facets[:, 0])
-    return float(np.min(np.abs(np.vecdot(normals, facets[:, 0])) / vector_norms(normals)))

@@ -134,6 +134,8 @@ class TestRun:
             ["circle-orbit", "--tol=-1e-10"],
             ["divergence", "--periods", "0"],
             ["divergence", "--delta", "-0.1"],
+            ["divergence", "--delta", "0"],
+            ["divergence", "--delta", "1e-17"],
             ["divergence", "--delta", "3.0"],
             ["entrainment-linear", "--tol", "inf"],
             ["metric-certify", "--grid", "0:1:0"],

@@ -57,11 +57,15 @@ class TestHullContainsBall:
     def test_stacked_sets_match_per_set_calls(self, rng):
         for n in (1, 2, 3):
             sets = rng.normal(size=(3, 4, 8, n)) * rng.uniform(0.05, 2.0, size=(3, 4, 1, 1))
-            stacked = hull_contains_ball(sets, 0.3)
+            stacked = hull_contains_ball(sets, 0.15)
             assert stacked.shape == (3, 4)
-            assert stacked.tolist() == [[hull_contains_ball(pts, 0.3) for pts in row] for row in sets]
+            assert stacked.tolist() == [[hull_contains_ball(pts, 0.15) for pts in row] for row in sets]
+            assert polytope_inradius(sets).tolist() == [[polytope_inradius(pts) for pts in row] for row in sets]
             assert any(stacked.flat) and not all(stacked.flat)
-        assert type(hull_contains_ball(sets[0, 0], 0.3)) is bool
+        assert type(hull_contains_ball(sets[0, 0], 0.15)) is bool
+        assert type(polytope_inradius(sets[0, 0])) is float
+        # Inradius 0.2325...; 512 sampled directions put its smallest support at 0.316.
+        assert not hull_contains_ball(sets[1, 3], 0.3)
 
     def test_validations(self):
         with pytest.raises(ValueError):
@@ -72,13 +76,53 @@ class TestHullContainsBall:
             hull_contains_ball(np.ones((3, 4)), 0.5)  # dimension > 3
 
 
-class TestInradiusOracle:
+class TestPolytopeInradius:
     def test_regular_simplex_third(self):
         assert polytope_inradius(simplex_directions(3)) == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     def test_example1_closed_form(self):
         got = polytope_inradius(EXAMPLE1_DIRECTIONS)
         assert got == pytest.approx(1.0 / math.sqrt(9 + 4 * math.sqrt(3)), abs=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_qhull_facets(self, rng, n):
+        spatial = pytest.importorskip("scipy.spatial")
+        signs = set()
+        for k in range(n + 1, 13):
+            for _ in range(5):
+                pts = rng.normal(size=(k, n)) + rng.uniform(-1.0, 1.0, size=n)
+                want = min(-spatial.ConvexHull(pts).equations[:, -1])
+                assert abs(polytope_inradius(pts) - want) <= 1e-12 * np.max(np.linalg.norm(pts, axis=1))
+                signs.add(want > 0)
+        assert signs == {True, False}  # the origin both inside and outside
+
+    def test_one_dimension_is_the_nearer_end(self, rng):
+        for k in range(2, 13):
+            pts = rng.normal(size=(k, 1)) + rng.uniform(-1.0, 1.0)
+            assert polytope_inradius(pts) == min(pts.max(), -pts.min())
+
+    def test_flat_set_has_no_interior(self, rng):
+        plane = rng.normal(size=(10, 2)) @ rng.normal(size=(2, 3))
+        assert polytope_inradius(plane) <= 0
+        assert polytope_inradius(plane + [0.1, 0.2, 0.3]) <= 0
+        assert polytope_inradius([[0.0, 0, 0], [1, 1, 1], [2, 2, 2]]) == -math.inf  # spans no plane
+        assert not hull_contains_ball(plane, 1e-9)
+
+    def test_one_point_input(self):
+        assert polytope_inradius([0.5]) == -0.5
+        assert polytope_inradius([1.0, 2.0]) == polytope_inradius([[1.0, 2.0]]) == -math.inf
+
+    def test_enumeration_beyond_cap_raises_at_once(self):
+        with pytest.raises(ValueError, match="facet heights"):
+            polytope_inradius(np.ones((400, 3)))
+        with pytest.raises(ValueError, match="facet heights"):
+            hull_contains_ball(np.ones((400, 3)), 0.1)
+
+    def test_non_finite_point_raises(self):
+        with pytest.raises(NonFiniteError):
+            polytope_inradius([[1.0, 0], [0, math.nan], [-1, -1]])
+        with pytest.raises(NonFiniteError):
+            hull_contains_ball([[[1.0, 0], [0, 1], [-1, -1]], [[math.inf, 0], [0, 1], [-1, -1]]], 0.1)
 
 
 class TestJacobianFieldRatio:

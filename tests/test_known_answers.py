@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from contraction_lab.cli import main
-from contraction_lab.constant_metric import hull_contains_ball
+from contraction_lab.constant_metric import hull_contains_ball, polytope_inradius
 from contraction_lab.contraction import check_contraction_region, linear_additive_field, scalar_example_system
 from contraction_lab.counterexample import TWO_PI, circle_field, radial_f
 from contraction_lab.dynamics import PeriodicInput
@@ -112,16 +112,13 @@ def test_scalar_metric_breaks_at_the_closed_form_threshold(c):
     assert cert.holds == (c < 0.021657)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 2: 512 sampled directions miss the edge normals, and the test accepts too large a ball",
-)
 def test_hull_refuses_ball_wider_than_inradius():
-    # An equilateral triangle of inradius 1 (circumradius 2).  Its first edge
-    # normal lies pi/512 off the sampled directions, halfway between two; the
-    # other two lie pi/1536 off.
+    # An equilateral triangle of inradius 1 (circumradius 2), turned so that
+    # no edge normal is one of 512 evenly spaced directions: a sampled
+    # support test accepts rho = 1.001 here.
     normals = math.pi / 512 + TWO_PI * np.arange(3) / 3
     angles = normals + math.pi / 3
     vertices = 2.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+    assert abs(polytope_inradius(vertices) - 1.0) <= 1e-12
+    assert hull_contains_ball(vertices, 0.999)
     assert not hull_contains_ball(vertices, 1.001)
