@@ -78,8 +78,8 @@ _interval = _flag(
 )
 _grid_axis = _flag(
     _split_grid,
-    lambda v: -math.inf < v[0] <= v[1] < math.inf and v[2] >= 1,
-    "LO:HI:COUNT with finite LO <= HI and COUNT >= 1",
+    lambda v: -math.inf < v[0] <= v[1] < math.inf and 1 <= v[2] <= counterexample._SCAN_MAX_POINTS,
+    f"LO:HI:COUNT with finite LO <= HI and 1 <= COUNT <= {counterexample._SCAN_MAX_POINTS}",
 )
 
 
@@ -123,9 +123,12 @@ def _check_params(parser, args) -> None:
             parser.error(f"experiment {args.experiment!r} does not take --{flag}")
     if args.grid is not None and len(args.grid) > 1:
         parser.error(f"experiment {args.experiment!r} takes one --grid axis, got {len(args.grid)}")
-    # A delta below half of r_star's last bit leaves the start on the orbit: r_star - delta == r_star.
-    if args.delta is not None and not 0 < (r_star := counterexample._canonical_radius()) - args.delta < r_star:
-        parser.error(f"--delta must put the start strictly between 0 and r_star = {r_star!r}, got {args.delta!r}")
+    # The start r_star - delta must lie in the escape band, where the radial drift f is below f(r_star)
+    # (DivergenceReport): not on the orbit, not at or below 0 and not at or below the rest radius 1.6749.
+    # f peaks at r_star, so below a delta of about 3e-9 rounding decides the comparison.
+    f = counterexample.radial_f
+    if args.delta is not None and not f((r_star := counterexample._canonical_radius()) - args.delta) < f(r_star):
+        parser.error(f"--delta must give f(r_star - delta) < f(r_star) at r_star = {r_star!r}, got {args.delta!r}")
 
 
 @_experiment(

@@ -69,11 +69,11 @@ def polytope_inradius(points) -> float | np.ndarray:
     cross product); it is a facet when every point lies on one side of it
     within 1e-12 of the largest point norm, and its signed distance is the
     origin's depth behind it.  A flat set gives a value <= 0, and a set that
-    spans no hyperplane -inf.  One set ``(k, n)`` (a ``(n,)`` input is one
-    point) gives a float, a ``(..., k, n)`` stack of sets one value per set.
-    Another dimension, or a height table of more than 2^24 entries (sets x
-    k x C(k, n)), raises ``ValueError`` before any table is built; a
-    non-finite point raises ``NonFiniteError``.
+    spans no hyperplane, the empty set included, -inf.  One set ``(k, n)``
+    (a ``(n,)`` input is one point) gives a float, a ``(..., k, n)`` stack
+    of sets one value per set.  Another dimension, or a height table of more
+    than 2^24 entries (sets x k x C(k, n)), raises ``ValueError`` before any
+    table is built; a non-finite point raises ``NonFiniteError``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     k, n = pts.shape[-2:]
@@ -93,7 +93,7 @@ def polytope_inradius(points) -> float | np.ndarray:
     lengths = vector_norms(normals)  # 0 where the n points span no hyperplane
     offsets = np.vecdot(normals, faces[..., 0, :])
     heights = normals @ np.swapaxes(pts, -1, -2) - offsets[..., None]  # (..., F, k), times each normal's length
-    slack = 1e-12 * np.max(vector_norms(pts), axis=-1)[..., None, None] * lengths[..., None]
+    slack = 1e-12 * np.max(vector_norms(pts), axis=-1, initial=0.0)[..., None, None] * lengths[..., None]
     offsets = offsets / np.where(lengths > 0, lengths, np.inf)
     # A facet has every point below it (outward normal +normal) or above it (-normal); a flat set has both.
     outward = np.stack([np.all(heights <= slack, axis=-1), np.all(heights >= -slack, axis=-1)]) & (lengths > 0)
@@ -116,14 +116,15 @@ def hull_contains_ball(points, rho: float) -> bool | np.ndarray:
     return bool(holds) if holds.ndim == 0 else holds
 
 
-def _directions_at(field: VectorField, x: np.ndarray, inputs) -> tuple[np.ndarray, np.ndarray]:
+def _directions_at(field: VectorField, x: np.ndarray, inputs, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit field directions f(x, u)/||f(x, u)|| and ratios ||df/dx(x, u)||_2 / ||f(x, u)||_2.
 
     One field call and one Jacobian call per input, for one state ``(n,)`` or
     a stack ``(S, n)``: ``(..., J, n)`` directions and ``(..., J)`` ratios.
     A field value of non-finite norm raises ``NonFiniteError``; a field that
-    vanishes at some input raises ``ZeroFieldError`` carrying the first such
-    state ``x`` and its first such 1-based input index ``j``.
+    vanishes at some input raises ``ZeroFieldError`` carrying the sequence
+    index ``i`` of the inputs, the first such state ``x`` and its first such
+    1-based input index ``j``.
     """
     values = np.stack([field(x, u) for u in inputs], axis=-2)
     norms = vector_norms(values)
@@ -132,7 +133,7 @@ def _directions_at(field: VectorField, x: np.ndarray, inputs) -> tuple[np.ndarra
     if np.any(vanish := norms < 1e-14):
         s, j = divmod(int(np.argmax(vanish)), len(inputs))
         x = np.atleast_2d(x)[s]
-        raise ZeroFieldError(f"field vanishes at x={x.tolist()}, u={inputs[j].tolist()}", x=x, j=j + 1)
+        raise ZeroFieldError(f"field vanishes at x={x.tolist()}, u={inputs[j].tolist()}", x=x, i=i, j=j + 1)
     ratios = spectral_norm(np.stack([field.jacobian_x(x, u) for u in inputs], axis=-3)) / norms
     return values / norms[..., None], ratios
 
@@ -163,34 +164,25 @@ def check_constant_metric_conditions(
     family: InputSequenceFamily,
     x_samples,
     rho: float,
-    i_list=DEFAULT_I_LIST,
 ) -> ConstantMetricReport:
     """Evaluate both constancy-forcing hypotheses on sample states.
 
-    At each x and index i: (a) the normalized field values over the family
-    must contain B(0, rho) in their convex hull, and (b) the worst
-    Jacobian-to-field ratio is recorded.  Certification per x requires the
-    hull condition to hold from some index onward and the ratios to decay
-    like 1/i across the checked doublings.  No sample states, no index, or
-    a ``rho`` that is not finite and positive raises ``ValueError`` before
-    the field is called.
+    At each x and each index i of ``DEFAULT_I_LIST`` (1, 2, 4, ..., 1024):
+    (a) the normalized field values over the family must contain B(0, rho)
+    in their convex hull, and (b) the worst Jacobian-to-field ratio is
+    recorded.  Certification per x requires the hull condition to hold from
+    some index onward and the ratios to decay like 1/i across the checked
+    doublings.  No sample states, or a ``rho`` that is not finite and
+    positive, raises ``ValueError`` before the field is called.
     """
-    i_list = sorted(int(i) for i in i_list)
-    if not i_list or i_list[0] < 1:
-        raise ValueError("need indices, each >= 1")
+    i_list = list(DEFAULT_I_LIST)
     if not (np.isfinite(rho) and rho > 0):
         raise ValueError("rho must be finite and positive")
     samples = np.array([np.atleast_1d(np.asarray(x, dtype=float)) for x in x_samples])
     if not len(samples):
         raise ValueError("need at least one sample state")
-    per_index = []  # each index's unit field values (S, J, n) and ratios (S, J)
-    for i in i_list:
-        try:
-            per_index.append(_directions_at(field, samples, family.inputs_at(i)))
-        except ZeroFieldError as exc:
-            exc.i = i
-            raise
-    # [s, c, ...]: sample s at index i_list[c]
+    # Each index's unit field values (S, J, n) and ratios (S, J), stacked as [s, c, ...]: index i_list[c].
+    per_index = [_directions_at(field, samples, family.inputs_at(i), i) for i in i_list]
     directions, ratios = (np.stack(tables, axis=1) for tables in zip(*per_index))
     hulls, ratios = hull_contains_ball(directions, rho), np.max(ratios, axis=-1)
     entries = []

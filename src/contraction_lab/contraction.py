@@ -92,9 +92,9 @@ class RiemannianMetric:
         return out.reshape(x.shape[:-1] + shape[1:])
 
     @classmethod
-    def _of_stacks(cls, dim: int, eval_stack, grad_stack, lower_bound: float, name: str = "") -> "RiemannianMetric":
+    def _of_stacks(cls, dim: int, eval_stack, grad_stack, lower_bound: float) -> "RiemannianMetric":
         """A metric whose two callables each evaluate a whole (N, n) stack in one call."""
-        metric = cls(dim, None, None, lower_bound, name)
+        metric = cls(dim, None, None, lower_bound)
         metric._eval, metric._grad = eval_stack, grad_stack
         return metric
 
@@ -112,7 +112,7 @@ class RiemannianMetric:
         )
 
     @classmethod
-    def from_scalar(cls, m_fn, m_prime_fn=None, lower_bound: float = 1.0, name: str = "") -> "RiemannianMetric":
+    def from_scalar(cls, m_fn, m_prime_fn=None, lower_bound: float = 1.0) -> "RiemannianMetric":
         """1-D metric M(x) = m(x) with derivative m'(x).
 
         ``m_fn`` and ``m_prime_fn`` are applied elementwise to the ``(N,)``
@@ -129,7 +129,7 @@ class RiemannianMetric:
             return stack
 
         grad = None if m_prime_fn is None else column(m_prime_fn, 3)
-        return cls._of_stacks(1, column(m_fn, 2), grad, lower_bound, name)
+        return cls._of_stacks(1, column(m_fn, 2), grad, lower_bound)
 
 
 def _per_state(fn):
@@ -194,9 +194,7 @@ def scalar_example_system():
     field = VectorField(
         lambda x, u: radial_f(x) + u, 1, 1, jacobian=lambda x, u: radial_f_slope(x)[..., None], per_row_inputs=True
     )
-    metric = RiemannianMetric.from_scalar(
-        scalar_metric, scalar_metric_derivative, lower_bound=4.0 / 9.0, name="inverse-square drift metric"
-    )
+    metric = RiemannianMetric.from_scalar(scalar_metric, scalar_metric_derivative, lower_bound=4.0 / 9.0)
     return field, metric
 
 
@@ -330,19 +328,15 @@ class ViolatingInput:
 
 
 # Most (x, c0, z) scores the violating-input search holds at once (2 MiB),
-# enough for a default 2-D search in one block.
+# enough for a 2-D search in one block.
 _SCORE_BLOCK = 1 << 18
 # Random unit vectors the search draws for c0, and again for z.
 _UNIT_SAMPLES = 16
+# Grid points per axis of the search box.
+_X_RESOLUTION = 21
 
 
-def find_violating_input(
-    field: VectorField,
-    metric: RiemannianMetric,
-    x_search,
-    x_resolution: int = 21,
-    seed: int = 0,
-) -> ViolatingInput:
+def find_violating_input(field: VectorField, metric: RiemannianMetric, x_search, seed: int = 0) -> ViolatingInput:
     """Constant input destroying contraction for a non-constant metric.
 
     Constructive search: find a state x, direction c0 and vector z with
@@ -352,18 +346,18 @@ def find_violating_input(
     form positive.  Requires an additive-shaped system (input_dim ==
     state_dim).
 
-    The candidates are the x grid (first axis slowest), the unit vectors
-    followed by 16 random unit directions for c0, and the unit vectors
-    followed by 16 random unit vectors for z, all drawn from ``seed``.  The
-    winner is the first triple attaining the largest |alpha| in the order x
-    slowest, then c0, then z.  Raises ``NonFiniteError`` when a sampled
-    metric gradient, or the winner's alpha or unforced quadratic form, is
-    not finite.
+    The candidates are the grid of 21 points per axis of ``x_search`` for x
+    (first axis slowest), the unit vectors followed by 16 random unit
+    directions for c0, and the unit vectors followed by 16 random unit
+    vectors for z, all drawn from ``seed``.  The winner is the first triple
+    attaining the largest |alpha| in the order x slowest, then c0, then z.
+    Raises ``NonFiniteError`` when a sampled metric gradient, or the
+    winner's alpha or unforced quadratic form, is not finite.
     """
     n = field.state_dim
     if field.input_dim != n:
         raise DimensionMismatchError("violating-input search needs input_dim == state_dim")
-    region, _, axes = _axes(x_search, x_resolution)
+    region, _, axes = _axes(x_search, _X_RESOLUTION)
     if region.shape[0] != n:
         raise DimensionMismatchError("x_search must have one (lo, hi) pair per state dimension")
 
@@ -433,12 +427,7 @@ def bounded_example_metric(m: float) -> RiemannianMetric:
     """Non-constant 1-D metric M(x) = 1 + exp(-x^2/m)."""
     if not (np.isfinite(m) and m > 0):
         raise ValueError("m must be finite and positive")
-    return RiemannianMetric.from_scalar(
-        lambda x: 1.0 + _bump(x, m)[0],
-        lambda x: _bump(x, m)[1],
-        lower_bound=1.0,
-        name=f"gaussian bump metric (m={m:g})",
-    )
+    return RiemannianMetric.from_scalar(lambda x: 1.0 + _bump(x, m)[0], lambda x: _bump(x, m)[1], lower_bound=1.0)
 
 
 _TAIL_MULTIPLE = 10.0

@@ -158,15 +158,30 @@ class PiecewiseSchedule(PiecewiseConstantInput):
 def schedule_contraction_factor(lam: float, schedule: PiecewiseSchedule) -> float:
     """Product of per-piece factors exp(lam * alpha_i * span).
 
-    Telescopes to exp(lam * span) exactly; the identity is asserted to
-    1e-14 relative before returning.
+    Telescopes to exp(lam * span) in exact arithmetic; before returning, the
+    identity is asserted to the larger of 1e-14 relative and the rounding
+    bound of this computation.  With u = 2^-53, k pieces and L = lam * span,
+    to first order in u:
+
+    - the renormalized fractions sum to 1 within k u (k - 1 additions for
+      their total, one division each), which moves the exponents' sum by
+      k u |L|;
+    - each exponent (lam * alpha_i) * span takes two roundings, 2 u |L| in
+      all over the pieces;
+    - each of the k exponentials is within one ulp, 2 u relative, and each
+      of the k - 1 products adds u;
+    - exp(lam * span) takes u |L| from its argument and 2 u from exp.
+
+    So |product - exp(L)| <= u ((k + 3) |L| + 3 k + 1) exp(L).
     """
     span = schedule.span
     product = float(np.prod(np.exp(lam * schedule.fractions * span)))
     whole = float(np.exp(lam * span))
-    if abs(product - whole) > 1e-14 * abs(whole):
+    k = schedule.piece_count()
+    tol = max(1e-14, 2.0**-53 * ((k + 3) * abs(lam * span) + 3 * k + 1))
+    if abs(product - whole) > tol * abs(whole):
         raise AssertionError(
-            f"factor product {product!r} deviates from exp(lam*span) {whole!r} beyond 1e-14 relative"
+            f"factor product {product!r} deviates from exp(lam*span) {whole!r} beyond {tol:.3g} relative"
         )
     return product
 

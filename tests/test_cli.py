@@ -137,10 +137,14 @@ class TestRun:
             ["divergence", "--delta", "0"],
             ["divergence", "--delta", "1e-17"],
             ["divergence", "--delta", "3.0"],
+            ["divergence", "--delta", "1.2"],  # below the rest radius 1.6749, outside the escape band
+            ["divergence", "--delta", "2.79"],
             ["entrainment-linear", "--tol", "inf"],
             ["metric-certify", "--grid", "0:1:0"],
             ["metric-certify", "--grid", "nan:1:5"],
             ["metric-violate", "--grid", "1:0:5"],
+            ["metric-certify", "--grid", "0:1:1000001"],
+            ["metric-certify", "--grid", "0:1:10000000000000"],
             ["uniform-contraction", "--grid", "0:1:5", "--grid", "0:2:5"],
         ],
     )

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from contraction_lab import constant_metric
 from contraction_lab.constant_metric import (
     InputSequenceFamily,
     _directions_at,
@@ -112,6 +113,13 @@ class TestPolytopeInradius:
         assert polytope_inradius([0.5]) == -0.5
         assert polytope_inradius([1.0, 2.0]) == polytope_inradius([[1.0, 2.0]]) == -math.inf
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_empty_set_has_no_interior(self, n):
+        assert polytope_inradius(np.zeros((0, n))) == -math.inf
+        assert hull_contains_ball(np.zeros((0, n)), 0.1) is False
+        assert polytope_inradius(np.zeros((2, 0, n))).tolist() == [-math.inf, -math.inf]
+        assert hull_contains_ball(np.zeros((2, 0, n)), 0.1).tolist() == [False, False]
+
     def test_enumeration_beyond_cap_raises_at_once(self):
         with pytest.raises(ValueError, match="facet heights"):
             polytope_inradius(np.ones((400, 3)))
@@ -130,20 +138,21 @@ class TestJacobianFieldRatio:
         from contraction_lab.contraction import linear_additive_field
 
         field = linear_additive_field(1)
-        _, ratios = _directions_at(field, np.array([0.0]), [np.array([10.0])])
+        _, ratios = _directions_at(field, np.array([0.0]), [np.array([10.0])], 1)
         assert ratios[0] == pytest.approx(0.1, abs=1e-12)
 
     def test_zero_field_raises(self):
         from contraction_lab.contraction import linear_additive_field
 
         field = linear_additive_field(1)
-        with pytest.raises(ZeroFieldError):
-            _directions_at(field, np.array([0.0]), [np.array([0.0])])
+        with pytest.raises(ZeroFieldError) as exc_info:
+            _directions_at(field, np.array([0.0]), [np.array([1.0]), np.array([0.0])], 8)
+        assert (exc_info.value.i, exc_info.value.x.tolist(), exc_info.value.j) == (8, [0.0], 2)
 
     def test_example1_ratio_is_reciprocal(self):
         field, family = example_3d_system()
         for k in (1, 4, 32):
-            _, ratios = _directions_at(field, np.zeros(3), [np.asarray(family.generator(k, 1))])
+            _, ratios = _directions_at(field, np.zeros(3), [np.asarray(family.generator(k, 1))], k)
             assert ratios[0] == pytest.approx(1.0 / k, rel=1e-12)
 
 
@@ -200,7 +209,7 @@ class TestCheckConditions:
         x = np.array([0.3, -0.2, 0.1])
         r_prev = None
         for i in (64, 128, 256):
-            r = np.max(_directions_at(field, x, family.inputs_at(i))[1])
+            r = np.max(_directions_at(field, x, family.inputs_at(i), i)[1])
             if r_prev is not None:
                 assert r < r_prev
             r_prev = r
@@ -213,10 +222,11 @@ class TestCheckConditions:
         assert report.hull_certified_from == [None]
         assert not report.certified
 
-    def test_ratio_values_recorded_exactly(self):
+    def test_ratio_values_recorded_exactly(self, monkeypatch):
+        monkeypatch.setattr(constant_metric, "DEFAULT_I_LIST", (1, 2, 4))
         field, family = example_3d_system()
         rho = polytope_inradius(EXAMPLE1_DIRECTIONS) / 2
-        report = check_constant_metric_conditions(field, family, [[0, 0, 0]], rho, i_list=(1, 2, 4))
+        report = check_constant_metric_conditions(field, family, [[0, 0, 0]], rho)
         ratios = [e["max_ratio"] for e in report.entries]
         assert ratios == pytest.approx([1.0, 0.5, 0.25], rel=1e-12)
 
@@ -238,7 +248,7 @@ class TestCheckConditions:
         with pytest.raises(NonFiniteError):
             check_constant_metric_conditions(poisoned, family, [[0.0, 0.0, 0.0], [0.5, 0.25, 0.0]], 0.1)
 
-    def test_zero_field_reports_first_index_then_sample_then_input(self):
+    def test_zero_field_reports_first_index_then_sample_then_input(self, monkeypatch):
         # f(x, u) = -x + B u vanishes where B u = x: input 3 is e3 from index 4
         # on, zeroing f at sample 1; input 2 is e2 from index 2 on, zeroing f
         # at sample 2.
@@ -251,14 +261,16 @@ class TestCheckConditions:
 
         family = InputSequenceFamily(k=4, generator=generator)
         for i_list, expected in [((1, 2, 4), (2, 1, 2)), ((4,), (4, 0, 3))]:
+            monkeypatch.setattr(constant_metric, "DEFAULT_I_LIST", i_list)
             with pytest.raises(ZeroFieldError) as exc_info:
-                check_constant_metric_conditions(field, family, samples, 0.1, i_list=i_list)
+                check_constant_metric_conditions(field, family, samples, 0.1)
             i, sample, j = expected
             assert (exc_info.value.i, exc_info.value.x.tolist(), exc_info.value.j) == (i, samples[sample], j)
 
-    def test_report_serializes(self):
+    def test_report_serializes(self, monkeypatch):
+        monkeypatch.setattr(constant_metric, "DEFAULT_I_LIST", (1, 2))
         field, family = example_3d_system()
-        report = check_constant_metric_conditions(field, family, [[0, 0, 0]], 0.1, i_list=(1, 2))
+        report = check_constant_metric_conditions(field, family, [[0, 0, 0]], 0.1)
         doc = json.loads(report.to_json())
         assert doc["certified"] == report.certified
         assert len(doc["entries"]) == 2
@@ -299,25 +311,28 @@ class TestCheckConditions:
         with pytest.raises(ValueError, match="per_row_inputs"):
             check_constant_metric_conditions(linear_additive_field(3), family, [[0, 0, 0]], 0.1)
 
-    def test_hull_certified_from_first_index_of_the_stable_tail(self):
+    def test_hull_certified_from_first_index_of_the_stable_tail(self, monkeypatch):
         # All four inputs point along e1 at i = 2, so the hull condition holds
         # at 1, fails at 2 and holds from 4 on.
         field, _ = example_3d_system()
         family = InputSequenceFamily(k=4, generator=lambda i, j: float(i) * np.eye(4)[0 if i == 2 else j - 1])
         rho = polytope_inradius(EXAMPLE1_DIRECTIONS) / 2
-        report = check_constant_metric_conditions(field, family, [[0, 0, 0]], rho, i_list=(1, 2, 4, 8))
+        monkeypatch.setattr(constant_metric, "DEFAULT_I_LIST", (1, 2, 4, 8))
+        report = check_constant_metric_conditions(field, family, [[0, 0, 0]], rho)
         assert [e["hull_holds"] for e in report.entries] == [True, False, True, True]
         assert report.hull_certified_from == [4]
 
     @pytest.mark.parametrize("scale_at_4, decays", [(4.0, True), (8.0, False), (3.0, False)])
-    def test_ratio_decay_needs_every_doubling_in_band(self, scale_at_4, decays):
+    def test_ratio_decay_needs_every_doubling_in_band(self, monkeypatch, scale_at_4, decays):
         # The ratios are 1/scale(i): 1, 1/2, 1/scale_at_4, 1/8, ..., 1/128.
         # Skipping doublings (8 to 128) leaves the band as well.
         field, _ = example_3d_system()
         scale = lambda i: scale_at_4 if i == 4 else float(i)
         family = InputSequenceFamily(k=4, generator=lambda i, j: scale(i) * np.eye(4)[j - 1])
         rho = polytope_inradius(EXAMPLE1_DIRECTIONS) / 2
-        report = check_constant_metric_conditions(field, family, [[0, 0, 0]], rho, i_list=(1, 2, 4, 8, 128))
+        monkeypatch.setattr(constant_metric, "DEFAULT_I_LIST", (1, 2, 4, 8, 128))
+        report = check_constant_metric_conditions(field, family, [[0, 0, 0]], rho)
         assert report.ratio_decay_ok == [False]
-        report = check_constant_metric_conditions(field, family, [[0, 0, 0]], rho, i_list=(1, 2, 4, 8, 16, 32, 64, 128))
+        monkeypatch.setattr(constant_metric, "DEFAULT_I_LIST", (1, 2, 4, 8, 16, 32, 64, 128))
+        report = check_constant_metric_conditions(field, family, [[0, 0, 0]], rho)
         assert report.ratio_decay_ok == [decays]

@@ -256,9 +256,7 @@ class TestCheckContractionRegion:
 
     def test_nan_metric_at_interior_point(self):
         nan_at = 0.5
-        metric = RiemannianMetric.from_scalar(
-            lambda x: np.where(x == nan_at, math.nan, 1.0), lambda x: 0.0, name="nan at one point"
-        )
+        metric = RiemannianMetric.from_scalar(lambda x: np.where(x == nan_at, math.nan, 1.0), lambda x: 0.0)
         xs = np.linspace(-1.0, 1.0, 5)
         assert xs[3] == nan_at
         with pytest.raises(NonFiniteError):
@@ -570,12 +568,13 @@ class TestFindViolatingInput:
     ):
         # With one state per block, the scalar (-3, 3) tie falls across blocks.
         monkeypatch.setattr(contraction, "_SCORE_BLOCK", block)
+        monkeypatch.setattr(contraction, "_X_RESOLUTION", x_resolution)
         if system == "scalar":
             field, metric = scalar_system
         else:
             n = int(system[-1])
             field, metric = linear_additive_field(n), coupled_metric(n)
-        found = find_violating_input(field, metric, x_search, x_resolution=x_resolution, seed=seed)
+        found = find_violating_input(field, metric, x_search, seed=seed)
         x, c, z, value = reference_violating_input(field, metric, x_search, x_resolution, seed)
         assert np.array_equal(found.x, x)
         assert np.array_equal(found.c, c)
@@ -591,13 +590,13 @@ class TestFindViolatingInput:
         field, metric, box = linear_additive_field(3), coupled_metric(3), [(-3.0, 3.0)] * 3
         tracemalloc.start()
         try:
-            found = find_violating_input(field, metric, box, x_resolution=21)
+            found = find_violating_input(field, metric, box)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
         monkeypatch.setattr(contraction, "_SCORE_BLOCK", 21**3 * 19 * 19)
-        whole = find_violating_input(field, metric, box, x_resolution=21)
+        whole = find_violating_input(field, metric, box)
         assert np.array_equal(found.x, whole.x)
         assert np.array_equal(found.c, whole.c)
         assert np.array_equal(found.z, whole.z)

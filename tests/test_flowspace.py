@@ -125,6 +125,18 @@ class TestSchedule:
             schedule_contraction_factor(lam, split), rel=1e-14
         )
 
+    @pytest.mark.parametrize("lam, pieces, span", [(-5.0, 100, 10.0), (2.0, 256, 10.0), (-1.0, 1000, 2.0)])
+    def test_many_equal_pieces_pass_their_rounding_bound(self, lam, pieces, span):
+        # Each product lies 1e-14 to 1.9e-14 from exp(lam * span), relative: past 1e-14, within the rounding bound.
+        sched = PiecewiseSchedule([[0.0]] * pieces, [1.0 / pieces] * pieces, 0.0, span)
+        assert schedule_contraction_factor(lam, sched) == pytest.approx(math.exp(lam * span), rel=1e-13)
+
+    def test_product_off_by_1e_10_raises(self):
+        sched = PiecewiseSchedule([[0.0], [0.0]], [0.5, 0.5], 0.0, 1.0)
+        sched.fractions = np.array([0.5, 0.5 + 1e-10])  # the exponents now add to -(1 + 1e-10)
+        with pytest.raises(AssertionError, match="deviates"):
+            schedule_contraction_factor(-1.0, sched)
+
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
             PiecewiseSchedule([[0.0], [1.0]], [0.5, 0.6], 0.0, 1.0)
