@@ -340,7 +340,7 @@ def verify_ges(initial_conditions, horizon: float, rate: float, config: Integrat
     moving = norms != 0.0
     if np.any(moving):
         x0, norm0 = starts[moving], norms[moving]
-        traj = integrate(circle_field(), ConstantInput.zero(2), x0, (0.0, horizon), config)
+        traj = integrate(circle_field(), ConstantInput(np.zeros(2)), x0, (0.0, horizon), config)
         ts, x = traj.times[1:], traj.states[1:]
         # Far past resolution the bound underflows, so the excess overflows or is
         # 0/0; with NumPy's warnings off, such an excess wins below and raises.

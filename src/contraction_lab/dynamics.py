@@ -52,7 +52,6 @@ __all__ = [
     "PiecewiseConstantInput",
     "ConcatenatedInput",
     "concat",
-    "shift_signal",
     "Trajectory",
     "integrate",
 ]
@@ -148,10 +147,6 @@ class InputSignal:
         """Discontinuity times strictly inside (t0, t1)."""
         return []
 
-    def shifted(self, offset: float) -> "InputSignal":
-        """Signal s with s(t) = self(t + offset)."""
-        raise NotImplementedError
-
 
 class ConstantInput(InputSignal):
     def __init__(self, value):
@@ -160,13 +155,6 @@ class ConstantInput(InputSignal):
 
     def eval(self, t):
         return self.value
-
-    def shifted(self, offset):
-        return self
-
-    @classmethod
-    def zero(cls, dim: int) -> "ConstantInput":
-        return cls(np.zeros(dim))
 
 
 class PeriodicInput(InputSignal):
@@ -189,7 +177,8 @@ class PeriodicInput(InputSignal):
         u = _asarray(self._fn(t), float)
         return u.reshape(1) if u.ndim == 0 else u
 
-    def shifted(self, offset):
+    def shifted(self, offset) -> "PeriodicInput":
+        """Signal s with s(t) = self(t + offset), the one shift a claim makes."""
         # Not checked again: at a large offset, rounding alone would fail the check.
         fn, out = self._fn, copy.copy(self)
         out._fn = lambda t: fn(t + offset)
@@ -225,9 +214,6 @@ class PiecewiseConstantInput(InputSignal):
     def breakpoints_in(self, t0, t1):
         return self._cuts[bisect_right(self._cuts, t0) : bisect_left(self._cuts, t1)]
 
-    def shifted(self, offset):
-        return PiecewiseConstantInput(self.breakpoints - offset, self.values)
-
 
 class ConcatenatedInput(InputSignal):
     """u before t_switch, v from t_switch on (right-inclusive boundary)."""
@@ -254,18 +240,10 @@ class ConcatenatedInput(InputSignal):
             pts.add(self.t_switch)
         return sorted(pts)
 
-    def shifted(self, offset):
-        return ConcatenatedInput(self.u.shifted(offset), self.v.shifted(offset), self.t_switch - offset)
-
 
 def concat(u: InputSignal, v: InputSignal, t0: float) -> InputSignal:
     """Signal equal to u(t) for t < t0 and v(t) for t >= t0."""
     return ConcatenatedInput(u, v, t0)
-
-
-def shift_signal(u: InputSignal, offset: float) -> InputSignal:
-    """Signal s with s(t) = u(t + offset) pointwise."""
-    return u.shifted(offset)
 
 
 class Trajectory:

@@ -122,6 +122,15 @@ class TestRun:
         assert run_cli("report", str(tmp_path)) == 0
         assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["divergence", "inconclusive"]
 
+    def test_entrainment_stopped_early_by_loose_tol_is_inconclusive(self, tmp_path, capsys):
+        # At --tol 0.1 the detector stops after 2 return maps at -0.49999826,
+        # within --tol of the true fixed point -1/2 but not within 1e-8.
+        assert run_cli("run", "entrainment-linear", "--tol", "0.1", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().out.startswith("entrainment-linear: INCONCLUSIVE -- ")
+        doc = json.loads((tmp_path / "entrainment-linear.json").read_text())
+        assert doc["confirmed"] is None and doc["verdict"] == "entrains"
+        assert 1e-8 < abs(doc["fixed_point"] + 0.5) <= 0.1
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -129,10 +138,14 @@ class TestRun:
             ["ges-check", "--rate", "0"],
             ["ges-check", "--horizon", "-1"],
             ["ges-check", "--horizon", "inf"],
+            ["ges-check", "--horizon", "50001"],
+            ["ges-check", "--horizon", "1e9"],
             ["ges-check", "--seed", "-1"],
             ["circle-orbit", "--tol", "nan"],
             ["circle-orbit", "--tol=-1e-10"],
             ["divergence", "--periods", "0"],
+            ["divergence", "--periods", "2001"],
+            ["divergence", "--periods", "100000000"],
             ["divergence", "--delta", "-0.1"],
             ["divergence", "--delta", "0"],
             ["divergence", "--delta", "1e-17"],
@@ -339,7 +352,7 @@ class TestInterface:
         # start alone must end where integrate takes it, within 1e-9 of the
         # start's norm (the scale of the GES bound), and give the same verdict.
         starts = np.array([[0.0, 0.0], [1.0, 0.0], [-3.0, 2.5], [0.2, -7.0], [6.0, 6.0]])
-        field, zero = counterexample.circle_field(), ConstantInput.zero(2)
+        field, zero = counterexample.circle_field(), ConstantInput(np.zeros(2))
         lockstep = integrate(field, zero, starts, (0.0, 20.0)).final_state
         for start, final in zip(starts, lockstep):
             alone = integrate(field, zero, start, (0.0, 20.0)).final_state

@@ -315,7 +315,7 @@ class TestVerifyGes:
         assert cert.margin == pytest.approx(14.5, abs=0.1)
         # Reference: the stored lockstep trajectory, scored at every step;
         # the C-order argmax is the first maximum in time, then start order.
-        traj = integrate(circle_field(), ConstantInput.zero(2), starts, (0.0, 20.0), config)
+        traj = integrate(circle_field(), ConstantInput(np.zeros(2)), starts, (0.0, 20.0), config)
         norms = np.linalg.norm(traj.states, axis=2)
         excess = norms / (np.exp(-0.5 * traj.times)[:, None] * norms[0]) - 1.0
         k, i = np.unravel_index(np.argmax(excess), excess.shape)
@@ -329,7 +329,7 @@ class TestVerifyGes:
         starts = random_initial_conditions(20, 10.0, seed=3)
         cert = verify_ges(starts, 60.0, 0.5)
         # Reference: the stored lockstep trajectory, scored at every step.
-        traj = integrate(circle_field(), ConstantInput.zero(2), starts, (0.0, 60.0))
+        traj = integrate(circle_field(), ConstantInput(np.zeros(2)), starts, (0.0, 60.0))
         norms = np.linalg.norm(traj.states, axis=2)
         excess = norms / (np.exp(-0.5 * traj.times)[:, None] * norms[0]) - 1.0
         k, i = np.unravel_index(np.argmax(excess), excess.shape)

@@ -1,11 +1,12 @@
-"""README checks: the experiment table and the install line follow the code and pyproject.toml."""
+"""README checks: the experiment table, the flags and the install line follow the code and pyproject.toml."""
 
+import argparse
 import re
 from pathlib import Path
 
 import pytest
 
-from contraction_lab.cli import EXPERIMENTS
+from contraction_lab.cli import EXPERIMENTS, _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -15,6 +16,20 @@ def test_experiment_table_names_exactly_the_cli_experiments():
     table = README.split("| name | claim checked |", 1)[1].split("\n\n", 1)[0]
     names = re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE)
     assert names == list(EXPERIMENTS)
+
+
+def test_cli_section_names_exactly_the_parser_flags():
+    section = README.split("## Command-line interface", 1)[1].split("\n## ", 1)[0]
+    (subparsers,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        option
+        for command in subparsers.choices.values()  # find-rstar, run and report
+        for action in command._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == flags
 
 
 def test_test_install_comment_names_every_test_extra():

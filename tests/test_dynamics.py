@@ -17,7 +17,6 @@ from contraction_lab.dynamics import (
     VectorField,
     concat,
     integrate,
-    shift_signal,
 )
 from contraction_lab.errors import NonFiniteError, StepSizeUnderflowError
 from contraction_lab.flowspace import PiecewiseSchedule, check_piecewise_contraction, flow_from_field
@@ -122,7 +121,7 @@ class TestIntegrate:
         sig = sine_input()
         shift = 1.37
         base = integrate(field, sig, [0.4], (0.5, 3.5)).final_state
-        moved = integrate(field, shift_signal(sig, shift), [0.4], (0.5 - shift, 3.5 - shift)).final_state
+        moved = integrate(field, sig.shifted(shift), [0.4], (0.5 - shift, 3.5 - shift)).final_state
         assert np.linalg.norm(base - moved) < 10 * 1e-9 * max(1.0, np.linalg.norm(base))
 
     def test_nonfinite_interior_stage_is_retried(self):
@@ -293,12 +292,8 @@ class TestInputSignals:
         with pytest.raises(ValueError, match="finite"):
             concat(ConstantInput([1.0]), ConstantInput([2.0]), math.nan)
 
-    def test_shift_of_constant(self):
-        sig = shift_signal(ConstantInput([3.0]), 17.0)
-        assert sig.eval(123.0)[0] == 3.0
-
     def test_shift_sin_by_quarter_period(self):
-        sig = shift_signal(PeriodicInput(TWO_PI, lambda t: [math.sin(t)]), math.pi / 2)
+        sig = PeriodicInput(TWO_PI, lambda t: [math.sin(t)]).shifted(math.pi / 2)
         for t in np.linspace(0, 10, 23):
             assert sig.eval(t)[0] == pytest.approx(math.cos(t), abs=1e-12)
 
@@ -314,19 +309,13 @@ class TestInputSignals:
 
         base = PeriodicInput(TWO_PI, fn)
         calls.clear()
-        sig = shift_signal(base, offset)
+        sig = base.shifted(offset)
         assert calls == []
         for t in (0.0, 0.3, 2.5, -7.0):
             assert sig.eval(t).tolist() == fn(t + offset)
         assert sig.period == TWO_PI and sig.dim == 1
         with pytest.raises(ValueError, match="periodic"):
             PeriodicInput(TWO_PI, lambda t: [math.sin(t) + 1e-3 * t])
-
-    def test_shift_moves_breakpoints(self):
-        sig = PiecewiseConstantInput([1.0, 2.0], [[0.0], [1.0], [2.0]])
-        moved = shift_signal(sig, 0.5)
-        assert moved.breakpoints.tolist() == [0.5, 1.5]
-        assert moved.eval(0.6)[0] == sig.eval(1.1)[0]
 
     def test_piecewise_requires_ascending_breakpoints(self):
         for breakpoints in ([1.0, 1.0], [1.0, math.nan], [math.nan, 1.0], [1.0, math.inf], [-math.inf, 1.0]):
@@ -530,7 +519,7 @@ class TestGoldenBits:
     def test_unforced_ges_batch(self):
         # verify_ges's lockstep shape: three starts from the radius-10 disk.
         starts = [[7.0, -6.5], [-3.0, 9.0], [0.5, 2.0]]
-        traj = integrate(circle_field(), ConstantInput.zero(2), starts, (0.0, 20.0))
+        traj = integrate(circle_field(), ConstantInput(np.zeros(2)), starts, (0.0, 20.0))
         assert len(traj.times) - 1 == 649
         assert [[float(v).hex() for v in row] for row in traj.final_state] == [
             ["0x1.7ef063a1d453ap-25", "0x1.45b64f8632c13p-26"],
@@ -553,7 +542,7 @@ class TestGoldenBits:
         theta = np.linspace(0.0, TWO_PI, 16, endpoint=False)
         starts = 3.0 * np.column_stack([np.cos(theta), np.sin(theta)])
         assert starts.size > dynamics._PYTHON_NORM_MAX
-        traj = integrate(circle_field(), ConstantInput.zero(2), starts, (0.0, TWO_PI))
+        traj = integrate(circle_field(), ConstantInput(np.zeros(2)), starts, (0.0, TWO_PI))
         assert len(traj.times) - 1 == 213
         assert [[float(v).hex() for v in row] for row in traj.final_state] == [
             ["0x1.84c13cf249972p-7", "0x1.62ff410000000p-38"],
@@ -594,7 +583,7 @@ class TestGoldenBits:
                 return integrate(*forced_system, [r_star, 0.0], (0.0, TWO_PI))
             if case == "batch":
                 starts = [[1.0, 0.0], [0.0, -2.0], [-0.5, 0.25]]
-                return integrate(circle_field(), ConstantInput.zero(2), starts, (0.0, TWO_PI))
+                return integrate(circle_field(), ConstantInput(np.zeros(2)), starts, (0.0, TWO_PI))
             if case == "schedule":
                 schedule = PiecewiseSchedule([[-1.0], [2.0], [0.5]], [0.25, 0.5, 0.25], 0.0, 2.0)
                 return integrate(linear_additive_field(1), schedule, [0.3], (0.0, 2.0))

@@ -31,7 +31,7 @@ PACKAGE_NAMES = {
     "flow_from_field", "hull_contains_ball", "integrate", "linear_additive_field", "log_norm_2",
     "max_eigenvalue", "poincare_map", "polar_equivalence_check", "polytope_inradius", "radial_f",
     "radial_f_slope", "random_initial_conditions", "scalar_example_system", "scalar_metric",
-    "scalar_metric_derivative", "schedule_contraction_factor", "second_order_value", "shift_signal",
+    "scalar_metric_derivative", "schedule_contraction_factor", "second_order_value",
     "simplex_directions", "spectral_norm", "symmetric_eigenvalues", "symmetric_part", "verify_ges",
 }
 

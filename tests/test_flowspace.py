@@ -76,8 +76,6 @@ class TestFlowFromField:
             assert np.linalg.norm(via_same - whole) <= 1e-7
 
     def test_time_shift_covariance(self, rng):
-        from contraction_lab.dynamics import shift_signal
-
         flow = flow_from_field(circle_field())
         u = PeriodicInput(TWO_PI, lambda t: [math.sin(t), math.cos(2 * t)])
         for _ in range(5):
@@ -85,7 +83,7 @@ class TestFlowFromField:
             t1, t2 = 0.3, 2.9
             x0 = rng.uniform(-2, 2, size=2)
             base = flow.apply(u, t1, t2, x0)
-            moved = flow.apply(shift_signal(u, shift), t1 - shift, t2 - shift, x0)
+            moved = flow.apply(u.shifted(shift), t1 - shift, t2 - shift, x0)
             assert np.linalg.norm(base - moved) <= 1e-7
 
     def test_three_way_concatenation_associativity(self):
