@@ -25,16 +25,16 @@ from .dynamics import PeriodicInput, concat, integrate
 from .errors import ContractionLabError, NoRootFoundError
 
 # name -> (claim, {flag: default} for the flags taken beyond the common
-# out/format/seed set, runner, whether it writes CSV), in the order the
-# experiments are defined below.  A runner returns (confirmed, payload, csv
-# writers), where confirmed is True, False, or None when the evidence decides
-# neither way.
+# out/format/seed set, runner), in the order the experiments are defined
+# below.  The claim is a template filled from the parsed flags.  A runner
+# returns (confirmed, payload, csv writers), where confirmed is True, False,
+# or None when the evidence decides neither way.
 _EXPERIMENTS = {}
 
 
-def _experiment(name: str, claim: str, writes_csv: bool = False, **defaults):
+def _experiment(name: str, claim: str, **defaults):
     def register(run):
-        _EXPERIMENTS[name] = (claim, defaults, run, writes_csv)
+        _EXPERIMENTS[name] = (claim, defaults, run)
         return run
 
     return register
@@ -99,19 +99,17 @@ def _build_parser() -> _Parser:
 
     p_rstar = sub.add_parser("find-rstar", help="certify the critical forcing radius")
     p_rstar.add_argument("--interval", type=_interval, default=(0.1, 4.0))
-    p_rstar.add_argument("--tol", type=_positive, default=1e-13)
     p_rstar.add_argument("--out", default=None)
 
     p_run = sub.add_parser("run", help="run a named experiment")
     p_run.add_argument("experiment", choices=EXPERIMENTS)
     p_run.add_argument("--grid", type=_grid_axis, action="append", default=None)
-    p_run.add_argument("--tol", type=_positive, default=None)
     p_run.add_argument("--horizon", type=_horizon, default=None)
     p_run.add_argument("--periods", type=_periods, default=None)
     p_run.add_argument("--rate", type=_positive, default=None)
     p_run.add_argument("--delta", type=_positive, default=None)
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--format", choices=("json", "csv", "both"), default="json")
+    p_run.add_argument("--format", choices=("json", "both"), default="json")
     p_run.add_argument("--seed", type=_seed, default=0)
 
     p_rep = sub.add_parser("report", help="summarize experiment outputs")
@@ -120,10 +118,8 @@ def _build_parser() -> _Parser:
 
 
 def _check_params(parser, args) -> None:
-    _, defaults, _, writes_csv = _EXPERIMENTS[args.experiment]
-    if args.format == "csv" and not writes_csv:
-        parser.error(f"experiment {args.experiment!r} writes no CSV; use --format json or both")
-    for flag in ("grid", "tol", "horizon", "periods", "rate", "delta"):
+    _, defaults, _ = _EXPERIMENTS[args.experiment]
+    for flag in ("grid", "horizon", "periods", "rate", "delta"):
         if getattr(args, flag) is None:
             setattr(args, flag, defaults.get(flag))
         elif flag not in defaults:
@@ -139,7 +135,10 @@ def _check_params(parser, args) -> None:
 
 
 @_experiment(
-    "ges-check", "unforced trajectories decay at rate 1/2 and f(r) <= -r/2 on [0, 50]", rate=0.5, horizon=20.0
+    "ges-check",
+    "unforced trajectories decay at rate {rate!r} and f(r) + {rate!r}*r <= 0 on the scan grid of [0, 50]",
+    rate=0.5,
+    horizon=20.0,
 )
 def _exp_ges_check(args):
     ics = counterexample.random_initial_conditions(100, 10.0, seed=args.seed)
@@ -148,18 +147,14 @@ def _exp_ges_check(args):
     return bool(cert.holds), payload, []
 
 
-@_experiment("circle-orbit", "the circle of radius r_star is an exact periodic trajectory of the forced system", tol=1e-10)
+@_experiment("circle-orbit", "the circle of radius r_star is an exact periodic trajectory of the forced system")
 def _exp_circle_orbit(args):
     residual = counterexample.circle_orbit_residual(counterexample._canonical_radius(), 1000)
-    return residual <= args.tol, {"residual": residual, "tolerance": args.tol, "samples": 1000}, []
+    return residual <= 1e-10, {"residual": residual, "tolerance": 1e-10, "samples": 1000}, []
 
 
 @_experiment(
-    "divergence",
-    "a start just inside the forced orbit moves away from it and never returns",
-    writes_csv=True,
-    delta=0.1,
-    periods=10,
+    "divergence", "a start just inside the forced orbit moves away from it and never returns", delta=0.1, periods=10
 )
 def _exp_divergence(args):
     r_star = counterexample._canonical_radius()
@@ -190,21 +185,14 @@ def _exp_divergence(args):
     return confirmed, payload, [write_csvs]
 
 
-@_experiment("entrainment-linear", "x' = -x + sin t entrains with return-map fixed point -1/2", tol=1e-8)
+@_experiment("entrainment-linear", "x' = -x + sin t entrains with return-map fixed point -1/2")
 def _exp_entrainment_linear(args):
     field = contraction.linear_additive_field(1)
     signal = PeriodicInput(2 * np.pi, lambda t: [np.sin(t)])
-    verdict = entrainment.detect_entrainment(field, signal, [[-10.0], [0.0], [10.0]], 50, args.tol)
-    # -1/2 within 1e-8 confirms; divergence or a miss beyond both 1e-8 and --tol refutes.  A miss
-    # within a looser --tol (the detector stopped early) or no verdict decides neither way.
-    entrains = verdict.status == entrainment.ENTRAINS
-    miss = abs(verdict.orbit_sample[0] + 0.5) if entrains else None
-    if entrains and miss <= 1e-8:
-        confirmed = True
-    elif verdict.status == entrainment.DIVERGES or (entrains and miss > args.tol):
-        confirmed = False
-    else:
-        confirmed = None
+    verdict = entrainment.detect_entrainment(field, signal, [[-10.0], [0.0], [10.0]])
+    # A fixed point within the detector's 1e-8 of -1/2 confirms; divergence or any other fixed point refutes.
+    entrains = verdict.status == entrainment.ENTRAINS and abs(verdict.orbit_sample[0] + 0.5) <= 1e-8
+    confirmed = None if verdict.status == entrainment.INCONCLUSIVE else entrains
     payload = {
         "verdict": verdict.status,
         "fixed_point": None if verdict.orbit_sample is None else float(verdict.orbit_sample[0]),
@@ -359,31 +347,30 @@ _VERDICTS = {True: "confirmed", False: "REFUTED", None: "INCONCLUSIVE"}
 _REPORT_VERDICTS = {True: "pass", False: "FAIL", None: "inconclusive"}
 
 
-def _conclude(doc: dict, text: str, out_dir, fmt: str = "json", csvs=()) -> int:
-    """Write ``doc`` as ``text`` under ``out_dir`` unless it is None; exit 0
-    confirmed, 1 refuted, 2 inconclusive or unwritable."""
+def _conclude(doc: dict, text: str, out_dir, line: str, csvs=()) -> int:
+    """Write the ``csvs``, then ``doc`` as ``text``, under ``out_dir`` unless it
+    is None, and only then print ``line``: a failed write leaves no verdict.
+    Exit 0 confirmed, 1 refuted, 2 inconclusive or unwritable."""
     if out_dir is not None:
         try:
             os.makedirs(out_dir, exist_ok=True)
-            if fmt in ("json", "both"):
-                with open(os.path.join(out_dir, f"{doc['experiment']}.json"), "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
-            if fmt in ("csv", "both"):
-                for write_csvs in csvs:
-                    write_csvs(out_dir)
+            for write_csvs in csvs:
+                write_csvs(out_dir)
+            with open(os.path.join(out_dir, f"{doc['experiment']}.json"), "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
         except OSError as exc:
             print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
             return 2
+    print(line)
     return _EXIT_CODES[doc["confirmed"]]
 
 
 def _cmd_find_rstar(args) -> int:
     try:
-        cert = counterexample.find_r_star(args.interval, args.tol)
+        cert = counterexample.find_r_star(args.interval)
     except NoRootFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(cert.to_json())
     try:
         cert.validate()
     except ValueError as exc:
@@ -397,12 +384,13 @@ def _cmd_find_rstar(args) -> int:
         "confirmed": confirmed,
         "certificate": cert.to_dict(),
     }
-    return _conclude(doc, dumps_fixed(doc), args.out)
+    return _conclude(doc, dumps_fixed(doc), args.out, cert.to_json())
 
 
 def _cmd_run(parser, args) -> int:
     _check_params(parser, args)
-    claim, _, run, _ = _EXPERIMENTS[args.experiment]
+    claim, _, run = _EXPERIMENTS[args.experiment]
+    claim = claim.format_map(vars(args))
     try:
         confirmed, payload, csvs = run(args)
     except ContractionLabError as exc:
@@ -415,8 +403,8 @@ def _cmd_run(parser, args) -> int:
     except ValueError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    print(f"{args.experiment}: {_VERDICTS[confirmed]} -- {claim}")
-    return _conclude(doc, text, args.out, args.format, csvs)
+    line = f"{args.experiment}: {_VERDICTS[confirmed]} -- {claim}"
+    return _conclude(doc, text, args.out, line, csvs if args.format == "both" else ())
 
 
 def _artifact_fields(doc) -> tuple:

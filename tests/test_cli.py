@@ -65,8 +65,11 @@ class TestFindRstar:
     def test_bad_flag_value_exits_64(self, capsys):
         assert run_cli("find-rstar", "--tol", "bogus") == 64
 
-    def test_tolerance_below_float_spacing_exits_0(self, capsys):
-        assert run_cli("find-rstar", "--tol", "1e-300") == 0
+    def test_tol_flag_rejected_exits_64_and_writes_nothing(self, tmp_path, capsys):
+        # The Newton polish, not a bisection tolerance, decides r_star's bits, so find-rstar takes no --tol.
+        out = tmp_path / "out"
+        assert run_cli("find-rstar", "--tol", "1e-300", "--out", str(out)) == 64
+        assert not out.exists()
 
     def test_malformed_interval_exits_64(self, capsys):
         assert run_cli("find-rstar", "--interval", "nope") == 64
@@ -122,15 +125,6 @@ class TestRun:
         assert run_cli("report", str(tmp_path)) == 0
         assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["divergence", "inconclusive"]
 
-    def test_entrainment_stopped_early_by_loose_tol_is_inconclusive(self, tmp_path, capsys):
-        # At --tol 0.1 the detector stops after 2 return maps at -0.49999826,
-        # within --tol of the true fixed point -1/2 but not within 1e-8.
-        assert run_cli("run", "entrainment-linear", "--tol", "0.1", "--out", str(tmp_path)) == 2
-        assert capsys.readouterr().out.startswith("entrainment-linear: INCONCLUSIVE -- ")
-        doc = json.loads((tmp_path / "entrainment-linear.json").read_text())
-        assert doc["confirmed"] is None and doc["verdict"] == "entrains"
-        assert 1e-8 < abs(doc["fixed_point"] + 0.5) <= 0.1
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -159,6 +153,9 @@ class TestRun:
             ["metric-certify", "--grid", "0:1:1000001"],
             ["metric-certify", "--grid", "0:1:10000000000000"],
             ["uniform-contraction", "--grid", "0:1:5", "--grid", "0:2:5"],
+            ["circle-orbit", "--tol", "1e-16"],  # below the exact orbit's rounding residual 6.3e-16
+            ["divergence", "--format", "csv"],  # would write the CSVs without the JSON verdict
+            ["entrainment-linear", "--tol", "0.1"],  # would stop the detector after 2 return maps
         ],
     )
     def test_bad_flag_value_exits_64_and_writes_nothing(self, tmp_path, capsys, argv):
@@ -232,7 +229,9 @@ class TestRun:
         blocker = tmp_path / "file"
         blocker.write_text("")
         assert run_cli(*argv, "--out", str(blocker / "out")) == 2
-        assert "cannot write" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "cannot write" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("flags", [["--horizon", "2000"], ["--rate", "1e308"]])
     def test_non_finite_verdict_exits_2_and_writes_nothing(self, tmp_path, capsys, flags):
@@ -248,20 +247,30 @@ class TestRun:
         assert captured.out == ""
         assert not out.exists()
 
-    def test_csv_only_format_skips_json(self, tmp_path, capsys):
-        run_cli("run", "divergence", "--periods", "2", "--out", str(tmp_path), "--format", "csv")
-        assert not (tmp_path / "divergence.json").exists()
-        assert (tmp_path / "divergence_perturbed.csv").exists()
-
     @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "divergence"])
     def test_csv_only_format_refused_without_csv_output(self, tmp_path, capsys, experiment):
-        # Only divergence writes CSV; elsewhere --format csv would write no file at all.
+        # Every run writes its JSON verdict; only divergence adds CSVs, with --format both.
         out = tmp_path / "out"
         assert run_cli("run", experiment, "--format", "csv", "--out", str(out)) == 64
         captured = capsys.readouterr()
-        assert "writes no CSV" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_failed_csv_write_leaves_no_verdict(self, tmp_path, capsys):
+        # The CSVs are written before the JSON verdict, and the verdict line is printed last.
+        (tmp_path / "divergence_orbit.csv").mkdir()
+        argv = ["run", "divergence", "--periods", "2", "--format", "both", "--out", str(tmp_path)]
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot write" in captured.err
+        assert not (tmp_path / "divergence.json").exists()
+
+    def test_ges_check_claim_names_the_rate_checked(self, tmp_path, capsys):
+        assert run_cli("run", "ges-check", "--rate", "0.6", "--out", str(tmp_path)) == 1
+        claim = "unforced trajectories decay at rate 0.6 and f(r) + 0.6*r <= 0 on the scan grid of [0, 50]"
+        assert capsys.readouterr().out == f"ges-check: REFUTED -- {claim}\n"
+        assert json.loads((tmp_path / "ges-check.json").read_text())["claim"] == claim
 
 
 class TestReport:
