@@ -11,6 +11,7 @@ before anything runs or is written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -128,10 +129,11 @@ def _check_params(parser, args) -> None:
         parser.error(f"experiment {args.experiment!r} takes one --grid axis, got {len(args.grid)}")
     # The start r_star - delta must lie in the escape band, where the radial drift f is below f(r_star)
     # (DivergenceReport): not on the orbit, not at or below 0 and not at or below the rest radius 1.6749.
-    # f peaks at r_star, so below a delta of about 3e-9 rounding decides the comparison.
-    f = counterexample.radial_f
-    if args.delta is not None and not f((r_star := counterexample._canonical_radius()) - args.delta) < f(r_star):
-        parser.error(f"--delta must give f(r_star - delta) < f(r_star) at r_star = {r_star!r}, got {args.delta!r}")
+    # It must also lie beyond the detector's merge distance 10 * 1e-8, or one return map reads as entrainment.
+    if (delta := args.delta) is not None:
+        f, r_star = counterexample.radial_f, counterexample._canonical_radius()
+        if not (delta > 1e-7 and f(r_star - delta) < f(r_star)):
+            parser.error(f"--delta must exceed 1e-7 and give f(r_star - delta) < f(r_star) at r_star = {r_star!r}, got {delta!r}")
 
 
 @_experiment(
@@ -188,7 +190,7 @@ def _exp_divergence(args):
 @_experiment("entrainment-linear", "x' = -x + sin t entrains with return-map fixed point -1/2")
 def _exp_entrainment_linear(args):
     field = contraction.linear_additive_field(1)
-    signal = PeriodicInput(2 * np.pi, lambda t: [np.sin(t)])
+    signal = PeriodicInput(2 * np.pi, lambda t: [math.sin(t)])
     verdict = entrainment.detect_entrainment(field, signal, [[-10.0], [0.0], [10.0]])
     # A fixed point within the detector's 1e-8 of -1/2 confirms; divergence or any other fixed point refutes.
     entrains = verdict.status == entrainment.ENTRAINS and abs(verdict.orbit_sample[0] + 0.5) <= 1e-8
@@ -239,7 +241,6 @@ def _exp_metric_violate(args):
     witness_x = window.witness["x"][0]
     confirmed = (
         abs(direct - closed) <= 1e-9
-        and not wide.holds
         and not window.holds
         and abs(witness_x - x0) <= spacing
     )
@@ -312,8 +313,8 @@ def _exp_flow_compose(args):
         t3 = t2 + float(rng.uniform(0.3, 1.5))
         x0 = rng.uniform(-2.0, 2.0, size=2)
         a1, a2 = rng.uniform(0.2, 1.5, size=2)
-        u = PeriodicInput(2 * np.pi, lambda t, a=a1: [a * np.sin(t), a * np.cos(t)])
-        v = PeriodicInput(2 * np.pi, lambda t, a=a2: [a * np.cos(2 * t), 0.0])
+        u = PeriodicInput(2 * np.pi, lambda t, a=a1: [a * math.sin(t), a * math.cos(t)])
+        v = PeriodicInput(2 * np.pi, lambda t, a=a2: [a * math.cos(2 * t), 0.0])
         # flow property: one un-segmented run against a restart at t2
         stopover = integrate(field, u, x0, (t1, t2)).final_state
         via = integrate(field, u, stopover, (t2, t3)).final_state
@@ -332,7 +333,7 @@ def _exp_flow_compose(args):
 @_experiment("flow-limit", "schedule contraction passes to the limit signal through dyadic refinement")
 def _exp_flow_limit(args):
     flow = flowspace.flow_from_field(contraction.linear_additive_field(1))
-    target = PeriodicInput(2 * np.pi, lambda t: [float(np.clip(np.sin(t), -1.0, 1.0))])
+    target = PeriodicInput(2 * np.pi, lambda t: [math.sin(t)])
     cert = flowspace.check_limit_contraction(
         flow, (-1.0, 1.0), -1.0, target, 8, [([-2.0], [2.0]), ([0.5], [1.5])], (0.0, 2 * np.pi)
     )
@@ -354,9 +355,12 @@ def _conclude(doc: dict, text: str, out_dir, line: str, csvs=()) -> int:
     if out_dir is not None:
         try:
             os.makedirs(out_dir, exist_ok=True)
+            path = os.path.join(out_dir, f"{doc['experiment']}.json")
+            with contextlib.suppress(FileNotFoundError):  # an earlier run's verdict must not outlive a failed write
+                os.remove(path)
             for write_csvs in csvs:
                 write_csvs(out_dir)
-            with open(os.path.join(out_dir, f"{doc['experiment']}.json"), "w", encoding="utf-8") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
             print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)

@@ -17,11 +17,13 @@ cross-module test.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
 from .certificates import Certificate
 from .dynamics import (
+    ConstantInput,
     IntegratorConfig,
     InputSignal,
     PiecewiseConstantInput,
@@ -84,17 +86,30 @@ class FlowMap:
 
 
 class _StackedInput(InputSignal):
-    """Member j's value on row block j of a lockstep batch, breaking wherever a member does."""
+    """Member j's value on row block j of a lockstep batch, breaking wherever a member does.
+
+    Step members are read once per piece between their cuts, where their values and left limits hold still."""
 
     def __init__(self, members, rows: int):
-        self.members, self.rows = members, rows
-        self.dim = members[0].dim
+        self.members, self.rows, self.dim, self._piece = members, rows, members[0].dim, None
+        steps = [member for member in members if isinstance(member, (PiecewiseConstantInput, ConstantInput))]
+        self._cuts = sorted(set().union(*(member.breakpoints_in(-math.inf, math.inf) for member in steps)))
+        self._others = [(j * rows, member) for j, member in enumerate(members) if member not in steps]
+
+    def _lookup(self, piece, t, name):
+        if piece != self._piece:
+            self._piece, self._block = piece, np.repeat([getattr(m, name)(t) for m in self.members], self.rows, axis=0)
+            return self._block.copy()
+        out = self._block.copy()
+        for start, member in self._others:
+            out[start : start + self.rows] = getattr(member, name)(t)
+        return out
 
     def eval(self, t):
-        return np.repeat([member.eval(t) for member in self.members], self.rows, axis=0)
+        return self._lookup(bisect_right(self._cuts, t), t, "eval")
 
     def eval_left(self, t):
-        return np.repeat([member.eval_left(t) for member in self.members], self.rows, axis=0)
+        return self._lookup(bisect_left(self._cuts, t), t, "eval_left")
 
     def breakpoints_in(self, t0, t1):
         return sorted(set().union(*(member.breakpoints_in(t0, t1) for member in self.members)))

@@ -146,6 +146,11 @@ class TestRun:
             ["divergence", "--delta", "3.0"],
             ["divergence", "--delta", "1.2"],  # below the rest radius 1.6749, outside the escape band
             ["divergence", "--delta", "2.79"],
+            # within the detector's merge distance 1e-7 of the orbit, where one return map reads as entrainment
+            ["divergence", "--delta", "1e-9"],
+            ["divergence", "--delta", "1e-8"],
+            ["divergence", "--delta", "5e-8"],
+            ["divergence", "--delta", "1e-7"],
             ["entrainment-linear", "--tol", "inf"],
             ["metric-certify", "--grid", "0:1:0"],
             ["metric-certify", "--grid", "nan:1:5"],
@@ -265,6 +270,23 @@ class TestRun:
         assert captured.out == ""
         assert "cannot write" in captured.err
         assert not (tmp_path / "divergence.json").exists()
+
+    def test_failed_rerun_removes_the_previous_verdict(self, tmp_path, capsys):
+        argv = ["run", "divergence", "--periods", "2", "--format", "both", "--out", str(tmp_path)]
+        assert run_cli(*argv) == 0
+        (tmp_path / "divergence_orbit.csv").unlink()
+        (tmp_path / "divergence_orbit.csv").mkdir()
+        assert run_cli(*argv, "--delta", "1e-6") == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert not (tmp_path / "divergence.json").exists()
+        assert run_cli("report", str(tmp_path)) == 0
+        assert "divergence" not in capsys.readouterr().out
+
+    def test_metric_violate_rests_on_the_window_at_the_paper_point(self, tmp_path, capsys):
+        # A one-point grid at 0 misses the violation, but the claim is about x0.
+        assert run_cli("run", "metric-violate", "--grid=0:0:1", "--out", str(tmp_path)) == 0
+        doc = json.loads((tmp_path / "metric-violate.json").read_text())
+        assert doc["confirmed"] is True and doc["wide_certificate"]["holds"] is True
 
     def test_ges_check_claim_names_the_rate_checked(self, tmp_path, capsys):
         assert run_cli("run", "ges-check", "--rate", "0.6", "--out", str(tmp_path)) == 1

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -468,6 +469,75 @@ class TestLimitLevelsInOneIntegration:
                 pieces = 2**level
                 mids = t1 + (np.arange(pieces) + 0.5) * ((t2 - t1) / pieces)
                 assert np.array_equal(signal.values[:, 0], mids)
+
+
+class TestStackedInput:
+    """The lockstep input reads its step members once per piece, and returns
+    the per-member ``np.repeat`` of every lookup bit for bit."""
+
+    ROWS = 3
+
+    @staticmethod
+    def members():
+        return [
+            ConstantInput([0.25]),
+            PiecewiseConstantInput([0.4, 1.1, 2.0], [[1.0], [-0.5], [0.5], [2.0]]),
+            PiecewiseSchedule([0.3, -0.9, 0.6], [0.2, 0.5, 0.3], 0.0, 2.5),
+            PeriodicInput(TWO_PI, lambda t: [math.sin(3.0 * t)]),
+            PiecewiseSchedule([0.1, 0.7], [0.5, 0.5], 0.0, 2.5),
+        ]
+
+    def repeated(self, members, name, t):
+        return np.repeat([getattr(member, name)(t) for member in members], self.ROWS, axis=0)
+
+    def test_lookups_equal_the_per_member_repeat(self, rng):
+        members = self.members()
+        stacked = flowspace._StackedInput(members, self.ROWS)
+        cuts = stacked.breakpoints_in(-1.0, 4.0)
+        assert cuts == [0.4, 0.5, 1.1, 1.25, 1.75, 2.0]
+        # in time order, as integrate looks up, and then in random order,
+        # which changes the piece at almost every lookup
+        times = sorted([*cuts, *rng.uniform(-1.0, 4.0, size=200)])
+        for t in [*times, *rng.permutation(times)]:
+            for name in ("eval", "eval_left", "eval"):
+                got = getattr(stacked, name)(t)
+                assert got.shape == (len(members) * self.ROWS, 1)
+                assert got.tobytes() == self.repeated(members, name, t).tobytes()
+
+    def test_returned_blocks_are_fresh(self):
+        members = self.members()
+        stacked = flowspace._StackedInput(members, self.ROWS)
+        for name in ("eval", "eval_left", "eval", "eval_left"):
+            block = getattr(stacked, name)(0.7)
+            block[:] = 99.0
+        assert stacked.eval(0.7).tobytes() == self.repeated(members, "eval", 0.7).tobytes()
+        assert stacked.eval_left(1.1).tobytes() == self.repeated(members, "eval_left", 1.1).tobytes()
+
+    def test_step_members_are_read_once_per_piece(self, monkeypatch):
+        levels = 5
+        reads = []
+        for name in ("eval", "eval_left"):
+            method = getattr(PiecewiseConstantInput, name)
+
+            def counted(signal, t, method=method, left=name == "eval_left"):
+                reads.append((signal, t, left))
+                return method(signal, t)
+
+            monkeypatch.setattr(PiecewiseConstantInput, name, counted)
+        runs = TestLimitLevelsInOneIntegration.counted_integrate(monkeypatch)
+        target = PeriodicInput(TWO_PI, lambda t: [0.8 * math.sin(t)])
+        cert = check_limit_contraction(linear_flow(), (-1.0, 1.0), -1.0, target, levels, [([-2.0], [2.0])], (0.0, TWO_PI))
+        assert cert.holds and len(runs) == 1
+        cuts = runs[0].breakpoints_in(0.0, TWO_PI)
+        assert len(cuts) == 2**levels - 1
+        pieces = {}
+        for signal, t, left in reads:
+            piece = (bisect_left if left else bisect_right)(cuts, t)
+            pieces.setdefault(id(signal), []).append(piece)
+        # every level's schedule, each read once on each of the 2^levels pieces
+        assert len(pieces) == levels + 1
+        for read in pieces.values():
+            assert read == list(range(2**levels))
 
 
 class TestRateConventionBridge:
