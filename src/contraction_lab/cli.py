@@ -4,8 +4,8 @@ Every experiment writes a machine-readable JSON verdict (UTF-8, newline
 terminated, fixed key order, 17-significant-digit floats) and exits 0 only
 when its claim is confirmed.  Exit codes: 0 confirmed, 1 claim refuted,
 2 numerical failure or an inconclusive run (``"confirmed": null``), 64 usage
-error.  Flag values are validated at parse time, so a bad value exits 64
-before anything runs or is written.
+error.  Each experiment's ``run`` sub-parser refuses a flag it does not take,
+a flag given twice or a bad value (exit 64) before anything runs or is written.
 """
 
 from __future__ import annotations
@@ -68,6 +68,25 @@ def _split_grid(text: str):
     return float(lo), float(hi), int(count)
 
 
+def _escapes(delta: float) -> bool:
+    # The start r_star - delta must lie in the escape band of DivergenceReport, where the radial drift f is below
+    # f(r_star): above 0 (tested first, so f cannot overflow), above the rest radius 1.6749 and off the orbit. It must
+    # also lie beyond the detector's merge distance 10 * 1e-8, or one return map reads as entrainment.
+    f, r_star = counterexample.radial_f, counterexample._canonical_radius()
+    return 1e-7 < delta < r_star and f(r_star - delta) < f(r_star)
+
+
+class _Once(argparse.Action):
+    """Store the value; refuse a flag given twice, by name, since a value may equal its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("given", set())
+        if self.dest in given:
+            parser.error(f"{option_string} given twice")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 # A run at either cap peaks within the 222 MB ru_maxrss of a million-point
 # grid: ges-check stores about 0.44 steps per unit of horizon and divergence
 # about 224 steps per period (151 MB at 2000 periods, 144 MB at horizon 5e4).
@@ -84,11 +103,13 @@ _interval = _flag(
     lambda v: len(v) == 2 and 0 < v[0] < v[1] < math.inf and counterexample._scan_fits(*v),
     f"LO:HI with 0 < LO < HI and a scan of at most {counterexample._SCAN_MAX_POINTS} points",
 )
-_grid_axis = _flag(
+_grid = _flag(
     _split_grid,
     lambda v: -math.inf < v[0] <= v[1] < math.inf and 1 <= v[2] <= counterexample._SCAN_MAX_POINTS,
     f"LO:HI:COUNT with finite LO <= HI and 1 <= COUNT <= {counterexample._SCAN_MAX_POINTS}",
 )
+_delta = _flag(float, _escapes, "a number > 1e-7 with f(r_star - delta) < f(r_star)")
+_FLAG_TYPES = {"grid": _grid, "horizon": _horizon, "periods": _periods, "rate": _positive, "delta": _delta}
 
 
 @functools.cache
@@ -96,44 +117,25 @@ def _build_parser() -> _Parser:
     """The command-line parser, built once per process: parsing keeps no
     state on it, so every call starts from the defaults."""
     parser = _Parser(prog="contraction-lab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_rstar = sub.add_parser("find-rstar", help="certify the critical forcing radius")
-    p_rstar.add_argument("--interval", type=_interval, default=(0.1, 4.0))
-    p_rstar.add_argument("--out", default=None)
+    p_rstar.add_argument("--interval", type=_interval, default=(0.1, 4.0), action=_Once)
+    p_rstar.add_argument("--out", default=None, action=_Once)
 
     p_run = sub.add_parser("run", help="run a named experiment")
-    p_run.add_argument("experiment", choices=EXPERIMENTS)
-    p_run.add_argument("--grid", type=_grid_axis, action="append", default=None)
-    p_run.add_argument("--horizon", type=_horizon, default=None)
-    p_run.add_argument("--periods", type=_periods, default=None)
-    p_run.add_argument("--rate", type=_positive, default=None)
-    p_run.add_argument("--delta", type=_positive, default=None)
-    p_run.add_argument("--out", default="out")
-    p_run.add_argument("--format", choices=("json", "both"), default="json")
-    p_run.add_argument("--seed", type=_seed, default=0)
+    experiments = p_run.add_subparsers(dest="experiment", metavar="EXPERIMENT", required=True)
+    for name, (claim, defaults, _) in _EXPERIMENTS.items():
+        p_exp = experiments.add_parser(name, help=claim.format_map(defaults))
+        for flag, default in defaults.items():
+            p_exp.add_argument(f"--{flag}", type=_FLAG_TYPES[flag], default=default, action=_Once)
+        p_exp.add_argument("--out", default="out", action=_Once)
+        p_exp.add_argument("--format", choices=("json", "both"), default="json", action=_Once)
+        p_exp.add_argument("--seed", type=_seed, default=0, action=_Once)
 
     p_rep = sub.add_parser("report", help="summarize experiment outputs")
     p_rep.add_argument("dir", nargs="?", default="out")
     return parser
-
-
-def _check_params(parser, args) -> None:
-    _, defaults, _ = _EXPERIMENTS[args.experiment]
-    for flag in ("grid", "horizon", "periods", "rate", "delta"):
-        if getattr(args, flag) is None:
-            setattr(args, flag, defaults.get(flag))
-        elif flag not in defaults:
-            parser.error(f"experiment {args.experiment!r} does not take --{flag}")
-    if args.grid is not None and len(args.grid) > 1:
-        parser.error(f"experiment {args.experiment!r} takes one --grid axis, got {len(args.grid)}")
-    # The start r_star - delta must lie in the escape band, where the radial drift f is below f(r_star)
-    # (DivergenceReport): not on the orbit, not at or below 0 and not at or below the rest radius 1.6749.
-    # It must also lie beyond the detector's merge distance 10 * 1e-8, or one return map reads as entrainment.
-    if (delta := args.delta) is not None:
-        f, r_star = counterexample.radial_f, counterexample._canonical_radius()
-        if not (delta > 1e-7 and f(r_star - delta) < f(r_star)):
-            parser.error(f"--delta must exceed 1e-7 and give f(r_star - delta) < f(r_star) at r_star = {r_star!r}, got {delta!r}")
 
 
 @_experiment(
@@ -146,7 +148,9 @@ def _exp_ges_check(args):
     ics = counterexample.random_initial_conditions(100, 10.0, seed=args.seed)
     cert = counterexample.verify_ges(ics, args.horizon, args.rate)
     payload = {"rate": args.rate, "horizon": args.horizon, "certificate": cert.to_dict()}
-    return bool(cert.holds), payload, []
+    # The claim is false at every rate above 1/2: f(r) + rate*r > 0 wherever sin r^2 > 2(1 - rate).
+    # Just above 1/2 that set is thin enough to fall between the scan points, so a scan that holds decides nothing.
+    return None if cert.holds and args.rate > 0.5 else bool(cert.holds), payload, []
 
 
 @_experiment("circle-orbit", "the circle of radius r_star is an exact periodic trajectory of the forced system")
@@ -206,11 +210,11 @@ def _exp_entrainment_linear(args):
 @_experiment(
     "metric-certify",
     "the oscillatory scalar system contracts in its stock metric at rate 1/3",
-    grid=[(-20.0, 20.0, 40001)],
+    grid=(-20.0, 20.0, 40001),
 )
 def _exp_metric_certify(args):
     field, metric = contraction.scalar_example_system()
-    ((lo, hi, count),) = args.grid
+    lo, hi, count = args.grid
     cert = contraction.check_contraction_region(field, metric, (lo, hi), count, 1.0 / 3.0, [0.0])
     xs = np.linspace(lo, hi, 10001)
     f, slope = counterexample.radial_f(xs), counterexample.radial_f_slope(xs)
@@ -224,7 +228,7 @@ def _exp_metric_certify(args):
 @_experiment(
     "metric-violate",
     "constant input 27/16 breaks the scalar metric certificate near x = 4*sqrt(2*pi)",
-    grid=[(-20.0, 20.0, 40001)],
+    grid=(-20.0, 20.0, 40001),
 )
 def _exp_metric_violate(args):
     field, metric = contraction.scalar_example_system()
@@ -232,7 +236,7 @@ def _exp_metric_violate(args):
     x0 = 4.0 * np.sqrt(2.0 * np.pi)
     direct = contraction.contraction_matrix(field, metric, [x0], [c])[0, 0]
     closed = -2.0 + 13.5 * np.sqrt(2.0 * np.pi)
-    ((lo, hi, count),) = args.grid
+    lo, hi, count = args.grid
     wide = contraction.check_contraction_region(field, metric, (lo, hi), count, 1.0 / 3.0, [c])
     spacing = 1e-3
     window = contraction.check_contraction_region(
@@ -258,13 +262,13 @@ def _exp_metric_violate(args):
     "uniform-contraction",
     "x' = -x + u contracts uniformly over |u| <= 1 in the non-constant bump metric",
     # |x| <= 10 sqrt(m) for the m = 2 that bounded_metric_m_parameter(1.0) returns
-    grid=[(-10.0 * math.sqrt(2.0), 10.0 * math.sqrt(2.0), 2001)],
+    grid=(-10.0 * math.sqrt(2.0), 10.0 * math.sqrt(2.0), 2001),
 )
 def _exp_uniform_contraction(args):
     m, m_cert = contraction.bounded_metric_m_parameter(1.0)
     metric = contraction.bounded_example_metric(m)
     field = contraction.linear_additive_field(1)
-    ((lo, hi, count),) = args.grid
+    lo, hi, count = args.grid
     cert = contraction.check_uniform_contraction(field, metric, (-1.0, 1.0), 5, (lo, hi), count, 1.0)
     payload = {"m": m, "bound_certificate": m_cert.to_dict(), "certificate": cert.to_dict()}
     return bool(cert.holds), payload, []
@@ -348,14 +352,20 @@ _VERDICTS = {True: "confirmed", False: "REFUTED", None: "INCONCLUSIVE"}
 _REPORT_VERDICTS = {True: "pass", False: "FAIL", None: "inconclusive"}
 
 
-def _conclude(doc: dict, text: str, out_dir, line: str, csvs=()) -> int:
-    """Write the ``csvs``, then ``doc`` as ``text``, under ``out_dir`` unless it
-    is None, and only then print ``line``: a failed write leaves no verdict.
-    Exit 0 confirmed, 1 refuted, 2 inconclusive or unwritable."""
+def _conclude(experiment: str, claim: str, confirmed, fields: dict, out_dir, line: str, csvs=()) -> int:
+    """Serialize ``{experiment, claim, confirmed, **fields}``, write the ``csvs`` and then that document under
+    ``out_dir`` unless it is None, and only then print ``line``: a non-finite value or a failed write prints no
+    verdict.  Exit 0 confirmed, 1 refuted, 2 inconclusive, non-finite or unwritable."""
+    doc = {"experiment": experiment, "claim": claim, "confirmed": confirmed, **fields}
+    try:
+        text = dumps_fixed(doc)
+    except ValueError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     if out_dir is not None:
         try:
             os.makedirs(out_dir, exist_ok=True)
-            path = os.path.join(out_dir, f"{doc['experiment']}.json")
+            path = os.path.join(out_dir, f"{experiment}.json")
             with contextlib.suppress(FileNotFoundError):  # an earlier run's verdict must not outlive a failed write
                 os.remove(path)
             for write_csvs in csvs:
@@ -366,7 +376,7 @@ def _conclude(doc: dict, text: str, out_dir, line: str, csvs=()) -> int:
             print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
             return 2
     print(line)
-    return _EXIT_CODES[doc["confirmed"]]
+    return _EXIT_CODES[confirmed]
 
 
 def _cmd_find_rstar(args) -> int:
@@ -375,40 +385,30 @@ def _cmd_find_rstar(args) -> int:
     except NoRootFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    confirmed = True
     try:
         cert.validate()
     except ValueError as exc:
         print(f"certificate invariants violated: {exc}", file=sys.stderr)
         confirmed = False
-    else:
-        confirmed = True
-    doc = {
-        "experiment": "find-rstar",
-        "claim": "a strict local maximizer of the radial drift exists in the interval",
-        "confirmed": confirmed,
-        "certificate": cert.to_dict(),
-    }
-    return _conclude(doc, dumps_fixed(doc), args.out, cert.to_json())
+    claim = "a strict local maximizer of the radial drift exists in the interval"
+    return _conclude("find-rstar", claim, confirmed, {"certificate": cert.to_dict()}, args.out, cert.to_json())
 
 
-def _cmd_run(parser, args) -> int:
-    _check_params(parser, args)
+def _cmd_run(args) -> int:
     claim, _, run = _EXPERIMENTS[args.experiment]
     claim = claim.format_map(vars(args))
     try:
-        confirmed, payload, csvs = run(args)
+        # With NumPy's warnings off the library's finiteness checks decide, under any warning filter.
+        with np.errstate(all="ignore"):
+            confirmed, payload, csvs = run(args)
     except ContractionLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     confirmed = None if confirmed is None else bool(confirmed)
-    doc = {"experiment": args.experiment, "claim": claim, "confirmed": confirmed, "seed": args.seed, **payload}
-    try:
-        text = dumps_fixed(doc)  # before the verdict line: a non-finite value gets no verdict
-    except ValueError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     line = f"{args.experiment}: {_VERDICTS[confirmed]} -- {claim}"
-    return _conclude(doc, text, args.out, line, csvs if args.format == "both" else ())
+    fields = {"seed": args.seed, **payload}
+    return _conclude(args.experiment, claim, confirmed, fields, args.out, line, csvs if args.format == "both" else ())
 
 
 def _artifact_fields(doc) -> tuple:
@@ -448,16 +448,15 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "find-rstar":
-            return _cmd_find_rstar(args)
-        if args.command == "run":
-            return _cmd_run(parser, args)
-        return _cmd_report(args)
-    except SystemExit as exc:  # argparse exits, while parsing or from a command's own checks
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits on -h and, through _Parser.error, on a usage error
         return int(exc.code or 0)
+    if args.command == "find-rstar":
+        return _cmd_find_rstar(args)
+    if args.command == "run":
+        return _cmd_run(args)
+    return _cmd_report(args)
 
 
 if __name__ == "__main__":

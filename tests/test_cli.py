@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +31,22 @@ SMALL_FLAGS = {
 }
 
 
+# A valid value of each run flag but --out.
+FLAG_VALUES = {
+    "grid": "0:1:5", "horizon": "1", "periods": "3", "rate": "0.5", "delta": "0.1", "format": "json", "seed": "0"
+}
+
+
+def run_flags(experiment):
+    """The flags of ``run EXPERIMENT``, without the -h/--help that every parser has."""
+    return [*_EXPERIMENTS[experiment][1], "out", "format", "seed"]
+
+
 def spelled_out_defaults(experiment):
     """The experiment's registry defaults as command-line flags."""
     flags = []
     for flag, value in _EXPERIMENTS[experiment][1].items():
-        text = ":".join(map(repr, value[0])) if flag == "grid" else repr(value)
+        text = ":".join(map(repr, value)) if flag == "grid" else repr(value)
         flags.append(f"--{flag}={text}")
     return flags
 
@@ -98,6 +111,12 @@ class TestFindRstar:
         assert run_cli("find-rstar", "--interval", "0.1:1e9", "--out", str(out)) == 64
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--interval", "0.1:4", "--interval", "30:40"], ["--out", "a", "--out", "b"]])
+    def test_flag_given_twice_exits_64_and_writes_nothing(self, tmp_path, capsys, flags):
+        assert run_cli("find-rstar", *flags, "--out", str(tmp_path / "out")) == 64
+        assert capsys.readouterr().err.endswith(f"error: {flags[0]} given twice\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestRun:
     def test_unknown_experiment_exits_64(self, capsys):
@@ -106,6 +125,70 @@ class TestRun:
     def test_unknown_parameter_rejected(self, capsys):
         assert run_cli("run", "flow-limit", "--rate", "1.0") == 64
         assert run_cli("run", "circle-orbit", "--grid", "0:1:5") == 64
+
+    @pytest.mark.parametrize(
+        "experiment, flag", [(e, f) for e in EXPERIMENTS for f in FLAG_VALUES if f not in run_flags(e)]
+    )
+    def test_flag_not_taken_exits_64_and_writes_nothing(self, tmp_path, capsys, experiment, flag):
+        out = tmp_path / "out"
+        assert run_cli("run", experiment, f"--{flag}={FLAG_VALUES[flag]}", "--out", str(out)) == 64
+        assert f"unrecognized arguments: --{flag}=" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_experiment_help_names_exactly_its_flags(self, capsys, experiment):
+        assert run_cli("run", experiment, "-h") == 0
+        usage = capsys.readouterr().out
+        assert usage.startswith(f"usage: contraction-lab run {experiment} [-h]")
+        flags = {f"--{flag}" for flag in run_flags(experiment)}
+        assert set(re.findall(r"--[a-z][a-z-]*", usage)) == flags | {"--help"}
+
+    @pytest.mark.parametrize("experiment, flag", [(e, f) for e in EXPERIMENTS for f in run_flags(e)])
+    def test_flag_given_twice_exits_64_and_writes_nothing(self, tmp_path, capsys, experiment, flag):
+        out = tmp_path / "out"
+        text = FLAG_VALUES.get(flag, str(out))
+        assert run_cli("run", experiment, f"--{flag}={text}", f"--{flag}={text}", "--out", str(out)) == 64
+        assert capsys.readouterr().err.endswith(f"error: --{flag} given twice\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["divergence", "--delta", "5e-8"],
+            ["divergence", "--delta", "inf"],
+            ["divergence", "--delta", "1e300"],  # f(r_star - delta) would overflow
+            ["ges-check", "--horizon", "0"],
+            ["divergence", "--periods", "10", "--periods", "3"],  # the first value equals the default
+            ["ges-check", "--seed", "0", "--seed", "1"],
+        ],
+    )
+    def test_bad_flag_prints_the_experiment_usage_and_writes_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli("run", *argv, "--out", str(out)) == 64
+        assert capsys.readouterr().err.splitlines()[0].startswith(f"usage: contraction-lab run {argv[0]} [-h]")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate, code", [("0.5000000001", 2), ("0.50000000001", 2), ("0.500000001", 1), ("0.6", 1)])
+    def test_ges_check_above_half_is_never_confirmed(self, tmp_path, capsys, rate, code):
+        # The claim is false above rate 1/2; a scan that misses the thin set where it fails is inconclusive.
+        assert run_cli("run", "ges-check", "--rate", rate, "--horizon", "1", "--out", str(tmp_path)) == code
+        verdict = {1: "REFUTED", 2: "INCONCLUSIVE"}[code]
+        assert capsys.readouterr().out.startswith(f"ges-check: {verdict} -- ")
+        assert json.loads((tmp_path / "ges-check.json").read_text())["confirmed"] is {1: False, 2: None}[code]
+
+    @pytest.mark.parametrize(
+        "argv", [["metric-certify", "--grid=1e200:1e200:1"], ["uniform-contraction", "--grid=-1e308:1e308:3"]]
+    )
+    def test_overflowing_grid_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
+        # The library's finiteness checks decide, under any warning filter, and no warning is shown.
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("run", *argv, "--out", str(out)) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: ") and captured.out == ""
+        assert not out.exists()
 
     def test_refuted_claim_exits_1(self, tmp_path, capsys):
         code = run_cli("run", "ges-check", "--rate", "0.6", "--out", str(tmp_path))
@@ -192,7 +275,7 @@ class TestRun:
     def test_uniform_grid_default_spans_ten_sqrt_m(self):
         m, _ = bounded_metric_m_parameter(1.0)
         half_width = 10.0 * math.sqrt(m)
-        assert _EXPERIMENTS["uniform-contraction"][1]["grid"] == [(-half_width, half_width, 2001)]
+        assert _EXPERIMENTS["uniform-contraction"][1]["grid"] == (-half_width, half_width, 2001)
 
     def test_json_newline_terminated(self, tmp_path, capsys):
         run_cli("run", "circle-orbit", "--out", str(tmp_path))

@@ -18,12 +18,20 @@ def test_experiment_table_names_exactly_the_cli_experiments():
     assert names == list(EXPERIMENTS)
 
 
+def parsers(parser):
+    """``parser`` and every parser under it: find-rstar, run and each experiment of run, report."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for command in action.choices.values():
+                yield from parsers(command)
+
+
 def test_cli_section_names_exactly_the_parser_flags():
     section = README.split("## Command-line interface", 1)[1].split("\n## ", 1)[0]
-    (subparsers,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     flags = {
         option
-        for command in subparsers.choices.values()  # find-rstar, run and report
+        for command in parsers(_build_parser())
         for action in command._actions
         if not isinstance(action, argparse._HelpAction)
         for option in action.option_strings
