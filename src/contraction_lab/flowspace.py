@@ -60,7 +60,7 @@ class FlowMap:
     share the signal and returns the same shape; ``apply_fn`` must map the
     rows of a batch independently.  ``apply_each`` maps the points under
     each of a list of S signals to ``(S, *points.shape)``: one ``apply`` per
-    signal, or one integration for a field's flow (:func:`flow_from_field`).
+    signal, or one ``apply`` for them all on a field's flow (:func:`flow_from_field`).
     Satisfies the composition law numerically: applying over [t1, t2] and
     then [t2, t3] equals applying the concatenation at t2 over [t1, t3],
     within integrator tolerance.
@@ -68,7 +68,6 @@ class FlowMap:
 
     def __init__(self, apply_fn):
         self._apply = apply_fn
-        self._apply_each = None
 
     def apply(self, signal: InputSignal, t1: float, t2: float, points) -> np.ndarray:
         points = np.atleast_1d(np.asarray(points, dtype=float))
@@ -80,9 +79,7 @@ class FlowMap:
         return images
 
     def apply_each(self, signals: list, t1: float, t2: float, points) -> np.ndarray:
-        if self._apply_each is None:
-            return np.stack([self.apply(signal, t1, t2, points) for signal in signals])
-        return self._apply_each(signals, float(t1), float(t2), np.atleast_1d(np.asarray(points, dtype=float)))
+        return np.stack([self.apply(signal, t1, t2, points) for signal in signals])
 
 
 class _StackedInput(InputSignal):
@@ -115,12 +112,21 @@ class _StackedInput(InputSignal):
         return sorted(set().union(*(member.breakpoints_in(t0, t1) for member in self.members)))
 
 
+class _LockstepFlow(FlowMap):
+    """The flow of a field with per-row inputs: ``apply_each`` is one ``apply`` on the points tiled once per signal."""
+
+    def apply_each(self, signals: list, t1: float, t2: float, points) -> np.ndarray:
+        points = np.atleast_1d(np.asarray(points, dtype=float))
+        rows = points.reshape(-1, points.shape[-1])
+        images = self.apply(_StackedInput(signals, len(rows)), t1, t2, np.tile(rows, (len(signals), 1)))
+        return images.reshape((len(signals),) + points.shape)
+
+
 def flow_from_field(field: VectorField, config: IntegratorConfig | None = None) -> FlowMap:
     """The ODE solution operator of ``field`` as a FlowMap.
 
     A batch of points goes through ``integrate`` as one lockstep run.  For a
-    field with per-row inputs, so do all the signals of ``apply_each``: the
-    points are tiled once per signal, and block j of the batch follows signal j.
+    field with per-row inputs, so do all the signals of ``apply_each``.
     """
 
     def apply_fn(signal, t1, t2, points):
@@ -128,14 +134,7 @@ def flow_from_field(field: VectorField, config: IntegratorConfig | None = None) 
             raise ValueError("flow application requires t2 > t1")
         return integrate(field, signal, points, (t1, t2), config).final_state
 
-    def each_fn(signals, t1, t2, points):
-        rows = points.reshape(-1, points.shape[-1])
-        images = apply_fn(_StackedInput(signals, len(rows)), t1, t2, np.tile(rows, (len(signals), 1)))
-        return images.reshape((len(signals),) + points.shape)
-
-    flow = FlowMap(apply_fn)
-    flow._apply_each = each_fn if field.per_row_inputs else None
-    return flow
+    return (_LockstepFlow if field.per_row_inputs else FlowMap)(apply_fn)
 
 
 class PiecewiseSchedule(PiecewiseConstantInput):

@@ -39,14 +39,19 @@ FLAG_VALUES = {
 
 def run_flags(experiment):
     """The flags of ``run EXPERIMENT``, without the -h/--help that every parser has."""
-    return [*_EXPERIMENTS[experiment][1], "out", "format", "seed"]
+    return [*_EXPERIMENTS[experiment][1], "out", "seed"]
+
+
+def every_file(experiment):
+    """``--format both`` where the experiment takes it, so that it writes every file it can."""
+    return ["--format", "both"] if "format" in run_flags(experiment) else []
 
 
 def spelled_out_defaults(experiment):
-    """The experiment's registry defaults as command-line flags."""
+    """The experiment's registry defaults as command-line flags; ``str`` spells a float as ``repr`` does."""
     flags = []
     for flag, value in _EXPERIMENTS[experiment][1].items():
-        text = ":".join(map(repr, value)) if flag == "grid" else repr(value)
+        text = ":".join(map(str, value)) if flag == "grid" else str(value)
         flags.append(f"--{flag}={text}")
     return flags
 
@@ -78,19 +83,16 @@ class TestFindRstar:
     def test_bad_flag_value_exits_64(self, capsys):
         assert run_cli("find-rstar", "--tol", "bogus") == 64
 
-    def test_tol_flag_rejected_exits_64_and_writes_nothing(self, tmp_path, capsys):
-        # The Newton polish, not a bisection tolerance, decides r_star's bits, so find-rstar takes no --tol.
+    @pytest.mark.parametrize("flags", [["--tol", "1e-300"], ["--format", "csv"]])
+    def test_flag_not_taken_exits_64_and_writes_nothing(self, tmp_path, capsys, flags):
+        # The Newton polish, not a bisection tolerance, decides r_star's bits, and find-rstar writes JSON only.
         out = tmp_path / "out"
-        assert run_cli("find-rstar", "--tol", "1e-300", "--out", str(out)) == 64
+        assert run_cli("find-rstar", *flags, "--out", str(out)) == 64
+        assert capsys.readouterr().err.splitlines()[0].startswith("usage: contraction-lab find-rstar [-h]")
         assert not out.exists()
 
     def test_malformed_interval_exits_64(self, capsys):
         assert run_cli("find-rstar", "--interval", "nope") == 64
-
-    def test_format_flag_rejected(self, tmp_path, capsys):
-        # find-rstar writes JSON only and takes no --format flag.
-        assert run_cli("find-rstar", "--format", "csv", "--out", str(tmp_path)) == 64
-        assert not (tmp_path / "find-rstar.json").exists()
 
     def test_writes_artifact(self, tmp_path, capsys):
         out = tmp_path / "arts"
@@ -132,7 +134,9 @@ class TestRun:
     def test_flag_not_taken_exits_64_and_writes_nothing(self, tmp_path, capsys, experiment, flag):
         out = tmp_path / "out"
         assert run_cli("run", experiment, f"--{flag}={FLAG_VALUES[flag]}", "--out", str(out)) == 64
-        assert f"unrecognized arguments: --{flag}=" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: contraction-lab run {experiment} [-h]")
+        assert f"unrecognized arguments: --{flag}=" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
@@ -248,7 +252,7 @@ class TestRun:
     )
     def test_bad_flag_value_exits_64_and_writes_nothing(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
-        assert run_cli("run", *argv, "--out", str(out), "--format", "both") == 64
+        assert run_cli("run", *argv, "--out", str(out), *every_file(argv[0])) == 64
         assert not out.exists()
 
     def test_circle_orbit_confirms(self, tmp_path, capsys):
@@ -260,7 +264,7 @@ class TestRun:
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_output_is_byte_deterministic(self, tmp_path, capsys, experiment):
         a, b = tmp_path / "a", tmp_path / "b"
-        flags = [*SMALL_FLAGS.get(experiment, []), "--format", "both"]
+        flags = [*SMALL_FLAGS.get(experiment, []), *every_file(experiment)]
         assert run_cli("run", experiment, *flags, "--out", str(a)) == 0
         assert run_cli("run", experiment, *flags, "--out", str(b)) == 0
         assert sorted(os.listdir(a)) == sorted(os.listdir(b))
@@ -337,7 +341,7 @@ class TestRun:
 
     @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "divergence"])
     def test_csv_only_format_refused_without_csv_output(self, tmp_path, capsys, experiment):
-        # Every run writes its JSON verdict; only divergence adds CSVs, with --format both.
+        # Every run writes its JSON verdict; only divergence adds CSVs, with --format both, and only it takes --format.
         out = tmp_path / "out"
         assert run_cli("run", experiment, "--format", "csv", "--out", str(out)) == 64
         captured = capsys.readouterr()
@@ -370,6 +374,18 @@ class TestRun:
         assert run_cli("run", "metric-violate", "--grid=0:0:1", "--out", str(tmp_path)) == 0
         doc = json.loads((tmp_path / "metric-violate.json").read_text())
         assert doc["confirmed"] is True and doc["wide_certificate"]["holds"] is True
+
+    @pytest.mark.parametrize("grid, code", [("-2:2:41", 0), ("0:1452:1", 2), ("1e11:1e11:1", 2)])
+    def test_metric_certify_failure_within_rounding_is_inconclusive(self, tmp_path, capsys, grid, code):
+        # Past |x| ~ 1e3 the identity, and past 1e8 the margin, miss only by rounding, a few eps*x^2: no witness.
+        assert run_cli("run", "metric-certify", f"--grid={grid}", "--out", str(tmp_path)) == code
+        assert json.loads((tmp_path / "metric-certify.json").read_text())["confirmed"] is {0: True, 2: None}[code]
+
+    def test_metric_certify_refutes_an_identity_that_misses_beyond_rounding(self, tmp_path, capsys, monkeypatch):
+        derivative = cli.contraction.scalar_metric_derivative
+        monkeypatch.setattr(cli.contraction, "scalar_metric_derivative", lambda x: 1.01 * derivative(x))
+        assert run_cli("run", "metric-certify", "--grid=-2:2:41", "--out", str(tmp_path)) == 1
+        assert json.loads((tmp_path / "metric-certify.json").read_text())["identity_max_rel_err"] > 1e-3
 
     def test_ges_check_claim_names_the_rate_checked(self, tmp_path, capsys):
         assert run_cli("run", "ges-check", "--rate", "0.6", "--out", str(tmp_path)) == 1

@@ -423,6 +423,20 @@ class TestLimitLevelsInOneIntegration:
             assert np.max(np.abs(images - flow.apply(signal, 0.0, 1.5, points))) <= 1e-9
         assert flow.apply_each(signals, 0.0, 1.5, points[0]).shape == (3, 2)
 
+    def test_apply_each_is_one_checked_apply(self, monkeypatch):
+        # All the signals go through FlowMap.apply at once, so its shape and finiteness checks cover the stacked run.
+        inputs = []
+        apply = FlowMap.apply
+
+        def counting(flow, signal, t1, t2, points):
+            inputs.append(signal)
+            return apply(flow, signal, t1, t2, points)
+
+        monkeypatch.setattr(FlowMap, "apply", counting)
+        signals = [ConstantInput([0.3]), PeriodicInput(TWO_PI, lambda t: [math.sin(t)])]
+        assert linear_flow().apply_each(signals, 0.0, 1.0, [[0.5], [-1.0]]).shape == (2, 2, 1)
+        assert len(inputs) == 1 and inputs[0].members == signals
+
     def test_undeclared_field_keeps_one_run_per_level(self, monkeypatch):
         shapes = []
 
