@@ -329,7 +329,7 @@ class TestRun:
     def test_non_finite_verdict_exits_2_and_writes_nothing(self, tmp_path, capsys, flags):
         # The margin would overflow to inf: a numerical failure, not a refutation.
         error = {
-            "--horizon": "the relative excess is not finite at t=1475.5229471863781",
+            "--horizon": "the relative excess is not finite at t=1483.327478736012",
             "--rate": "rate * r overflows on the generator scan grid for rate 1e+308",
         }[flags[0]]
         out = tmp_path / "out"

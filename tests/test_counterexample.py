@@ -309,10 +309,10 @@ class TestVerifyGes:
         # Loose tolerances make the integrated norm overshoot the GES bound,
         # so the trajectory check fails while the generator scan passes.
         starts = random_initial_conditions(20, 10.0, seed=3)
-        config = IntegratorConfig(rel_tol=1e-2, abs_tol=1e-2)
+        config = IntegratorConfig(rel_tol=1e-1, abs_tol=1e-1)
         cert = verify_ges(starts, 20.0, 0.5, config)
         assert not cert.holds
-        assert cert.margin == pytest.approx(14.5, abs=0.1)
+        assert cert.margin == pytest.approx(28.5, abs=0.1)
         # Reference: the stored lockstep trajectory, scored at every step;
         # the C-order argmax is the first maximum in time, then start order.
         traj = integrate(circle_field(), ConstantInput(np.zeros(2)), starts, (0.0, 20.0), config)
@@ -325,7 +325,7 @@ class TestVerifyGes:
 
     def test_witness_past_the_first_block(self):
         # Past the integrator's resolution the excess grows, so its first
-        # maximum is the 766th of 767 accepted steps, near the end of the run.
+        # maximum is the 254th of 255 accepted steps, near the end of the run.
         starts = random_initial_conditions(20, 10.0, seed=3)
         cert = verify_ges(starts, 60.0, 0.5)
         # Reference: the stored lockstep trajectory, scored at every step.
@@ -333,13 +333,13 @@ class TestVerifyGes:
         norms = np.linalg.norm(traj.states, axis=2)
         excess = norms / (np.exp(-0.5 * traj.times)[:, None] * norms[0]) - 1.0
         k, i = np.unravel_index(np.argmax(excess), excess.shape)
-        assert (len(traj.times) - 1, k) == (767, 766)
+        assert (len(traj.times) - 1, k) == (255, 254)
         assert not cert.holds and cert.margin == excess[k, i]
         assert cert.witness == {"x0": starts[i].tolist(), "t": float(traj.times[k])}
 
     @pytest.mark.parametrize(
         "horizon, rate, message",
-        [(2000.0, 0.5, "not finite at t=1475.5229471863781$"), (1.0, 1e308, "overflows on the generator scan grid")],
+        [(2000.0, 0.5, "not finite at t=1483.327478736012$"), (1.0, 1e308, "overflows on the generator scan grid")],
         ids=["bound-underflows", "scan-overflows"],
     )
     def test_non_finite_excess_raises(self, horizon, rate, message):
@@ -393,7 +393,7 @@ class TestVerifyGes:
 
 class TestIntegratorOracle:
     def test_one_forced_period_matches_mpmath_taylor_solver(self, r_star, forced_system):
-        # mpmath's Taylor-series ODE solver shares no code with the DOPRI5
+        # mpmath's Taylor-series ODE solver shares no code with the Runge-Kutta
         # kernel; one period from just inside the orbit must agree to 1e-9.
         field, signal = forced_system
         x0 = [r_star - 0.1, 0.0]

@@ -56,6 +56,14 @@ def malformed_inputs(field, rows):
     return bad
 
 
+def schedule_of(pieces):
+    """``pieces`` random values over the span [0, 2], on pieces of random length."""
+    rng = np.random.default_rng(64)
+    values = rng.uniform(-1.0, 1.0, size=(pieces, 1))
+    fractions = rng.uniform(0.5, 1.5, size=pieces)
+    return PiecewiseSchedule(values, fractions / fractions.sum(), 0.0, 2.0)
+
+
 def linear_sine_solution(t, x0=0.0):
     # particular solution (sin t - cos t)/2 plus decaying homogeneous part
     return (math.sin(t) - math.cos(t)) / 2 + (x0 + 0.5) * math.exp(-t)
@@ -125,9 +133,11 @@ class TestIntegrate:
         assert np.linalg.norm(base - moved) < 10 * 1e-9 * max(1.0, np.linalg.norm(base))
 
     def test_nonfinite_interior_stage_is_retried(self):
-        # Field call 11 is stage 3 of the second step (call 1 is the first
-        # derivative, call 2 the starting-step probe, then six per step).
-        # That step is rejected and retried at a quarter of its length.
+        # Field call 17 is stage 3 of the second step: call 1 is the first
+        # derivative, call 2 the starting-step probe, then the 8(5,3) pair
+        # makes eleven calls a step and one more, the new state's derivative,
+        # once the step stands.  That step is rejected and retried at a
+        # quarter of its length.
         def poisoned(bad_call):
             calls = []
 
@@ -138,7 +148,7 @@ class TestIntegrate:
             return VectorField(f, 1, 1)
 
         clean = integrate(poisoned(None), ConstantInput([0.0]), [1.0], (0.0, 1.0))
-        traj = integrate(poisoned(11), ConstantInput([0.0]), [1.0], (0.0, 1.0))
+        traj = integrate(poisoned(17), ConstantInput([0.0]), [1.0], (0.0, 1.0))
         assert traj.times[1] == clean.times[1]
         assert traj.times[2] - traj.times[1] == pytest.approx(0.25 * (clean.times[2] - clean.times[1]))
         assert np.all(np.isfinite(traj.states))
@@ -160,6 +170,39 @@ class TestIntegrate:
             assert len(traj.times) == 2
             errs.append(abs(traj.final_state[0] - math.exp(-h)))
         assert errs[0] / errs[1] >= 32.0
+
+    def test_eighth_order_step_halving(self):
+        # x' = u x holds still under u = 0 until t = 1, so the run, whose two
+        # pieces are far longer than its 1e-6 starting step, takes the 8(5,3)
+        # pair and lands on t = 1 exactly.  The last piece, h long under
+        # u = -1, is one step with error O(h^9): halving h must shrink it at
+        # least 256-fold (512 in the limit), or to the rounding floor.
+        errs, cfg = [], IntegratorConfig(rel_tol=1e-3, abs_tol=1e-3)
+        for h in (0.8, 0.4):
+            signal = PiecewiseConstantInput([1.0], [[0.0], [-1.0]])
+            traj = integrate(VectorField(lambda x, u: u * x, 1, 1), signal, [1.0], (0.0, 1.0 + h), cfg)
+            assert traj.times[-2] == 1.0
+            errs.append(abs(traj.final_state[0] - math.exp(1.0 - traj.times[-1])))
+        assert errs[1] <= max(errs[0] / 256, 2**-52)
+
+    # Mean piece against the starting step: 180 for 2 pieces, 5.6 for 64.
+    @pytest.mark.parametrize("pieces, low, high", [(2, 11, 12), (64, 6, 6)], ids=["8(5,3)", "5(4)"])
+    def test_field_calls_per_step_follow_the_pair(self, pieces, low, high):
+        # Pieces of at least 8 starting steps on average take the 8(5,3)
+        # pair: eleven calls a step and the new state's derivative, except
+        # at a piece end.  Shorter ones take the 5(4) pair's six.  No step
+        # of these runs is rejected.
+        calls = 0
+
+        def f(x, u):
+            nonlocal calls
+            calls += 1
+            return -x + u
+
+        traj = integrate(VectorField(f, 1, 1), schedule_of(pieces), [[0.3], [-1.2], [2.0]], (0.0, 2.0))
+        # One derivative per piece and the starting-step probe, then the steps.
+        per_step = (calls - pieces - 1) / (len(traj.times) - 1)
+        assert low <= per_step <= high
 
     def test_tightening_tolerance_improves_accuracy(self):
         errs = []
@@ -224,6 +267,20 @@ class TestBreakpoints:
         sig = PiecewiseConstantInput([0.5], [[1.0], [100.0]])
         traj = integrate(field, sig, [1.0], (0.0, 0.6))
         assert abs(traj.final_state[0] - math.exp(-10.5)) <= 1e-10
+
+
+class TestPairs:
+    def test_tableaus_are_consistent_and_dop853_is_hairers(self):
+        coefficients = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        assert np.array_equal(dynamics._A853, coefficients.A[:13, :13])
+        assert dynamics._C853 == tuple(coefficients.C[:13])
+        assert np.array_equal(dynamics._E853, [coefficients.E5[:12], coefficients.E3[:12]])
+        # Both estimates leave out stage 13, the derivative at the solution.
+        assert coefficients.E5[12] == coefficients.E3[12] == 0.0
+        for c, a in ((dynamics._C, dynamics._A), (dynamics._C853, dynamics._A853)):
+            # Row sums are the nodes (A 1 = c); the last row, the solution's weights, sums to 1.
+            assert np.allclose(a.sum(axis=1), c, rtol=0.0, atol=1e-14)
+            assert a[-1].sum() == pytest.approx(1.0, abs=1e-14)
 
 
 class TestTrajectory:
@@ -499,8 +556,8 @@ class TestGoldenBits:
     def test_forced_orbit_over_one_period(self, forced_system, r_star):
         field, signal = forced_system
         traj = integrate(field, signal, [r_star, 0.0], (0.0, TWO_PI))
-        assert len(traj.times) - 1 == 131
-        assert [float(v).hex() for v in traj.final_state] == ["0x1.653f1ba2347e5p+1", "-0x1.b5fb4b0000000p-31"]
+        assert len(traj.times) - 1 == 18
+        assert [float(v).hex() for v in traj.final_state] == ["0x1.653f1ba324d2cp+1", "-0x1.5502e40000000p-31"]
 
     def test_lockstep_batch_under_sixteen_pieces(self):
         k = np.arange(16)
@@ -509,32 +566,32 @@ class TestGoldenBits:
         )
         starts = [[1.0, 0.0], [0.0, -2.0], [-0.5, 0.25]]
         traj = integrate(circle_field(), signal, starts, (0.0, TWO_PI))
-        assert len(traj.times) - 1 == 239
+        assert len(traj.times) - 1 == 55
         assert [[float(v).hex() for v in row] for row in traj.final_state] == [
-            ["-0x1.8a9dfc5530324p-8", "-0x1.168c5afb19b3ep-2"],
-            ["-0x1.2ab7c35f216eap-7", "-0x1.20168342da579p-2"],
-            ["-0x1.4ff95ca9a287cp-7", "-0x1.15e4d7d8f135ep-2"],
+            ["-0x1.8a9dfc45e3ee0p-8", "-0x1.168c5afae3430p-2"],
+            ["-0x1.2ab7c358eb0acp-7", "-0x1.2016834295735p-2"],
+            ["-0x1.4ff95ca191344p-7", "-0x1.15e4d7d8b0cf2p-2"],
         ]
 
     def test_unforced_ges_batch(self):
         # verify_ges's lockstep shape: three starts from the radius-10 disk.
         starts = [[7.0, -6.5], [-3.0, 9.0], [0.5, 2.0]]
         traj = integrate(circle_field(), ConstantInput(np.zeros(2)), starts, (0.0, 20.0))
-        assert len(traj.times) - 1 == 649
+        assert len(traj.times) - 1 == 212
         assert [[float(v).hex() for v in row] for row in traj.final_state] == [
-            ["0x1.7ef063a1d453ap-25", "0x1.45b64f8632c13p-26"],
-            ["-0x1.9a558f6abd72ep-25", "0x1.4497f1e4b5f8cp-28"],
-            ["-0x1.cc932054559e1p-28", "0x1.695fca7208455p-28"],
+            ["0x1.7ef04d3d0150ep-25", "0x1.45ab902b80ba0p-26"],
+            ["-0x1.9a52edbbafb7bp-25", "0x1.44bcfb5b32c90p-28"],
+            ["-0x1.cc8c720481d30p-28", "0x1.696354984f9c0p-28"],
         ]
 
     def test_divergence_pair_over_one_period(self, forced_system, r_star):
         # The first period of `run divergence`: (r* - 0.1, 0) beside the orbit start.
         field, signal = forced_system
         traj = integrate(field, signal, [[r_star - 0.1, 0.0], [r_star, 0.0]], (0.0, TWO_PI))
-        assert len(traj.times) - 1 == 232
+        assert len(traj.times) - 1 == 56
         assert [[float(v).hex() for v in row] for row in traj.final_state] == [
-            ["0x1.acc34465bf590p+0", "0x1.80ce6e0000000p-34"],
-            ["0x1.653f1ba661dadp+1", "-0x1.5234ce0000000p-35"],
+            ["0x1.acc3446605ebbp+0", "0x1.c61fc00000000p-38"],
+            ["0x1.653f1ba69d86dp+1", "-0x1.f0c0000000000p-45"],
         ]
 
     def test_lockstep_batch_above_the_norm_cut(self):
@@ -543,40 +600,51 @@ class TestGoldenBits:
         starts = 3.0 * np.column_stack([np.cos(theta), np.sin(theta)])
         assert starts.size > dynamics._PYTHON_NORM_MAX
         traj = integrate(circle_field(), ConstantInput(np.zeros(2)), starts, (0.0, TWO_PI))
-        assert len(traj.times) - 1 == 213
+        assert len(traj.times) - 1 == 45
         assert [[float(v).hex() for v in row] for row in traj.final_state] == [
-            ["0x1.84c13cf249972p-7", "0x1.62ff410000000p-38"],
-            ["0x1.6729a28811370p-7", "0x1.298a420e9c466p-8"],
-            ["0x1.12e4246ca691ap-7", "0x1.12e4247092a67p-7"],
-            ["0x1.298a42045c7aep-8", "0x1.6729a28a309e9p-7"],
-            ["-0x1.62ff410000000p-38", "0x1.84c13cf249972p-7"],
-            ["-0x1.298a420e9c466p-8", "0x1.6729a28811370p-7"],
-            ["-0x1.12e4247092a67p-7", "0x1.12e4246ca691ap-7"],
-            ["-0x1.6729a28a309f9p-7", "0x1.298a42045c7b9p-8"],
-            ["-0x1.84c13cf24996dp-7", "-0x1.62ff420000000p-38"],
-            ["-0x1.6729a28811374p-7", "-0x1.298a420e9c462p-8"],
-            ["-0x1.12e4246ca691ap-7", "-0x1.12e4247092a67p-7"],
-            ["-0x1.298a42045c7bfp-8", "-0x1.6729a28a309edp-7"],
-            ["0x1.62ff320000000p-38", "-0x1.84c13cf249976p-7"],
-            ["0x1.298a420e9c466p-8", "-0x1.6729a28811370p-7"],
-            ["0x1.12e4247092a67p-7", "-0x1.12e4246ca691bp-7"],
-            ["0x1.6729a28a309edp-7", "-0x1.298a42045c7bfp-8"],
+            ["0x1.84c13cf008230p-7", "-0x1.c359b00000000p-41"],
+            ["0x1.6729a28736993p-7", "0x1.298a4206f1ea0p-8"],
+            ["0x1.12e4246d5413cp-7", "0x1.12e4246cb47ffp-7"],
+            ["0x1.298a420892e9bp-8", "0x1.6729a286e03d0p-7"],
+            ["0x1.c359b00000000p-41", "0x1.84c13cf008230p-7"],
+            ["-0x1.298a4206f1ea0p-8", "0x1.6729a28736993p-7"],
+            ["-0x1.12e4246cb47ffp-7", "0x1.12e4246d5413cp-7"],
+            ["-0x1.6729a286e03cap-7", "0x1.298a420892e7fp-8"],
+            ["-0x1.84c13cf008228p-7", "0x1.c357900000000p-41"],
+            ["-0x1.6729a28736994p-7", "-0x1.298a4206f1ea6p-8"],
+            ["-0x1.12e4246d5413cp-7", "-0x1.12e4246cb47ffp-7"],
+            ["-0x1.298a420892e93p-8", "-0x1.6729a286e03d0p-7"],
+            ["-0x1.c357900000000p-41", "-0x1.84c13cf008228p-7"],
+            ["0x1.298a4206f1eafp-8", "-0x1.6729a2873699bp-7"],
+            ["0x1.12e4246cb47ffp-7", "-0x1.12e4246d5413cp-7"],
+            ["0x1.6729a286e03d0p-7", "-0x1.298a420892e93p-8"],
         ]
 
     def test_non_finite_stage_retry(self):
-        # The run of test_nonfinite_interior_stage_is_retried: field call 11
+        # The run of test_nonfinite_interior_stage_is_retried: field call 17
         # is NaN, so the second step is rejected and retried.
         calls = []
 
         def f(x, u):
             calls.append(None)
-            return np.full_like(x, np.nan) if len(calls) == 11 else -x
+            return np.full_like(x, np.nan) if len(calls) == 17 else -x
 
         traj = integrate(VectorField(f, 1, 1), ConstantInput([0.0]), [1.0], (0.0, 1.0))
-        assert len(traj.times) - 1 == 21
-        assert [float(v).hex() for v in traj.final_state] == ["0x1.78b56363ac6c7p-2"]
+        assert len(traj.times) - 1 == 6
+        assert [float(v).hex() for v in traj.final_state] == ["0x1.78b5636300afcp-2"]
 
-    @pytest.mark.parametrize("case", ["forced", "batch", "schedule", "nan-retry"])
+    def test_many_piece_schedule_keeps_the_five_four_bits(self):
+        # 64 pieces over a span of 2 average 5.6 starting steps, so the run
+        # takes the 5(4) pair; these are the bits of the 5(4)-only integrator.
+        traj = integrate(linear_additive_field(1), schedule_of(64), [[0.3], [-1.2], [2.0]], (0.0, 2.0))
+        assert len(traj.times) - 1 == 69
+        assert [float(v).hex() for v in traj.final_state.reshape(-1)] == [
+            "0x1.93fffbac22739p-4",
+            "-0x1.ab8003082be5bp-4",
+            "0x1.5097760485367p-2",
+        ]
+
+    @pytest.mark.parametrize("case", ["forced", "batch", "schedule", "nan-retry", "many-pieces"])
     def test_error_norm_is_the_same_on_both_sides_of_the_cut(self, case, forced_system, r_star, monkeypatch):
         def run():
             if case == "forced":
@@ -587,12 +655,14 @@ class TestGoldenBits:
             if case == "schedule":
                 schedule = PiecewiseSchedule([[-1.0], [2.0], [0.5]], [0.25, 0.5, 0.25], 0.0, 2.0)
                 return integrate(linear_additive_field(1), schedule, [0.3], (0.0, 2.0))
+            if case == "many-pieces":  # the 5(4) pair; the others take 8(5,3)
+                return integrate(linear_additive_field(1), schedule_of(64), [[0.3], [-1.2], [2.0]], (0.0, 2.0))
             # The NaN field of test_non_finite_stage_retry.
             calls = []
 
             def f(x, u):
                 calls.append(None)
-                return np.full_like(x, np.nan) if len(calls) == 11 else -x
+                return np.full_like(x, np.nan) if len(calls) == 17 else -x
 
             return integrate(VectorField(f, 1, 1), ConstantInput([0.0]), [1.0], (0.0, 1.0))
 
@@ -618,12 +688,12 @@ class TestGoldenBits:
         ]
         images = flow_from_field(linear_additive_field(1)).apply_each(signals, 0.0, 2.0, [[0.3], [-1.2], [2.0]])
         assert len(runs) == 1 and {0.5, 1.2, 1.5} <= set(runs[0].times.tolist())
-        assert len(runs[0].times) - 1 == 56
+        assert len(runs[0].times) - 1 == 10
         assert [float(v).hex() for v in images.reshape(-1)] == [
-            "0x1.d52ab26f35fcap-1",
-            "0x1.6d3ab2989eff7p-1",
-            "0x1.257b36fe019eap+0",
-            "0x1.e3d9f84ca037ep-3",
-            "0x1.1067e3c9110e7p-5",
-            "0x1.dd84733fea9e2p-2",
+            "0x1.d52ab26f399e5p-1",
+            "0x1.6d3ab298b159cp-1",
+            "0x1.257b36fdfb17cp+0",
+            "0x1.e3d9f84c059c5p-3",
+            "0x1.1067e3c792290p-5",
+            "0x1.dd84733f7bf0cp-2",
         ]

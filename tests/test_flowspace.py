@@ -451,15 +451,15 @@ class TestLimitLevelsInOneIntegration:
         assert len(runs) == 4 + 2
         assert set(shapes) == {(1,)}
         # the bits of the per-level loop, before the levels shared one run
-        assert cert.margin.hex() == "0x1.e989f5dd84741p-10"
+        assert cert.margin.hex() == "0x1.e989f5d8a0600p-10"
         assert [gap.hex() for gap in cert.grid_spec["cauchy_gaps"]] == [
-            "0x1.76f6cccf8c0d4p-1",
-            "0x1.b74c37b4b83b4p-3",
-            "0x1.68613efcf0be8p-4",
-            "0x1.77a31a0432d90p-6",
+            "0x1.76f6ccd014affp-1",
+            "0x1.b74c37b576448p-3",
+            "0x1.68613f009e240p-4",
+            "0x1.77a31a0454310p-6",
         ]
-        assert cert.grid_spec["tail_gap"].hex() == "0x1.f7cce576b7700p-8"
-        assert cert.witness == {"x": [-0.7], "y": [0.1]}
+        assert cert.grid_spec["tail_gap"].hex() == "0x1.f7cce52cdfe00p-8"
+        assert cert.witness == {"x": [0.5], "y": [1.5]}
 
     def test_level_values_are_the_target_at_piece_midpoints(self, rng):
         # The target is read once on its probe grid; each level's value must
