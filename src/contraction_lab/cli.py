@@ -93,7 +93,7 @@ class _Once(argparse.Action):
 
 # A run at either cap peaks within the 222 MB ru_maxrss of a million-point
 # grid: ges-check stores about 0.22 steps per unit of horizon and divergence
-# about 53 steps per period (60 MB at 2000 periods, 91 MB at horizon 5e4).
+# about 4 steps per period (34 MB at 2000 periods, 91 MB at horizon 5e4).
 _MAX_HORIZON = 5e4
 _MAX_PERIODS = 2000
 
@@ -170,7 +170,7 @@ def _exp_circle_orbit(args):
 def _exp_divergence(args):
     r_star = counterexample._canonical_radius()
     report = entrainment.counterexample_divergence(r_star, args.delta, args.periods)
-    field, signal = counterexample.build_counterexample(r_star)
+    field, signal = counterexample.rotating_frame_counterexample(r_star)
     verdict = entrainment.detect_entrainment(field, signal, [[r_star, 0.0], [r_star - args.delta, 0.0]])
     moved_away = (
         report.grew

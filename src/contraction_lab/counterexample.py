@@ -10,7 +10,8 @@ trajectory that repels nearby interior points, so no unique attracting limit
 cycle exists.
 
 This module finds the smallest such radius, builds the forced system, and
-certifies each step of that argument numerically.
+certifies each step of that argument numerically; in the frame that turns
+with the input the forced system is autonomous (``rotating_frame_counterexample``).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "find_r_star",
     "circle_field",
     "build_counterexample",
+    "rotating_frame_counterexample",
     "circle_orbit_residual",
     "verify_ges",
     "polar_equivalence_check",
@@ -178,29 +180,48 @@ def _rows_rhs(rows, u):
     return out
 
 
-def _field_rhs(x, u):
-    # x is one state (2,) or a batch (N, 2), and u shared (2,) or one row per
-    # state (N, 2), as VectorField checks; one state, or a small batch under a
-    # shared input, takes the row loop.  Both evaluators do the same arithmetic
-    # and math.sin equals np.sin bit for bit with NumPy 2.4 on x86-64 (5M samples
-    # over [0, 1e8], 1M log-uniform up to 1e308), so rows match single states.
-    if x.ndim == 1:
-        return _array(_rows_rhs((x.tolist(),), u.tolist()))
-    if u.ndim == 1 and len(x) <= _PYTHON_ROWS_MAX:
-        return _array(_rows_rhs(x.tolist(), u.tolist())).reshape(x.shape)
-    # Any other batch makes nine NumPy calls on (N, 2) arrays.  Elementwise,
-    # 0.5*x*s - x is -x + 0.5*x*s, as addition commutes; sin sees the same
-    # argument, as every matmul product is by 0 or +-1, hence exact, so with
-    # or without FMA and in any order an entry rounds as x1^2 + x2^2 does, or
-    # is -x2 or x1 plus a signed zero.  That zero's sign shows only when the
-    # other coordinate is 0, and then the column it is added to is +0 or
-    # nonzero, so the sum is the same.
-    out = 0.5 * x
-    out *= np.sin(np.dot(x * x, _ONES))
-    out -= x
-    out += np.dot(x, _QUARTER_TURN)
-    out += u
+def _co_rows_rhs(rows, u):
+    # _rows_rhs without the quarter turn: the field in the co-rotating frame.
+    u1, u2 = u
+    out = []
+    for y1, y2 in rows:
+        r2 = y1 * y1 + y2 * y2
+        s = _sin(r2) if r2 != math.inf else math.nan
+        out += (-y1 + 0.5 * y1 * s + u1, -y2 + 0.5 * y2 * s + u2)
     return out
+
+
+def _evaluator(rows_rhs, turn: bool):
+    def rhs(x, u):
+        # x is one state (2,) or a batch (N, 2), and u shared (2,) or one row per
+        # state (N, 2), as VectorField checks; one state, or a small batch under a
+        # shared input, takes the row loop.  Both evaluators do the same arithmetic
+        # and math.sin equals np.sin bit for bit with NumPy 2.4 on x86-64 (5M samples
+        # over [0, 1e8], 1M log-uniform up to 1e308), so rows match single states.
+        if x.ndim == 1:
+            return _array(rows_rhs((x.tolist(),), u.tolist()))
+        if u.ndim == 1 and len(x) <= _PYTHON_ROWS_MAX:
+            return _array(rows_rhs(x.tolist(), u.tolist())).reshape(x.shape)
+        # Any other batch makes nine NumPy calls on (N, 2) arrays (eight without
+        # the turn).  Elementwise, 0.5*x*s - x is -x + 0.5*x*s, as addition
+        # commutes; sin sees the same argument, as every matmul product is by 0
+        # or +-1, hence exact, so with or without FMA and in any order an entry
+        # rounds as x1^2 + x2^2 does, or is -x2 or x1 plus a signed zero.  That
+        # zero's sign shows only when the other coordinate is 0, and then the
+        # column it is added to is +0 or nonzero, so the sum is the same.
+        out = 0.5 * x
+        out *= np.sin(np.dot(x * x, _ONES))
+        out -= x
+        if turn:
+            out += np.dot(x, _QUARTER_TURN)
+        out += u
+        return out
+
+    return rhs
+
+
+_field_rhs = _evaluator(_rows_rhs, True)
+_co_field_rhs = _evaluator(_co_rows_rhs, False)
 
 
 def _field_jacobian(x, u):
@@ -229,6 +250,20 @@ def build_counterexample(r_star: float):
         return np.array([amplitude * np.cos(t), amplitude * np.sin(t)])
 
     return circle_field(), PeriodicInput(TWO_PI, forcing)
+
+
+def rotating_frame_counterexample(r_star: float):
+    """``build_counterexample`` in the frame y = R(-t)x that turns with the input.
+
+    The input turns at the field's own angular speed, so there the system is
+    autonomous, y' = y(sin|y|^2/2 - 1) + a e1 with a = -f(r_star), a constant
+    input of period 2*pi.  Both forced orbits, of radius r_star and (at the
+    certified r_star) 1.6749, are rest points on the first axis.  A state maps
+    back as x = R(t)y; as R(2*pi k) = I, the time-2*pi map is the inertial one.
+    """
+    push = _array([-radial_f(r_star), 0.0])
+    push.flags.writeable = False
+    return VectorField(_co_field_rhs, 2, 2), PeriodicInput(TWO_PI, lambda t: push)
 
 
 @lru_cache(maxsize=1)

@@ -17,6 +17,7 @@ from contraction_lab.counterexample import (
     radial_f,
     radial_f_slope,
     random_initial_conditions,
+    rotating_frame_counterexample,
     second_order_value,
     verify_ges,
 )
@@ -33,6 +34,8 @@ STOCK_FIELDS = {
     "example-3d": lambda: example_3d_system()[0],
     "circle": circle_field,
 }
+# The co-rotating field has no analytic Jacobian: central differences stand in.
+ROW_FIELDS = {**STOCK_FIELDS, "co-rotating": lambda: rotating_frame_counterexample(PRINTED_R_STAR)[0]}
 
 
 def high_precision_radius(guess: float) -> float:
@@ -153,7 +156,7 @@ class TestBuildCounterexample:
         for t in np.linspace(0, 2 * math.pi, 9):
             assert np.allclose(signal.eval(t), signal.eval(t + 2 * math.pi), atol=1e-12)
 
-    @pytest.mark.parametrize("make_field", STOCK_FIELDS.values(), ids=STOCK_FIELDS)
+    @pytest.mark.parametrize("make_field", ROW_FIELDS.values(), ids=ROW_FIELDS)
     def test_batch_rows_equal_single_states(self, make_field, rng, bit_test_states):
         # Byte for byte: the golden artifacts print %.17g, where -0 and 0 differ.
         field = make_field()
@@ -245,6 +248,39 @@ class TestBuildCounterexample:
             x = rng.uniform(-3, 3, size=2)
             u = rng.uniform(-1, 1, size=2)
             assert np.allclose(field.jacobian_x(x, u), bare.jacobian_x(x, u), rtol=1e-4, atol=1e-6)
+
+
+class TestRotatingFrame:
+    def test_turning_the_co_rotating_field_gives_the_forced_field(self, r_star, forced_system, rng):
+        # x = R(t)y gives x' = R(t)G(y) + J R(t)y, which must be F(x, u(t)).
+        field, signal = forced_system
+        co_field, push = rotating_frame_counterexample(r_star)
+        y, t = rng.uniform(-5.0, 5.0, size=(1000, 2)), rng.uniform(0.0, 100.0, size=1000)
+        c, s = np.cos(t), np.sin(t)
+
+        def turn(v):
+            return np.column_stack([c * v[:, 0] - s * v[:, 1], s * v[:, 0] + c * v[:, 1]])
+
+        x = turn(y)
+        lhs = turn(co_field(y, push.eval(0.0))) + np.column_stack([-x[:, 1], x[:, 0]])
+        rhs = field(x, signal.eval(t).T)
+        # sin(|y|^2) carries a rounding of |y|^2, so the scale grows as |y|^3.
+        norm = np.linalg.norm(y, axis=1)
+        scale = norm * (norm * norm + 3.0) + push.eval(0.0)[0]
+        assert np.all(np.max(np.abs(lhs - rhs), axis=1) <= 4 * np.finfo(float).eps * scale)
+
+    def test_input_is_the_constant_push_along_the_first_axis(self, r_star):
+        _, push = rotating_frame_counterexample(r_star)
+        assert push.period == 2 * math.pi
+        for t in np.linspace(0.0, 4 * math.pi, 7):
+            assert push.eval(t).tolist() == [-radial_f(r_star), 0.0]
+
+    def test_return_map_is_the_inertial_one(self, r_star, forced_system):
+        from contraction_lab.entrainment import poincare_map
+
+        x0 = [r_star - 0.1, 0.0]
+        co_map = poincare_map(*rotating_frame_counterexample(r_star), x0)
+        assert np.max(np.abs(co_map - poincare_map(*forced_system, x0))) <= 1e-9
 
 
 class TestCircleOrbitResidual:

@@ -585,7 +585,7 @@ class TestGoldenBits:
         ]
 
     def test_divergence_pair_over_one_period(self, forced_system, r_star):
-        # The first period of `run divergence`: (r* - 0.1, 0) beside the orbit start.
+        # The divergence pair in the inertial frame over one forcing period: (r* - 0.1, 0) beside the orbit start.
         field, signal = forced_system
         traj = integrate(field, signal, [[r_star - 0.1, 0.0], [r_star, 0.0]], (0.0, TWO_PI))
         assert len(traj.times) - 1 == 56

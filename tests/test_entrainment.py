@@ -201,6 +201,23 @@ class TestCounterexampleDivergence:
         tight = counterexample_divergence(r_star, 0.1, 10, IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15))
         assert np.max(np.abs(np.subtract(report.distances, tight.distances))) <= 2e-10
 
+    def test_first_distance_matches_mpmath(self, r_star):
+        # d_1 from mpmath's odefun on the axis ODE rho' = f(rho) + a at 40 digits.
+        report = counterexample_divergence(r_star, 0.1, 1)
+        assert report.distances[1] == pytest.approx(1.1161338629190528, rel=1e-12, abs=0.0)
+
+    def test_slow_escape_grows_as_the_normal_form(self, r_star):
+        # At delta = 1e-6 the true growth over one period is 1.346442488e-10
+        # (mpmath); the normal form 2 pi |f''(r*)|/2 delta^2 agrees to 1.5e-4.
+        d0, d1 = counterexample_divergence(r_star, 1e-6, 1).distances
+        assert d1 - d0 == pytest.approx(1.346442488e-10, rel=1e-3, abs=0.0)
+
+    def test_trajectories_keep_their_inertial_meaning(self, r_star):
+        # The on-orbit start rides the circle in phase with the forcing.
+        orbit = counterexample_divergence(r_star, 0.1, 2).orbit_trajectory
+        circle = r_star * np.column_stack([np.cos(orbit.times), np.sin(orbit.times)])
+        assert np.max(np.abs(orbit.states - circle)) <= 1e-9
+
     def test_validations(self, r_star):
         with pytest.raises(ValueError):
             counterexample_divergence(r_star, -0.1, 5)

@@ -30,8 +30,8 @@ PACKAGE_NAMES = {
     "example_3d_system", "example_additive_3d", "find_r_star", "find_violating_input",
     "flow_from_field", "hull_contains_ball", "integrate", "linear_additive_field", "log_norm_2",
     "max_eigenvalue", "poincare_map", "polar_equivalence_check", "polytope_inradius", "radial_f",
-    "radial_f_slope", "random_initial_conditions", "scalar_example_system", "scalar_metric",
-    "scalar_metric_derivative", "schedule_contraction_factor", "second_order_value",
+    "radial_f_slope", "random_initial_conditions", "rotating_frame_counterexample", "scalar_example_system",
+    "scalar_metric", "scalar_metric_derivative", "schedule_contraction_factor", "second_order_value",
     "simplex_directions", "spectral_norm", "symmetric_eigenvalues", "symmetric_part", "verify_ges",
 }
 

@@ -79,6 +79,17 @@ def test_slow_escape_is_not_refuted(tmp_path, capsys):
     assert main(["run", "divergence", "--delta", "1e-6", "--out", str(tmp_path)]) != 1
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 17: the start settles near the stable orbit at 1.6749, and the iterate rule neither merges "
+    "the pair nor doubles its distance, so the true escape reads inconclusive",
+)
+def test_escape_to_the_stable_orbit_is_confirmed(tmp_path, capsys):
+    # f(r) < f(r*) on (1.6749, r*), so a start 0.7 inside r* falls to the stable orbit and never returns.
+    assert main(["run", "divergence", "--delta", "0.7", "--out", str(tmp_path)]) == 0
+
+
 
 @pytest.mark.xfail(
     strict=True,
