@@ -41,6 +41,9 @@ def _experiment(name: str, claim: str, **defaults):
 
 class _Parser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
+        # A flag before EXPERIMENT would leave its value to be read as the experiment's name.
+        if self.prog.endswith(" run") and args and args[0].startswith("-") and args[0] not in ("-h", "--help"):
+            self.error(f"{args[0]} goes after EXPERIMENT: {self.prog} EXPERIMENT {args[0]} ...")
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:  # refused by the parser that owns the command, under its own usage
             self.error(f"unrecognized arguments: {' '.join(extras)}")

@@ -124,6 +124,16 @@ class TestRun:
     def test_unknown_experiment_exits_64(self, capsys):
         assert run_cli("run", "not-an-experiment") == 64
 
+    @pytest.mark.parametrize("argv", [["--out", "o2"], ["--seed", "3", "ges-check"]])
+    def test_flag_before_the_experiment_exits_64_and_writes_nothing(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", *argv) == 64
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: contraction-lab run [-h] EXPERIMENT")
+        want = f"{argv[0]} goes after EXPERIMENT: contraction-lab run EXPERIMENT {argv[0]} ..."
+        assert error == f"contraction-lab run: error: {want}"
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_parameter_rejected(self, capsys):
         assert run_cli("run", "flow-limit", "--rate", "1.0") == 64
         assert run_cli("run", "circle-orbit", "--grid", "0:1:5") == 64

@@ -185,21 +185,32 @@ class TestIntegrate:
             errs.append(abs(traj.final_state[0] - math.exp(1.0 - traj.times[-1])))
         assert errs[1] <= max(errs[0] / 256, 2**-52)
 
-    # Mean piece against the starting step: 180 for 2 pieces, 5.6 for 64.
-    @pytest.mark.parametrize("pieces, low, high", [(2, 11, 12), (64, 6, 6)], ids=["8(5,3)", "5(4)"])
-    def test_field_calls_per_step_follow_the_pair(self, pieces, low, high):
+    # Mean piece against the starting step: 180 for 2 pieces, 106 for the
+    # 1e-3 first piece, whose end cuts the first step but not the proposal,
+    # and 5.6 for 64 pieces.
+    @pytest.mark.parametrize(
+        "signal, low, high",
+        [
+            (schedule_of(2), 11, 12),
+            (PiecewiseConstantInput([1e-3, 1.0], [0.0, 1.0, 2.0]), 11, 12),
+            (schedule_of(64), 6, 6),
+        ],
+        ids=["8(5,3)", "8(5,3)-short-first-piece", "5(4)"],
+    )
+    def test_field_calls_per_step_follow_the_pair(self, signal, low, high):
         # Pieces of at least 8 starting steps on average take the 8(5,3)
         # pair: eleven calls a step and the new state's derivative, except
         # at a piece end.  Shorter ones take the 5(4) pair's six.  No step
         # of these runs is rejected.
         calls = 0
+        pieces = len(signal.breakpoints_in(0.0, 2.0)) + 1
 
         def f(x, u):
             nonlocal calls
             calls += 1
             return -x + u
 
-        traj = integrate(VectorField(f, 1, 1), schedule_of(pieces), [[0.3], [-1.2], [2.0]], (0.0, 2.0))
+        traj = integrate(VectorField(f, 1, 1), signal, [[0.3], [-1.2], [2.0]], (0.0, 2.0))
         # One derivative per piece and the starting-step probe, then the steps.
         per_step = (calls - pieces - 1) / (len(traj.times) - 1)
         assert low <= per_step <= high
@@ -224,8 +235,12 @@ def linear_piecewise_solution(x0, t_span, breakpoints, values):
 
 class TestBreakpoints:
     # Pieces far shorter than 1e-14 of the span: the step that lands on the
-    # piece end is as short as the piece, and that is not an underflow.
-    @pytest.mark.parametrize("breakpoints", [[0.5, 0.5 + 2e-15], [1e-15, 0.5]])
+    # piece end is as short as the piece, and that is not an underflow.  A
+    # short first piece cuts the first step, not the proposal the next piece
+    # starts from.
+    @pytest.mark.parametrize(
+        "breakpoints", [[0.5, 0.5 + 2e-15], [1e-15, 0.5], [3e-16, 0.5], [1e-17, 0.5], [1e-300, 0.5]]
+    )
     def test_short_piece_integrates(self, breakpoints):
         values = [0.0, 1.0, 2.0]
         traj = integrate(forced_linear(), PiecewiseConstantInput(breakpoints, values), [0.0], (0.0, 1.0))
