@@ -40,10 +40,13 @@ def _experiment(name: str, claim: str, **defaults):
 
 
 class _Parser(argparse.ArgumentParser):
+    command = None  # the positional that names the next parser, on the top-level and ``run`` parsers
+
     def parse_known_args(self, args=None, namespace=None):
-        # A flag before EXPERIMENT would leave its value to be read as the experiment's name.
-        if self.prog.endswith(" run") and args and args[0].startswith("-") and args[0] not in ("-h", "--help"):
-            self.error(f"{args[0]} goes after EXPERIMENT: {self.prog} EXPERIMENT {args[0]} ...")
+        args = sys.argv[1:] if args is None else list(args)
+        # A flag before the command would leave its value to be read as the command's name.
+        if self.command and args and args[0].startswith("-") and args[0] not in ("-h", "--help"):
+            self.error(f"{args[0]} goes after {self.command}: {self.prog} {self.command} {args[0]} ...")
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:  # refused by the parser that owns the command, under its own usage
             self.error(f"unrecognized arguments: {' '.join(extras)}")
@@ -94,9 +97,10 @@ class _Once(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-# A run at either cap peaks within the 222 MB ru_maxrss of a million-point
-# grid: ges-check stores about 0.22 steps per unit of horizon and divergence
-# about 4 steps per period (34 MB at 2000 periods, 91 MB at horizon 5e4).
+# Usage contracts: a run at either cap peaks well within the 222 MB ru_maxrss of
+# a million-point grid.  ges-check integrates log|x|, whose steps lengthen as
+# |x| shrinks (226 at horizon 20, 231 at 5e4, 38 MB), and divergence stores
+# about 4 steps per period (34 MB at 2000 periods).
 _MAX_HORIZON = 5e4
 _MAX_PERIODS = 2000
 
@@ -125,6 +129,7 @@ def _build_parser() -> _Parser:
     """The command-line parser, built once per process: parsing keeps no
     state on it, so every call starts from the defaults."""
     parser = _Parser(prog="contraction-lab", description=__doc__)
+    parser.command = "COMMAND"
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_rstar = sub.add_parser("find-rstar", help="certify the critical forcing radius")
@@ -132,6 +137,7 @@ def _build_parser() -> _Parser:
     p_rstar.add_argument("--out", default=None, action=_Once)
 
     p_run = sub.add_parser("run", help="run a named experiment")
+    p_run.command = "EXPERIMENT"
     experiments = p_run.add_subparsers(dest="experiment", metavar="EXPERIMENT", required=True)
     for name, (claim, defaults, _) in _EXPERIMENTS.items():
         p_exp = experiments.add_parser(name, help=claim.format_map(defaults))

@@ -162,9 +162,12 @@ _QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
 # Median µs per call, row loop / NumPy (2-vCPU Xeon VM, Python 3.11, NumPy 2.4):
 #   rows   2          4          6          8          10         11         12
 #   µs     1.9 / 5.6  2.9 / 6.3  3.7 / 6.5  5.2 / 6.3  6.2 / 6.7  6.2 / 6.8  6.4 / 6.2
+# The log-radius field of verify_ges crosses over at the same size:
+#   rows   2          4          8          10         11         12         16
+#   µs     1.2 / 2.4  1.5 / 2.4  2.1 / 2.5  2.4 / 2.5  2.5 / 2.5  2.7 / 2.5  3.3 / 2.5
 _PYTHON_ROWS_MAX = 10
 # Bound once: two module attribute lookups are about 3% of a single-state call.
-_sin, _array = math.sin, np.array
+_sin, _exp, _array = math.sin, math.exp, np.array
 
 
 def _rows_rhs(rows, u):
@@ -320,6 +323,32 @@ def _ges_scan() -> tuple[np.ndarray, np.ndarray]:
     return grid, drift
 
 
+def _log_radius_rhs(rho, u):
+    # rho = log|x| under the unforced field: the quarter turn is tangential, so
+    # x.F(x, 0) = |x|^2 g(|x|) and rho' = g(e^rho) = -1 + sin(e^(2 rho))/2.  One
+    # state (1,) or a batch (N, 1); up to _PYTHON_ROWS_MAX rows take the row loop.
+    # math.exp and np.exp differ by one ulp on 4.6% of arguments (5M uniform on
+    # [-50, 709]), so the two branches need not agree bit for bit; each call is
+    # deterministic.
+    if rho.size <= _PYTHON_ROWS_MAX:
+        out = []
+        for r in rho.ravel().tolist():
+            try:
+                s = _sin(_exp(r + r))
+            except (OverflowError, ValueError):  # e^(2 rho) overflows: NumPy gives inf, then NaN
+                s = math.nan
+            out.append(-1.0 + 0.5 * s)
+        return _array(out).reshape(rho.shape)
+    out = np.exp(rho + rho)
+    np.sin(out, out=out)
+    out *= 0.5
+    out -= 1.0
+    return out
+
+
+_LOG_RADIUS = VectorField(_log_radius_rhs, 1, 0)
+
+
 def verify_ges(initial_conditions, horizon: float, rate: float, config: IntegratorConfig | None = None) -> Certificate:
     """Certify ||x(t)|| <= exp(-rate*t) ||x(0)|| for the unforced system.
 
@@ -327,18 +356,23 @@ def verify_ges(initial_conditions, horizon: float, rate: float, config: Integrat
     f(r) + rate*r <= 0 on a dense grid over [0, 50] (beyond which
     |sin| <= 1 makes the inequality structural for rate <= 1/2), and the
     trajectory-level bound at every accepted integrator step, with relative
-    slack 1e-9.  All nonzero starts are integrated in lockstep on shared
-    steps, so memory is one trajectory of steps x starts x 2 floats.
-    A failure of either check yields holds=False with a witness (the first
-    largest excess, in time and then in start order); a non-finite scan
-    value raises ``NonFiniteError``, and so does an excess, at its first step.
+    slack 1e-9.  A failure of either check yields holds=False with a witness
+    (the first largest excess, in time and then in start order); a non-finite
+    scan value raises ``NonFiniteError``, and so does an excess, at its first
+    step.
 
-    Resolution limit: once exp(-rate*t) ||x(0)|| falls below the integrator's
-    ``abs_tol`` (1e-11 by default), the trajectory check compares integrator
-    noise with the bound, and refutes a stable system: margin 0.28 at t = 58.78
-    (bound 1.7e-12) for rate 1/2, horizon 60 and the 100 starts of norm up to
-    10 that ``run ges-check`` draws at seed 0.  At its default horizon of 20
-    that check scores 264 accepted steps.
+    The trajectory check integrates rho = log||x||, not the planar state.  The
+    unit rotation is tangential, so rho' = f(e^rho)/e^rho = -1 + sin(e^(2 rho))/2
+    exactly, and the relative excess is expm1(rho(t) - rho(0) + rate*t).  All
+    nonzero starts run in lockstep on shared steps, so memory is one trajectory
+    of steps x starts floats.  The integrator's tolerances bound the error in
+    rho, which is the relative error in ||x||, at every radius and horizon; a
+    planar run would resolve ||x|| only down to its ``abs_tol``, and at the
+    default tolerances refutes the stable system at horizon 60.  A start of
+    norm past sqrt(DBL_MAX), about 1.34e154, where e^(2 rho) overflows, raises
+    ``NonFiniteError``.  sin(e^(2 rho)) oscillates faster as the norm grows,
+    and so does the step count: 167 steps to horizon 20 from norm 10, 8,469
+    from norm 100.
     """
     if not (math.isfinite(rate) and rate > 0):
         raise ValueError("rate must be positive and finite")
@@ -373,23 +407,24 @@ def verify_ges(initial_conditions, horizon: float, rate: float, config: Integrat
     # Every start meets the bound with equality at t = 0, so row 0 is not scored.
     traj_margin = 0.0 if len(starts) else -np.inf
     witness = None
-    norms = np.linalg.norm(starts, axis=1)
+    # hypot neither overflows nor underflows, so every finite nonzero start has a finite log-radius.
+    norms = np.hypot(starts[:, 0], starts[:, 1])
     moving = norms != 0.0
     if np.any(moving):
-        x0, norm0 = starts[moving], norms[moving]
-        traj = integrate(circle_field(), ConstantInput(np.zeros(2)), x0, (0.0, horizon), config)
-        ts, x = traj.times[1:], traj.states[1:]
-        # Far past resolution the bound underflows, so the excess overflows or is
-        # 0/0; with NumPy's warnings off, such an excess wins below and raises.
-        # The states are squared in place: the trajectory is not used again.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            excess = np.sqrt(np.add.reduce(np.square(x, out=x), axis=2))
-            excess /= np.exp(-rate * ts)[:, None] * norm0
-            excess -= 1.0
+        x0, rho0 = starts[moving], np.log(norms[moving])
+        traj = integrate(_LOG_RADIUS, ConstantInput(()), rho0[:, None], (0.0, horizon), config)
+        ts, excess = traj.times[1:], traj.states[1:, :, 0]
+        # The states are finite, so the excess is not finite only where it
+        # overflows to +inf; with NumPy's warnings off, such an excess wins
+        # below and raises.  It is worked out in place: the trajectory is not
+        # used again.
+        with np.errstate(over="ignore"):
+            excess -= rho0
+            excess += rate * ts[:, None]
+            np.expm1(excess, out=excess)
         # The C-order argmax is the first maximum in time, then start.
         k, i = divmod(int(np.argmax(excess)), len(x0))
         if not math.isfinite(excess[k, i]):
-            k = int(np.argmin(np.isfinite(excess).all(axis=1)))
             raise NonFiniteError(f"the relative excess is not finite at t={ts[k]}")
         if excess[k, i] > traj_margin:
             traj_margin = float(excess[k, i])

@@ -335,19 +335,22 @@ class TestRun:
         assert "cannot write" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("flags", [["--horizon", "2000"], ["--rate", "1e308"]])
-    def test_non_finite_verdict_exits_2_and_writes_nothing(self, tmp_path, capsys, flags):
+    def test_non_finite_verdict_exits_2_and_writes_nothing(self, tmp_path, capsys):
         # The margin would overflow to inf: a numerical failure, not a refutation.
-        error = {
-            "--horizon": "the relative excess is not finite at t=1483.327478736012",
-            "--rate": "rate * r overflows on the generator scan grid for rate 1e+308",
-        }[flags[0]]
         out = tmp_path / "out"
-        assert run_cli("run", "ges-check", *flags, "--out", str(out)) == 2
+        assert run_cli("run", "ges-check", "--rate", "1e308", "--out", str(out)) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"numerical failure: {error}\n"
+        assert captured.err == "numerical failure: rate * r overflows on the generator scan grid for rate 1e+308\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("horizon", ["20", "60", "2000", "50000"])
+    def test_ges_check_confirms_at_every_horizon_up_to_the_cap(self, tmp_path, capsys, horizon):
+        # The trajectory check reads log|x|, whose error the relative tolerance
+        # bounds however small |x| gets: e^-25000 at the cap.
+        assert run_cli("run", "ges-check", "--horizon", horizon, "--out", str(tmp_path)) == 0
+        doc = json.loads((tmp_path / "ges-check.json").read_text(encoding="utf-8"))
+        assert doc["confirmed"] is True and doc["certificate"]["margin"] == 0.0
 
     @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "divergence"])
     def test_csv_only_format_refused_without_csv_output(self, tmp_path, capsys, experiment):
@@ -468,6 +471,24 @@ class TestInterface:
         assert run_cli("run", "ges-check", "--out", str(b)) == 0
         assert json.loads((b / "ges-check.json").read_text())["rate"] == 0.5
         assert run_cli("run", "ges-check", "--rate", "nan", "--out", str(b)) == 64
+
+    @pytest.mark.parametrize("argv", [["--seed", "3", "run", "ges-check"], ["--interval", "0.1:2.7", "find-rstar"]])
+    def test_flag_before_the_command_exits_64_and_writes_nothing(self, tmp_path, monkeypatch, capsys, argv):
+        # Given as a list, and read from sys.argv as the console script does.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["contraction-lab", *argv])
+        for given in (argv, None):
+            assert main(given) == 64
+            usage, error = capsys.readouterr().err.splitlines()
+            assert usage.startswith("usage: contraction-lab [-h] {find-rstar,run,report}")
+            want = f"{argv[0]} goes after COMMAND: contraction-lab COMMAND {argv[0]} ..."
+            assert error == f"contraction-lab: error: {want}"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help", "run"]])
+    def test_help_before_the_command_prints_help(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: contraction-lab [-h] {find-rstar,run,report}")
 
     def test_module_entrypoint(self, tmp_path):
         # The child runs in tmp_path, so a relative PYTHONPATH entry such as

@@ -319,6 +319,30 @@ class TestCircleOrbitResidual:
         assert np.array_equal(inputs[0], [signals[0].eval(ti) for ti in t])
 
 
+def log_radius_excess(starts, horizon, rate, config=None):
+    """Reference for the trajectory check of ``verify_ges``: the lockstep run of
+    rho = log|x| from every start, and exp(rho(t) - rho(0) + rate t) - 1 at each
+    of its times, row 0 included."""
+    rho0 = np.log(np.hypot(starts[:, 0], starts[:, 1]))
+    traj = integrate(counterexample._LOG_RADIUS, ConstantInput(()), rho0[:, None], (0.0, horizon), config)
+    return traj.times, np.expm1(traj.states[:, :, 0] - rho0 + rate * traj.times[:, None])
+
+
+def recorded_ges_run(monkeypatch, starts, horizon):
+    """The trajectory that ``verify_ges(starts, horizon, 0.5)`` integrates, and its certificate."""
+    runs = []
+
+    def recording(*args):
+        traj = integrate(*args)
+        runs.append(Trajectory(traj.times, traj.states.copy()))  # verify_ges scores its states in place
+        return traj
+
+    monkeypatch.setattr(counterexample, "integrate", recording)
+    cert = verify_ges(starts, horizon, 0.5)
+    (traj,) = runs
+    return traj, cert
+
+
 class TestVerifyGes:
     def test_hundred_random_starts(self):
         ics = random_initial_conditions(100, 10.0, seed=0)
@@ -342,67 +366,59 @@ class TestVerifyGes:
         assert radial_f(r) + 0.6 * r == pytest.approx(0.1 * r, abs=1e-12)
 
     def test_trajectory_witness_is_first_maximum(self):
-        # Loose tolerances make the integrated norm overshoot the GES bound,
-        # so the trajectory check fails while the generator scan passes.
+        # Loose tolerances make the integrated log-radius overshoot the GES
+        # bound, so the trajectory check fails while the generator scan passes.
         starts = random_initial_conditions(20, 10.0, seed=3)
         config = IntegratorConfig(rel_tol=1e-1, abs_tol=1e-1)
         cert = verify_ges(starts, 20.0, 0.5, config)
         assert not cert.holds
-        assert cert.margin == pytest.approx(28.5, abs=0.1)
-        # Reference: the stored lockstep trajectory, scored at every step;
-        # the C-order argmax is the first maximum in time, then start order.
-        traj = integrate(circle_field(), ConstantInput(np.zeros(2)), starts, (0.0, 20.0), config)
-        norms = np.linalg.norm(traj.states, axis=2)
-        excess = norms / (np.exp(-0.5 * traj.times)[:, None] * norms[0]) - 1.0
+        assert cert.margin == pytest.approx(0.0579, abs=1e-4)
+        ts, excess = log_radius_excess(starts, 20.0, 0.5, config)
         k, i = np.unravel_index(np.argmax(excess), excess.shape)
         assert cert.margin == excess[k, i]
-        assert cert.witness == {"x0": starts[i].tolist(), "t": float(traj.times[k])}
+        assert cert.witness == {"x0": starts[i].tolist(), "t": float(ts[k])}
         assert type(cert.witness["t"]) is float
 
     def test_witness_past_the_first_block(self):
-        # Past the integrator's resolution the excess grows, so its first
-        # maximum is the 254th of 255 accepted steps, near the end of the run.
+        # The witness is the first largest excess, not the first excess past
+        # the slack: here the bound already fails at the first accepted step,
+        # and the excess peaks at the 9th of 16.
         starts = random_initial_conditions(20, 10.0, seed=3)
-        cert = verify_ges(starts, 60.0, 0.5)
-        # Reference: the stored lockstep trajectory, scored at every step.
-        traj = integrate(circle_field(), ConstantInput(np.zeros(2)), starts, (0.0, 60.0))
-        norms = np.linalg.norm(traj.states, axis=2)
-        excess = norms / (np.exp(-0.5 * traj.times)[:, None] * norms[0]) - 1.0
+        config = IntegratorConfig(rel_tol=0.3, abs_tol=0.3)
+        cert = verify_ges(starts, 60.0, 0.5, config)
+        ts, excess = log_radius_excess(starts, 60.0, 0.5, config)
         k, i = np.unravel_index(np.argmax(excess), excess.shape)
-        assert (len(traj.times) - 1, k) == (255, 254)
+        assert (len(ts) - 1, k) == (16, 9)
+        assert np.any(excess[1] > 1e-9)
         assert not cert.holds and cert.margin == excess[k, i]
-        assert cert.witness == {"x0": starts[i].tolist(), "t": float(traj.times[k])}
+        assert cert.witness == {"x0": starts[i].tolist(), "t": float(ts[k])}
 
     @pytest.mark.parametrize(
-        "horizon, rate, message",
-        [(2000.0, 0.5, "not finite at t=1483.327478736012$"), (1.0, 1e308, "overflows on the generator scan grid")],
-        ids=["bound-underflows", "scan-overflows"],
+        "horizon, rate, message", [(1.0, 1e308, "overflows on the generator scan grid")], ids=["scan-overflows"]
     )
     def test_non_finite_excess_raises(self, horizon, rate, message):
-        # Far past resolution e^{-rate t} underflows and the excess overflows;
-        # a huge rate overflows the scan.  Either raises, with no warning,
-        # instead of returning a margin that JSON cannot hold.  The first
-        # non-finite excess is named, as the step-by-step scoring named it.
+        # A huge rate overflows the scan, which raises, with no warning,
+        # instead of returning a margin that JSON cannot hold.
         with pytest.raises(NonFiniteError, match=message):
             verify_ges(random_initial_conditions(100, 10.0, seed=0), horizon, rate)
 
     def test_tied_excess_keeps_the_earlier_witness(self, monkeypatch):
-        # exp(-rate t) rounds to 1 at these times, so both steps reach the
-        # excess 1 exactly, on different starts; the earlier step is the witness.
+        # rate t vanishes next to a log-radius gain of 1 at these times, so both
+        # steps reach the excess e - 1 exactly, on different starts; the earlier
+        # step is the witness.
         def fake_integrate(field, signal, x0, t_span, config):
-            return Trajectory([0.0, 1e-20, 2e-20], [x0, [[1.0, 0.0], [0.0, 2.0]], [[2.0, 0.0], [0.0, 1.0]]])
+            return Trajectory([0.0, 1e-20, 2e-20], [x0, [[0.0], [1.0]], [[1.0], [0.0]]])
 
         monkeypatch.setattr(counterexample, "integrate", fake_integrate)
         cert = verify_ges([[1.0, 0.0], [0.0, 1.0]], 1.0, 0.5)
-        assert not cert.holds and cert.margin == 1.0
+        assert not cert.holds and cert.margin == np.expm1(1.0)
         assert cert.witness == {"x0": [0.0, 1.0], "t": 1e-20}
 
     def test_first_non_finite_step_is_named(self, monkeypatch):
-        # The excess is infinite at one step (the bound underflows) and, a step
-        # later, NaN (0/0); the NaN is the argmax, but the error names the
-        # earlier step, as a step-by-step scan does.
+        # The excess overflows at one step on the second start, and a step
+        # later on both; the error names the earlier step.
         def fake_integrate(field, signal, x0, t_span, config):
-            states = [x0, [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]]]
+            states = [x0, [[-1.0], [-1.0]], [[-5e3], [0.0]], [[0.0], [0.0]]]
             return Trajectory([0.0, 1.0, 1e4, 2e4], states)
 
         monkeypatch.setattr(counterexample, "integrate", fake_integrate)
@@ -425,6 +441,89 @@ class TestVerifyGes:
     def test_rejects_nonpositive_rate(self, horizon, rate):
         with pytest.raises(ValueError):
             verify_ges([[1.0, 0.0]], horizon, rate)
+
+
+class TestLogRadiusReduction:
+    """verify_ges integrates rho = log|x| in place of the planar state."""
+
+    @pytest.mark.parametrize("cut", [10**6, -1], ids=["row-loop", "numpy"])
+    def test_radial_part_of_the_field_is_r_squared_g(self, monkeypatch, cut):
+        # x.F(x, 0) = |x|^2 g(|x|) with g(r) = -1 + sin(r^2)/2, as the quarter
+        # turn is tangential.  With s = sin(x1^2 + x2^2) rounded as the field
+        # rounds it, the identity is exact in real arithmetic.  In floats, with
+        # u = eps/2: F1 = ((x1 s/2 - x1) - x2) rounds three times, on terms of at
+        # most |x1|/2, 3|x1|/2 and 3|x1|/2 + |x2|, so |x.dF| <= 4.5 u |x|^2; the
+        # dot product adds 2u|x||F| <= 3.7 u |x|^2 (|F| <= 1.81|x|); the right
+        # side, (x1^2 + x2^2)(s/2 - 1), rounds four times, 6 u |x|^2.  Together
+        # 14.2 u = 7.1 eps, times |x|^2.  Radii span 1e-150 to 50, where the
+        # squares stay normal floats.
+        monkeypatch.setattr(counterexample, "_PYTHON_ROWS_MAX", cut)
+        rng = np.random.default_rng(7)
+        r = 10.0 ** rng.uniform(-150.0, math.log10(50.0), size=1000)
+        theta = rng.uniform(0.0, 2 * math.pi, size=1000)
+        x = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+        dx = circle_field()(x, np.zeros(2))
+        r2 = x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1]
+        radial = x[:, 0] * dx[:, 0] + x[:, 1] * dx[:, 1]
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(radial - r2 * (-1.0 + 0.5 * np.sin(r2))) <= 8 * eps * r2)
+        # The log-radius field at rho = log hypot(x) reads x.F / |x|^2.  rho is
+        # off by at most eps (|log r| + 1), so e^(2 rho) by a relative
+        # eps (2|log r| + 3) and g by half that times r^2; the quotient is
+        # within 7.1 eps + a rounding of g, and the field adds its own rounding.
+        rho = np.log(np.hypot(x[:, 0], x[:, 1]))
+        g = counterexample._LOG_RADIUS(rho[:, None], ())[:, 0]
+        assert np.all(np.abs(g - radial / r2) <= eps * (r * r * (np.abs(np.log(r)) + 2.0) + 10.0))
+
+    def test_visited_points_satisfy_the_polar_equations(self, monkeypatch):
+        # The planar solution passes through (e^rho_k, theta0 + t_k); at each
+        # of these points the Cartesian field has r' = f(r) and theta' = 1.
+        starts = random_initial_conditions(100, 10.0, seed=0)
+        traj, cert = recorded_ges_run(monkeypatch, starts, 20.0)
+        assert cert.holds
+        theta0 = np.arctan2(starts[:, 1], starts[:, 0])
+        radii, angles = np.exp(traj.states[:, :, 0]), theta0 + traj.times[:, None]
+        check = polar_equivalence_check(np.stack([radii, angles], axis=-1).reshape(-1, 2))
+        assert check.holds and check.grid_spec["points"] == 100 * len(traj.times)
+
+    def test_final_radius_matches_a_tight_planar_run(self, monkeypatch):
+        # The default tolerances bound the error in log|x| itself: exp(rho(20))
+        # is within 1e-9 relative of a tight planar run at radii of 5e-9 to
+        # 5e-8 (2.5e-10 here), where the default planar run is off by 1.9e-6.
+        # The reference's abs_tol sits far below those radii: at 1e-15 a
+        # planar run is itself off by 8.7e-10, at 1e-20 it agrees with a
+        # log-radius run at 1e-13/1e-15 to 1.5e-14.
+        starts = random_initial_conditions(100, 10.0, seed=3)
+        traj, _ = recorded_ges_run(monkeypatch, starts, 20.0)
+        planar = integrate(circle_field(), ConstantInput(np.zeros(2)), starts, (0.0, 20.0), IntegratorConfig(1e-13, 1e-20))
+        radius = np.exp(traj.final_state[:, 0])
+        assert traj.times[-1] == planar.times[-1] == 20.0
+        np.testing.assert_allclose(radius, np.linalg.norm(planar.final_state, axis=1), rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("count", [1, counterexample._PYTHON_ROWS_MAX + 1], ids=["row-loop", "numpy"])
+    def test_start_past_sqrt_dbl_max_is_non_finite(self, count):
+        # e^(2 rho) = |x|^2 overflows past sqrt(DBL_MAX) = 1.34e154, where
+        # math.exp raises OverflowError and np.exp gives inf; either way the
+        # field reads NaN and the run raises NonFiniteError, not OverflowError
+        # or ValueError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(counterexample._LOG_RADIUS(np.full((count, 1), 355.0), ())).all()
+            for start in ([1.4e154, 0.0], [1e154, 1e154], [1e300, -1e300]):
+                with pytest.raises(NonFiniteError, match="non-finite at t=0.0$"):
+                    verify_ges(np.tile([start], (count, 1)), 20.0, 0.5)
+
+    @pytest.mark.parametrize("rows", [1, 2, 10, 11, 100])
+    def test_row_loop_and_numpy_differ_by_exp_rounding_alone(self, monkeypatch, rows):
+        # math.exp and np.exp may differ by one ulp, which sin carries over as
+        # an absolute eps * e^(2 rho) and the halving scales by 1/2; the sum
+        # then rounds once more.
+        rho = np.log(np.linspace(1e-3, 10.0, rows))[:, None]
+        branches = []
+        for cut in (10**6, -1):
+            monkeypatch.setattr(counterexample, "_PYTHON_ROWS_MAX", cut)
+            branches.append(counterexample._LOG_RADIUS(rho, ()))
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(branches[0] - branches[1]) <= eps * (0.5 * np.exp(2 * rho) + 1.5))
 
 
 class TestIntegratorOracle:

@@ -91,11 +91,6 @@ def test_escape_to_the_stable_orbit_is_confirmed(tmp_path, capsys):
 
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 14: past the integrator's abs_tol the trajectory check compares noise, and refutes",
-)
 def test_ges_check_at_long_horizon_is_not_refuted(tmp_path, capsys):
     # f(r) + r/2 = (r/2)(sin r^2 - 1) <= 0 for every r, so |x(t)| <= exp(-t/2)|x0| at every horizon.
     assert main(["run", "ges-check", "--horizon", "60", "--out", str(tmp_path)]) != 1

@@ -5,9 +5,8 @@ The truth of every claim is known in closed form as a function of the flags: ``g
 other claim holds at every accepted flag value.  A true claim must exit 0 (confirmed) or 2 (inconclusive, or a
 numerical failure), a false one 1 or 2, and an artifact, when one is written, must be valid JSON whose
 ``confirmed`` matches the exit code; an exit 2 may write nothing.  Each flag that decides a verdict is drawn from
-its whole accepted range, except ``--horizon``, drawn from (0, 50]: past about 55 the trajectory check refutes the
-true claim on integrator noise, which ``test_known_answers.py`` pins as a strict xfail (ROADMAP item 14).  The
-cost-only flags, ``--periods`` and the grid COUNT, stay small.
+its whole accepted range, ``--horizon`` from (0, 5e4] included.  The cost-only flags, ``--periods`` and the grid
+COUNT, stay small.
 """
 
 import contextlib
@@ -44,7 +43,7 @@ def assert_verdict(experiment: str, flags: list, true: bool):
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(
     rate=st.one_of(st.floats(0.45, 0.55), st.floats(min_value=0, exclude_min=True, allow_infinity=False)),
-    horizon=st.floats(0, 50, exclude_min=True),
+    horizon=st.floats(0, cli._MAX_HORIZON, exclude_min=True),
     seed=seeds,
 )
 def test_ges_check_holds_exactly_up_to_rate_one_half(rate, horizon, seed):
