@@ -213,7 +213,7 @@ def example_3d_system():
         ]
     )
     eye = np.eye(3)
-    field = VectorField(lambda x, u: -x + bmat @ u, 3, 4, jacobian=lambda x, u: -eye)
+    field = VectorField(lambda x, u: -x + bmat @ u, 3, 4, jacobian=lambda x, u: -eye, input_affine=True)
     family = InputSequenceFamily(k=4, generator=lambda i, j: float(i) * np.eye(4)[j - 1])
     return field, family
 

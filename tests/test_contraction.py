@@ -16,6 +16,8 @@ from contraction_lab.contraction import (
     scalar_metric,
     scalar_metric_derivative,
 )
+from contraction_lab.constant_metric import example_3d_system
+from contraction_lab.counterexample import circle_field, rotating_frame_counterexample
 from contraction_lab.dynamics import PiecewiseConstantInput, VectorField, integrate
 from contraction_lab.errors import DimensionMismatchError, MetricAppearsConstantError, NonFiniteError, NonSymmetricError
 from contraction_lab.linalg import max_eigenvalue
@@ -328,6 +330,70 @@ class TestUniformContraction:
         )
         assert cert.margin.hex() == "-0x1.b59b734f43140p-4"
         assert cert.witness == {"x": [-1.4849242404917504], "c": [1.0]}
+        assert cert.grid_spec["input_counts"] == [2]
+        assert "vertices" in cert.note
+
+    def test_vertices_give_the_margin_and_witness_of_a_fine_input_grid(self):
+        # lambda_max is convex in u where f is affine in u, so the 4 vertices
+        # find what the 21^2 input grid of an undeclared copy finds.
+        stock, metric = linear_additive_field(2), coupled_metric(2)
+        undeclared = VectorField(stock._f, 2, 2, jacobian=stock._jacobian, per_row_inputs=True)
+        box, region = [(-1.0, 1.0)] * 2, [(-2.0, 2.0)] * 2
+        vertices = check_uniform_contraction(stock, metric, box, 21, region, 21, BETA)
+        grid = check_uniform_contraction(undeclared, metric, box, 21, region, 21, BETA)
+        assert (vertices.grid_spec["input_counts"], grid.grid_spec["input_counts"]) == ([2, 2], [21, 21])
+        assert vertices.margin == grid.margin
+        assert vertices.witness == grid.witness == {"x": [1.8000000000000003] * 2, "c": [-1.0, -1.0]}
+
+    def test_undeclared_field_keeps_the_grid_and_its_interior_worst_input(self):
+        # f = -x (1 + u^2/2) with M = 1: lambda = -2 - u^2 + beta peaks at
+        # u = 0, inside the box, where the vertices alone would read -2.
+        field = VectorField(
+            lambda x, u: -x * (1.0 + 0.5 * u[0] ** 2), 1, 1, jacobian=lambda x, u: -(1.0 + 0.5 * u[0] ** 2) * np.eye(1)
+        )
+        cert = check_uniform_contraction(field, RiemannianMetric.constant([[1.0]]), (-1.0, 1.0), 5, (-1.0, 1.0), 3, 1.0)
+        assert cert.margin == -1.0
+        assert cert.witness == {"x": [-1.0], "c": [0.0]}
+        assert cert.grid_spec["input_counts"] == [5]
+        assert "sampled" in cert.note
+
+    @pytest.mark.parametrize(
+        "box, inputs", [([(0.5, 0.5)], [[0.5]]), ([(-1.0, 1.0), (0.5, 0.5)], [[-1.0, 0.5], [1.0, 0.5]])]
+    )
+    def test_degenerate_input_axis_is_one_vertex(self, box, inputs):
+        seen = []
+
+        def rhs(x, u):
+            seen.append(u.tolist())
+            return u - x
+
+        n = len(box)
+        field = VectorField(rhs, n, n, jacobian=lambda x, u: -np.eye(n), input_affine=True)
+        metric = bounded_example_metric(2.0) if n == 1 else coupled_metric(2)
+        cert = check_uniform_contraction(field, metric, box, 5, [(-1.0, 1.0)] * n, 3, BETA)
+        assert seen == inputs
+        assert cert.grid_spec["input_counts"] == [len(set(axis)) for axis in box]
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            lambda: contraction.scalar_example_system()[0],
+            lambda: linear_additive_field(3),
+            circle_field,
+            lambda: rotating_frame_counterexample(2.7)[0],
+            lambda: example_3d_system()[0],
+        ],
+        ids=["scalar", "linear-3d", "circle", "co-rotating", "example-3d"],
+    )
+    def test_stock_fields_declared_affine_are(self, system, rng):
+        # f(x, u) at the midpoint of two inputs is the midpoint of the values,
+        # up to rounding, at 50 random states.
+        field = system()
+        assert field.input_affine
+        x = rng.uniform(-3.0, 3.0, size=(50, field.state_dim))
+        u, v = rng.uniform(-5.0, 5.0, size=(2, field.input_dim))
+        mid = field(x, (u + v) / 2.0)
+        assert np.allclose(mid, (field(x, u) + field(x, v)) / 2.0, rtol=1e-12, atol=1e-12)
 
     def test_rate_transfers_to_switched_signals(self):
         # With the uniform certificate at rate beta, trajectory pairs under a
@@ -475,8 +541,11 @@ class TestStackedCertificates:
         monkeypatch.setattr(linalg, "symmetric_eigenvalues", logged)
         monkeypatch.setattr(contraction, "symmetric_eigenvalues", logged)
         CHECKS[check](*system)
-        # One call over every (input, state) row, one over M at the 3^n grid states.
-        rows = 3**n if check == "region" else 9**n
+        # One call over every (input, state) row, one over M at the 3^n grid
+        # states; the declared n1 field takes the 2 input vertices, the
+        # undeclared n2 field the 3^2 input grid.
+        inputs = 1 if check == "region" else (2 if system[0].input_affine else 3) ** n
+        rows = inputs * 3**n
         assert shapes == [(rows, n, n), (3**n, n, n)]
 
     @pytest.mark.parametrize(

@@ -487,8 +487,8 @@ class TestLogRadiusReduction:
         assert check.holds and check.grid_spec["points"] == 100 * len(traj.times)
 
     def test_final_radius_matches_a_tight_planar_run(self, monkeypatch):
-        # The default tolerances bound the error in log|x| itself: exp(rho(20))
-        # is within 1e-9 relative of a tight planar run at radii of 5e-9 to
+        # With no absolute floor on |x|, the default tolerances keep exp(rho(20))
+        # within 1e-9 relative of a tight planar run at radii of 5e-9 to
         # 5e-8 (2.5e-10 here), where the default planar run is off by 1.9e-6.
         # The reference's abs_tol sits far below those radii: at 1e-15 a
         # planar run is itself off by 8.7e-10, at 1e-20 it agrees with a
@@ -499,6 +499,23 @@ class TestLogRadiusReduction:
         radius = np.exp(traj.final_state[:, 0])
         assert traj.times[-1] == planar.times[-1] == 20.0
         np.testing.assert_allclose(radius, np.linalg.norm(planar.final_state, axis=1), rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("norm, low, high", [(8.0, 1e-8, 4e-8), (9.0, 4e-8, 1e-7), (10.0, 4e-8, 1e-7)])
+    def test_lone_start_error_is_set_by_its_transient_not_rel_tol(self, norm, low, high):
+        # The step control is relative to |rho|, and local errors add up
+        # through the oscillation of sin(e^(2 rho)) while |x| is large: a lone
+        # start of norm 8, 9 or 10 ends off by 2.2e-8, 7.0e-8 and 7.9e-8 in
+        # rho(20) against a 1e-13/1e-15 run, far above rel_tol = 1e-9.  The
+        # transient is over by then, so the error stays flat in the horizon.
+        def error(horizon):
+            ends = [
+                integrate(counterexample._LOG_RADIUS, ConstantInput(()), [math.log(norm)], (0.0, horizon), config)
+                for config in (None, IntegratorConfig(1e-13, 1e-15))
+            ]
+            return abs(ends[0].final_state[0] - ends[1].final_state[0])
+
+        assert low < error(20.0) < high
+        assert error(2000.0) == pytest.approx(error(20.0), rel=1e-3)
 
     @pytest.mark.parametrize("count", [1, counterexample._PYTHON_ROWS_MAX + 1], ids=["row-loop", "numpy"])
     def test_start_past_sqrt_dbl_max_is_non_finite(self, count):

@@ -436,6 +436,24 @@ class TestInputSignals:
             with pytest.raises(ValueError, match="period must be finite and positive"):
                 PeriodicInput(period, lambda t: [math.sin(t)])
 
+    @pytest.mark.parametrize("step, accepted", [(0.9e-9, True), (1.1e-9, False)])
+    def test_periodic_spot_check_times_tolerance_and_first_failure(self, step, accepted):
+        # fn(0) gives the dimension; then the 8 times k*period/8 and their
+        # shifts by one period, each compared with rtol = atol = 1e-9.
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return [0.0, step * (t >= 2.75)]
+
+        if not accepted:
+            with pytest.raises(ValueError, match=r"^signal is not 2.0-periodic at t=0.75$"):
+                PeriodicInput(2.0, fn)
+            return
+        PeriodicInput(2.0, fn)
+        assert calls[0] == 0.0
+        assert sorted(calls[1:]) == sorted([k / 4.0 for k in range(8)] + [2.0 + k / 4.0 for k in range(8)])
+
     def test_concatenation_breakpoints_collected(self):
         inner = PiecewiseConstantInput([0.25], [[0.0], [1.0]])
         sig = ConcatenatedInput(inner, ConstantInput([5.0]), 0.5)
