@@ -286,7 +286,7 @@ def _exp_uniform_contraction(args):
     metric = contraction.bounded_example_metric(m)
     field = contraction.linear_additive_field(1)
     lo, hi, count = args.grid
-    cert = contraction.check_uniform_contraction(field, metric, (-1.0, 1.0), 5, (lo, hi), count, 1.0)
+    cert = contraction.check_uniform_contraction(field, metric, (-1.0, 1.0), 2, (lo, hi), count, 1.0)
     payload = {"m": m, "bound_certificate": m_cert.to_dict(), "certificate": cert.to_dict()}
     return bool(cert.holds), payload, []
 

@@ -321,17 +321,18 @@ class TestUniformContraction:
     def test_input_box_ends_decide_the_bump_certificate(self, input_count):
         # For x' = -x + u the value at each state is affine in c, and every
         # operation on c rounds correctly and monotonically, so it is monotone
-        # in c: the box's two ends give the margin and witness of any finer
-        # input sample, bit for bit.
+        # in c: an undeclared copy sampled at any input count gives the margin
+        # and witness of the declared field's two vertices, bit for bit.
         m, _ = bounded_metric_m_parameter(1.0)
         half = 10.0 * math.sqrt(m)
-        cert = check_uniform_contraction(
-            linear_additive_field(1), bounded_example_metric(m), (-1.0, 1.0), input_count, (-half, half), 2001, 1.0
-        )
-        assert cert.margin.hex() == "-0x1.b59b734f43140p-4"
-        assert cert.witness == {"x": [-1.4849242404917504], "c": [1.0]}
-        assert cert.grid_spec["input_counts"] == [2]
-        assert "vertices" in cert.note
+        stock, metric = linear_additive_field(1), bounded_example_metric(m)
+        undeclared = VectorField(stock._f, 1, 1, jacobian=stock._jacobian, per_row_inputs=True)
+        for field, counts, note in ((stock, [2], "vertices"), (undeclared, [input_count], "sampled")):
+            cert = check_uniform_contraction(field, metric, (-1.0, 1.0), input_count, (-half, half), 2001, 1.0)
+            assert cert.margin.hex() == "-0x1.b59b734f43140p-4"
+            assert cert.witness == {"x": [-1.4849242404917504], "c": [1.0]}
+            assert cert.grid_spec["input_counts"] == counts
+            assert note in cert.note
 
     def test_vertices_give_the_margin_and_witness_of_a_fine_input_grid(self):
         # lambda_max is convex in u where f is affine in u, so the 4 vertices
