@@ -176,6 +176,7 @@ class InputSignal:
 class ConstantInput(InputSignal):
     def __init__(self, value):
         self.value = np.atleast_1d(np.asarray(value, dtype=float)).copy()
+        self.value.flags.writeable = False
         self.dim = self.value.shape[0]
 
     def eval(self, t):
@@ -210,7 +211,12 @@ class PeriodicInput(InputSignal):
 
 
 class PiecewiseConstantInput(InputSignal):
-    """Right-continuous step function: values[i] applies on [bp[i-1], bp[i])."""
+    """Right-continuous step function: values[i] applies on [bp[i-1], bp[i]).
+
+    values[i] is ``(m,)``, or ``(N, m)`` for a field with per-row inputs.  As
+    ``eval`` hands out views, ``breakpoints`` and ``values`` are read-only, and
+    so is ``ConstantInput.value``.
+    """
 
     def __init__(self, breakpoints, values):
         self.breakpoints = np.atleast_1d(np.asarray(breakpoints, dtype=float)).copy()
@@ -222,9 +228,10 @@ class PiecewiseConstantInput(InputSignal):
             raise ValueError("breakpoints and values must be finite")
         if self.breakpoints.ndim != 1 or np.any(np.diff(self.breakpoints) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-        if self.values.shape[0] != self.breakpoints.shape[0] + 1:
-            raise ValueError("need exactly len(breakpoints)+1 values")
-        self.dim = self.values.shape[1]
+        if self.values.ndim not in (2, 3) or self.values.shape[0] != self.breakpoints.shape[0] + 1:
+            raise ValueError("need exactly len(breakpoints)+1 values, each (m,) or (N, m)")
+        self.dim = self.values.shape[-1]
+        self.breakpoints.flags.writeable = self.values.flags.writeable = False
         # Python floats: bisect on a list is several times cheaper per
         # lookup than np.searchsorted on the array.
         self._cuts = self.breakpoints.tolist()

@@ -7,6 +7,10 @@ factors multiply to exp(lambda*(t2-t1)) exactly, and dyadic refinement of a
 continuous signal by schedules, under which the contraction property passes
 to the limit.
 
+On a field's flow, ``apply_each`` integrates all of its step signals in one
+lockstep run, under one step signal built once from theirs, and each other
+signal alone, where it keeps the 8(5,3) pair's long steps.
+
 Rate convention: ``lam`` is the distance-level exponential rate (distances
 shrink like exp(lam*t)).  Matrix-level certificates from the contraction
 module live at the squared-distance level, so a matrix margin beta
@@ -17,7 +21,6 @@ cross-module test.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -59,8 +62,9 @@ class FlowMap:
     ``apply`` takes one point ``(n,)`` or a batch ``(N, n)`` of points that
     share the signal and returns the same shape; ``apply_fn`` must map the
     rows of a batch independently.  ``apply_each`` maps the points under
-    each of a list of S signals to ``(S, *points.shape)``: one ``apply`` per
-    signal, or one ``apply`` for them all on a field's flow (:func:`flow_from_field`).
+    each of a list of S signals to ``(S, *points.shape)``, in their order: one
+    ``apply`` per signal, or on a field's flow (:func:`flow_from_field`) one
+    ``apply`` for all the step signals and one for each other signal.
     Satisfies the composition law numerically: applying over [t1, t2] and
     then [t2, t3] equals applying the concatenation at t2 over [t1, t3],
     within integrator tolerance.
@@ -82,51 +86,36 @@ class FlowMap:
         return np.stack([self.apply(signal, t1, t2, points) for signal in signals])
 
 
-class _StackedInput(InputSignal):
-    """Member j's value on row block j of a lockstep batch, breaking wherever a member does.
-
-    Step members are read once per piece between their cuts, where their values and left limits hold still."""
-
-    def __init__(self, members, rows: int):
-        self.members, self.rows, self.dim, self._piece = members, rows, members[0].dim, None
-        steps = [member for member in members if isinstance(member, (PiecewiseConstantInput, ConstantInput))]
-        self._cuts = sorted(set().union(*(member.breakpoints_in(-math.inf, math.inf) for member in steps)))
-        self._others = [(j * rows, member) for j, member in enumerate(members) if member not in steps]
-
-    def _lookup(self, piece, t, name):
-        if piece != self._piece:
-            self._piece, self._block = piece, np.repeat([getattr(m, name)(t) for m in self.members], self.rows, axis=0)
-            return self._block.copy()
-        out = self._block.copy()
-        for start, member in self._others:
-            out[start : start + self.rows] = getattr(member, name)(t)
-        return out
-
-    def eval(self, t):
-        return self._lookup(bisect_right(self._cuts, t), t, "eval")
-
-    def eval_left(self, t):
-        return self._lookup(bisect_left(self._cuts, t), t, "eval_left")
-
-    def breakpoints_in(self, t0, t1):
-        return sorted(set().union(*(member.breakpoints_in(t0, t1) for member in self.members)))
+def _step_table(signals, rows: int) -> PiecewiseConstantInput:
+    """One step signal that holds signal j's value on row block j of ``rows`` rows, cut wherever any signal is."""
+    steps = [s if isinstance(s, PiecewiseConstantInput) else PiecewiseConstantInput([], [s.value]) for s in signals]
+    cuts = sorted(set().union(*(step.breakpoints.tolist() for step in steps)))
+    starts = [-math.inf] + cuts
+    blocks = [step.values[np.searchsorted(step.breakpoints, starts, side="right")] for step in steps]
+    return PiecewiseConstantInput(cuts, np.repeat(np.stack(blocks, axis=1), rows, axis=1))
 
 
 class _LockstepFlow(FlowMap):
-    """The flow of a field with per-row inputs: ``apply_each`` is one ``apply`` on the points tiled once per signal."""
+    """The flow of a field with per-row inputs: ``apply_each`` maps the points
+    under all its step signals in one ``apply``, tiled once per signal, and
+    under each other signal in an ``apply`` of its own."""
 
     def apply_each(self, signals: list, t1: float, t2: float, points) -> np.ndarray:
         points = np.atleast_1d(np.asarray(points, dtype=float))
-        rows = points.reshape(-1, points.shape[-1])
-        images = self.apply(_StackedInput(signals, len(rows)), t1, t2, np.tile(rows, (len(signals), 1)))
-        return images.reshape((len(signals),) + points.shape)
+        steps = [signal for signal in signals if isinstance(signal, (ConstantInput, PiecewiseConstantInput))]
+        stacked = iter(())
+        if steps:
+            rows = points.reshape(-1, points.shape[-1])
+            images = self.apply(_step_table(steps, len(rows)), t1, t2, np.tile(rows, (len(steps), 1)))
+            stacked = iter(images.reshape((-1,) + points.shape))
+        return np.stack([next(stacked) if s in steps else self.apply(s, t1, t2, points) for s in signals])
 
 
 def flow_from_field(field: VectorField, config: IntegratorConfig | None = None) -> FlowMap:
     """The ODE solution operator of ``field`` as a FlowMap.
 
     A batch of points goes through ``integrate`` as one lockstep run.  For a
-    field with per-row inputs, so do all the signals of ``apply_each``.
+    field with per-row inputs, so do all the step signals of ``apply_each``.
     """
 
     def apply_fn(signal, t1, t2, points):
@@ -289,8 +278,10 @@ def check_limit_contraction(
     approximant contracts point pairs at rate ``lam``, that the flow
     outputs are Cauchy across levels with gaps at least halving, and
     finally that the flow under the target signal itself contracts at rate
-    ``lam`` with relative slack 1e-4.  All levels and the target go to the
-    flow in one ``apply_each`` call.
+    ``lam`` with relative slack 1e-4.  On a field's flow ``apply_each`` maps
+    the points under all levels in one integration and under the target in
+    another.  The target is read once, at 4 * 2^L + 1 even times that hold
+    every level's piece midpoints and must all lie in ``box``.
     """
     t1, t2 = float(t_span[0]), float(t_span[1])
     if not t2 > t1:
@@ -298,7 +289,7 @@ def check_limit_contraction(
     if refinement_levels < 1:
         raise ValueError("need at least one refinement level")
     probes = np.linspace(t1, t2, 4 * 2**refinement_levels + 1)
-    probe_values = np.stack([np.atleast_1d(target_signal.eval(t)) for t in probes])
+    probe_values = np.array([target_signal.eval(t) for t in probes.tolist()])
     inside = _in_box(probe_values, box)
     if not np.all(inside):
         raise ValueError(f"target signal leaves the input box at t={probes[np.argmin(inside)]}")

@@ -429,6 +429,50 @@ class TestInputSignals:
         with pytest.raises(ValueError):
             PiecewiseConstantInput([1.0], [[0.0]])
 
+    def test_step_signals_are_read_only(self):
+        # eval hands out views of the signal's own arrays, so a field that
+        # writes into its input raises instead of changing the signal.
+        def f(x, u):
+            u += 1.0
+            return -x + u
+
+        signals = [
+            ConstantInput([0.5]),
+            PiecewiseConstantInput([0.5], [[0.5], [-1.0]]),
+            PiecewiseSchedule([[0.5], [-1.0]], [0.5, 0.5], 0.0, 1.0),
+        ]
+        for signal in signals:
+            before = signal.eval(0.0).copy()
+            with pytest.raises(ValueError, match="read-only"):
+                integrate(VectorField(f, 1, 1), signal, [1.0], (0.0, 1.0))
+            assert signal.eval(0.0).tobytes() == before.tobytes()
+        for array in (signals[0].value, signals[1].values, signals[1].breakpoints, signals[2].values):
+            assert not array.flags.writeable
+
+    def test_piecewise_per_row_values(self):
+        values = [[[1.0], [2.0], [3.0]], [[-1.0], [0.0], [0.5]]]
+        sig = PiecewiseConstantInput([0.5], values)
+        assert sig.dim == 1 and sig.eval(0.7).tolist() == values[1] and sig.eval_left(0.5).tolist() == values[0]
+        for bad in ([values[0]], [values[0], [[0.0], [math.nan], [1.0]]], np.zeros((2, 3, 1, 1))):
+            with pytest.raises(ValueError):
+                PiecewiseConstantInput([0.5], bad)
+        calls = []
+
+        def f(x, u):
+            calls.append(u.shape)
+            return -x + u
+
+        x0 = np.zeros((3, 1))
+        with pytest.raises(ValueError, match="per_row_inputs"):
+            integrate(VectorField(f, 1, 1), sig, x0, (0.0, 1.0))
+        assert not calls
+        # one row per state, each the state's own step signal
+        final = integrate(VectorField(f, 1, 1, per_row_inputs=True), sig, x0, (0.0, 1.0)).final_state
+        assert set(calls) == {(3, 1)}
+        for row, (a, b) in enumerate(zip(values[0], values[1])):
+            alone = integrate(VectorField(f, 1, 1), PiecewiseConstantInput([0.5], [a, b]), x0[row], (0.0, 1.0))
+            assert final[row] == pytest.approx(alone.final_state, abs=1e-9)
+
     def test_periodic_validation(self):
         with pytest.raises(ValueError):
             PeriodicInput(1.0, lambda t: [t])

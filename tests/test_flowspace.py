@@ -1,5 +1,4 @@
 import math
-from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -394,20 +393,40 @@ class TestLimitLevelsInOneIntegration:
         monkeypatch.setattr(flowspace, "integrate", counting)
         return inputs
 
-    def test_declaring_field_makes_one_integration(self, monkeypatch):
+    def test_declaring_field_locksteps_the_levels_and_integrates_the_target_alone(self, monkeypatch):
         flow = linear_flow()
         target = PeriodicInput(TWO_PI, lambda t: [0.8 * math.sin(t)])
         # the per-level loop of a generic FlowMap over the same flow
         looped = check_limit_contraction(FlowMap(flow.apply), (-1.0, 1.0), -1.0, target, 6, self.PAIRS, (0.0, TWO_PI))
         runs = self.counted_integrate(monkeypatch)
         cert = check_limit_contraction(flow, (-1.0, 1.0), -1.0, target, 6, self.PAIRS, (0.0, TWO_PI))
-        assert len(runs) == 1
-        # the finest level's breakpoints are every level's
+        assert len(runs) == 2 and runs[1] is target
+        # the finest level's breakpoints are every level's; 7 levels of 4 pairs of points
         assert len(runs[0].breakpoints_in(0.0, TWO_PI)) == 2**6 - 1
+        assert runs[0].values.shape == (2**6, 7 * 8, 1)
         assert cert.holds and looped.holds
         assert cert.margin == pytest.approx(looped.margin, abs=1e-9)
         assert cert.grid_spec["tail_gap"] == pytest.approx(looped.grid_spec["tail_gap"], abs=1e-9)
         assert np.allclose(cert.grid_spec["cauchy_gaps"], looped.grid_spec["cauchy_gaps"], rtol=0, atol=1e-9)
+
+    def test_flow_limit_default_cauchy_gaps(self):
+        # The check `run flow-limit` makes: the levels' lockstep run is pinned
+        # to the last bit, the target's own run within tolerance of e^{-2 pi}.
+        target = PeriodicInput(TWO_PI, lambda t: [math.sin(t)])
+        pairs = [([-2.0], [2.0]), ([0.5], [1.5])]
+        cert = check_limit_contraction(linear_flow(), (-1.0, 1.0), -1.0, target, 8, pairs, (0.0, TWO_PI))
+        assert cert.holds
+        assert [gap.hex() for gap in cert.grid_spec["cauchy_gaps"]] == [
+            "0x1.d4b4800436d8fp-1",
+            "0x1.128fa2d17a18ep-2",
+            "0x1.c2798ec1d0c88p-4",
+            "0x1.d58be0845e940p-6",
+            "0x1.d82cb66ba8e40p-8",
+            "0x1.d8b1edf01ce00p-10",
+            "0x1.d8d10b0f8a000p-12",
+            "0x1.d8d8af49f8000p-14",
+        ]
+        assert cert.margin == pytest.approx(math.exp(-TWO_PI), rel=1e-9)
 
     def test_apply_each_matches_one_apply_per_signal(self):
         flow = flow_from_field(circle_field())
@@ -423,19 +442,35 @@ class TestLimitLevelsInOneIntegration:
             assert np.max(np.abs(images - flow.apply(signal, 0.0, 1.5, points))) <= 1e-9
         assert flow.apply_each(signals, 0.0, 1.5, points[0]).shape == (3, 2)
 
-    def test_apply_each_is_one_checked_apply(self, monkeypatch):
-        # All the signals go through FlowMap.apply at once, so its shape and finiteness checks cover the stacked run.
-        inputs = []
-        apply = FlowMap.apply
+    def test_apply_each_locksteps_only_the_step_signals(self, monkeypatch):
+        # One checked FlowMap.apply, so one integration, for all the step
+        # signals and one for each other signal; the images keep the signals' order.
+        applied, apply = [], FlowMap.apply
 
         def counting(flow, signal, t1, t2, points):
-            inputs.append(signal)
+            applied.append(signal)
             return apply(flow, signal, t1, t2, points)
 
+        sine = PeriodicInput(TWO_PI, lambda t: [math.sin(t)])
+        cosine = PeriodicInput(TWO_PI, lambda t: [math.cos(t)])
+        signals = [
+            sine,
+            ConstantInput([0.3]),
+            PiecewiseConstantInput([0.4], [[1.0], [-0.5]]),
+            cosine,
+            PiecewiseSchedule([0.2, -0.9], [0.5, 0.5], 0.0, 1.0),
+        ]
+        points = np.array([[0.5], [-1.0]])
+        alone = [linear_flow().apply(signal, 0.0, 1.0, points) for signal in signals]
+        integrated = self.counted_integrate(monkeypatch)
         monkeypatch.setattr(FlowMap, "apply", counting)
-        signals = [ConstantInput([0.3]), PeriodicInput(TWO_PI, lambda t: [math.sin(t)])]
-        assert linear_flow().apply_each(signals, 0.0, 1.0, [[0.5], [-1.0]]).shape == (2, 2, 1)
-        assert len(inputs) == 1 and inputs[0].members == signals
+        images = linear_flow().apply_each(signals, 0.0, 1.0, points)
+        assert integrated == applied and applied[1:] == [sine, cosine]
+        assert applied[0].breakpoints.tolist() == [0.4, 0.5] and applied[0].values.shape == (3, 3 * 2, 1)
+        assert images.shape == (5, 2, 1)
+        for j in (0, 3):
+            assert images[j].tobytes() == alone[j].tobytes()
+        assert np.max(np.abs(images - alone)) <= 1e-9
 
     def test_undeclared_field_keeps_one_run_per_level(self, monkeypatch):
         shapes = []
@@ -485,73 +520,41 @@ class TestLimitLevelsInOneIntegration:
                 assert np.array_equal(signal.values[:, 0], mids)
 
 
-class TestStackedInput:
-    """The lockstep input reads its step members once per piece, and returns
-    the per-member ``np.repeat`` of every lookup bit for bit."""
+class TestStepTable:
+    """The lockstep input of the step signals: a step signal whose value on
+    each piece is the per-member ``np.repeat``, bit for bit."""
 
     ROWS = 3
 
     @staticmethod
-    def members():
+    def members(dim):
+        rng = np.random.default_rng(dim)
         return [
-            ConstantInput([0.25]),
-            PiecewiseConstantInput([0.4, 1.1, 2.0], [[1.0], [-0.5], [0.5], [2.0]]),
-            PiecewiseSchedule([0.3, -0.9, 0.6], [0.2, 0.5, 0.3], 0.0, 2.5),
-            PeriodicInput(TWO_PI, lambda t: [math.sin(3.0 * t)]),
-            PiecewiseSchedule([0.1, 0.7], [0.5, 0.5], 0.0, 2.5),
+            ConstantInput(rng.uniform(-1.0, 1.0, dim)),
+            PiecewiseConstantInput([0.4, 1.1, 2.0], rng.uniform(-1.0, 1.0, (4, dim))),
+            PiecewiseSchedule(rng.uniform(-1.0, 1.0, (3, dim)), [0.2, 0.5, 0.3], 0.0, 2.5),
+            PiecewiseSchedule(rng.uniform(-1.0, 1.0, (2, dim)), [0.5, 0.5], 0.0, 2.5),
         ]
 
-    def repeated(self, members, name, t):
-        return np.repeat([getattr(member, name)(t) for member in members], self.ROWS, axis=0)
-
-    def test_lookups_equal_the_per_member_repeat(self, rng):
-        members = self.members()
-        stacked = flowspace._StackedInput(members, self.ROWS)
-        cuts = stacked.breakpoints_in(-1.0, 4.0)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_lookups_equal_the_per_member_repeat(self, dim, rng):
+        members = self.members(dim)
+        table = flowspace._step_table(members, self.ROWS)
+        cuts = table.breakpoints_in(-1.0, 4.0)
         assert cuts == [0.4, 0.5, 1.1, 1.25, 1.75, 2.0]
-        # in time order, as integrate looks up, and then in random order,
-        # which changes the piece at almost every lookup
-        times = sorted([*cuts, *rng.uniform(-1.0, 4.0, size=200)])
-        for t in [*times, *rng.permutation(times)]:
-            for name in ("eval", "eval_left", "eval"):
-                got = getattr(stacked, name)(t)
-                assert got.shape == (len(members) * self.ROWS, 1)
-                assert got.tobytes() == self.repeated(members, name, t).tobytes()
+        for t in [*cuts, *rng.uniform(-1.0, 4.0, size=200)]:
+            for name in ("eval", "eval_left"):
+                got = getattr(table, name)(t)
+                want = np.repeat([getattr(member, name)(t) for member in members], self.ROWS, axis=0)
+                assert got.shape == (len(members) * self.ROWS, dim)
+                assert got.tobytes() == want.tobytes()
 
-    def test_returned_blocks_are_fresh(self):
-        members = self.members()
-        stacked = flowspace._StackedInput(members, self.ROWS)
-        for name in ("eval", "eval_left", "eval", "eval_left"):
-            block = getattr(stacked, name)(0.7)
+    def test_lookups_are_read_only_views(self):
+        table = flowspace._step_table(self.members(1), self.ROWS)
+        block = table.eval(0.7)
+        assert np.shares_memory(block, table.values)
+        with pytest.raises(ValueError, match="read-only"):
             block[:] = 99.0
-        assert stacked.eval(0.7).tobytes() == self.repeated(members, "eval", 0.7).tobytes()
-        assert stacked.eval_left(1.1).tobytes() == self.repeated(members, "eval_left", 1.1).tobytes()
-
-    def test_step_members_are_read_once_per_piece(self, monkeypatch):
-        levels = 5
-        reads = []
-        for name in ("eval", "eval_left"):
-            method = getattr(PiecewiseConstantInput, name)
-
-            def counted(signal, t, method=method, left=name == "eval_left"):
-                reads.append((signal, t, left))
-                return method(signal, t)
-
-            monkeypatch.setattr(PiecewiseConstantInput, name, counted)
-        runs = TestLimitLevelsInOneIntegration.counted_integrate(monkeypatch)
-        target = PeriodicInput(TWO_PI, lambda t: [0.8 * math.sin(t)])
-        cert = check_limit_contraction(linear_flow(), (-1.0, 1.0), -1.0, target, levels, [([-2.0], [2.0])], (0.0, TWO_PI))
-        assert cert.holds and len(runs) == 1
-        cuts = runs[0].breakpoints_in(0.0, TWO_PI)
-        assert len(cuts) == 2**levels - 1
-        pieces = {}
-        for signal, t, left in reads:
-            piece = (bisect_left if left else bisect_right)(cuts, t)
-            pieces.setdefault(id(signal), []).append(piece)
-        # every level's schedule, each read once on each of the 2^levels pieces
-        assert len(pieces) == levels + 1
-        for read in pieces.values():
-            assert read == list(range(2**levels))
 
 
 class TestRateConventionBridge:
