@@ -22,7 +22,7 @@ import numpy as np
 
 from . import constant_metric, contraction, counterexample, entrainment, flowspace
 from .certificates import dumps_fixed
-from .dynamics import IntegratorConfig, PeriodicInput, concat, integrate
+from .dynamics import IntegratorConfig, PeriodicInput, concat
 from .errors import ContractionLabError, NoRootFoundError
 
 # name -> (claim, {flag: default} for the flags taken beside --out and --seed, runner), in the order the
@@ -325,11 +325,10 @@ def _exp_thm3_example2(args):
 
 @_experiment("flow-compose", "flow maps compose along concatenated signals and commute with time shifts")
 def _exp_flow_compose(args):
-    field = counterexample.circle_field()
     # Each identity compares two runs with different steps, so the deviation
     # is integration error: 1e-11 to 9e-10 over seeds at the default
     # tolerances, under 1.2e-11 over 300 seeds at these 100x tighter ones.
-    tight = IntegratorConfig(1e-11, 1e-13)
+    flow = flowspace.flow_from_field(counterexample.circle_field(), IntegratorConfig(1e-11, 1e-13))
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(5):
@@ -341,16 +340,16 @@ def _exp_flow_compose(args):
         u = PeriodicInput(2 * np.pi, lambda t, a=a1: [a * math.sin(t), a * math.cos(t)])
         v = PeriodicInput(2 * np.pi, lambda t, a=a2: [a * math.cos(2 * t), 0.0])
         # flow property: one un-segmented run against a restart at t2
-        stopover = integrate(field, u, x0, (t1, t2), tight).final_state
-        via = integrate(field, u, stopover, (t2, t3), tight).final_state
-        direct = integrate(field, u, x0, (t1, t3), tight).final_state
+        stopover = flow.apply(u, t1, t2, x0)
+        via = flow.apply(u, t2, t3, stopover)
+        direct = flow.apply(u, t1, t3, x0)
         worst = max(worst, float(np.linalg.norm(via - direct)))
         # concatenation: switching to v at t2 equals running the glued signal
-        via_v = integrate(field, v, stopover, (t2, t3), tight).final_state
-        glued = integrate(field, concat(u, v, t2), x0, (t1, t3), tight).final_state
+        via_v = flow.apply(v, t2, t3, stopover)
+        glued = flow.apply(concat(u, v, t2), t1, t3, x0)
         worst = max(worst, float(np.linalg.norm(via_v - glued)))
         shift = float(rng.uniform(-3.0, 3.0))
-        shifted = integrate(field, u.shifted(shift), x0, (t1 - shift, t2 - shift), tight).final_state
+        shifted = flow.apply(u.shifted(shift), t1 - shift, t2 - shift, x0)
         worst = max(worst, float(np.linalg.norm(shifted - stopover)))
     return worst <= 1e-7, {"max_deviation": worst, "tolerance": 1e-7}, []
 

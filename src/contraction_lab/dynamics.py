@@ -173,16 +173,6 @@ class InputSignal:
         return []
 
 
-class ConstantInput(InputSignal):
-    def __init__(self, value):
-        self.value = np.atleast_1d(np.asarray(value, dtype=float)).copy()
-        self.value.flags.writeable = False
-        self.dim = self.value.shape[0]
-
-    def eval(self, t):
-        return self.value
-
-
 class PeriodicInput(InputSignal):
     """u(t + period) = u(t); spot-checked at construction, not again on a shift."""
 
@@ -213,9 +203,9 @@ class PeriodicInput(InputSignal):
 class PiecewiseConstantInput(InputSignal):
     """Right-continuous step function: values[i] applies on [bp[i-1], bp[i]).
 
-    values[i] is ``(m,)``, or ``(N, m)`` for a field with per-row inputs.  As
-    ``eval`` hands out views, ``breakpoints`` and ``values`` are read-only, and
-    so is ``ConstantInput.value``.
+    values[i] is ``(m,)``, or ``(N, m)`` for a field with per-row inputs; either
+    way ``dim`` is m.  As ``eval`` hands out views, ``breakpoints`` and
+    ``values`` are read-only.
     """
 
     def __init__(self, breakpoints, values):
@@ -232,18 +222,26 @@ class PiecewiseConstantInput(InputSignal):
             raise ValueError("need exactly len(breakpoints)+1 values, each (m,) or (N, m)")
         self.dim = self.values.shape[-1]
         self.breakpoints.flags.writeable = self.values.flags.writeable = False
-        # Python floats: bisect on a list is several times cheaper per
-        # lookup than np.searchsorted on the array.
-        self._cuts = self.breakpoints.tolist()
+        # Python lists: bisect on a list, then a list index, is several times
+        # cheaper per lookup than np.searchsorted, then an array index.
+        self._cuts, self._pieces = self.breakpoints.tolist(), list(self.values)
 
     def eval(self, t):
-        return self.values[bisect_right(self._cuts, t)]
+        return self._pieces[bisect_right(self._cuts, t)]
 
     def eval_left(self, t):
-        return self.values[bisect_left(self._cuts, t)]
+        return self._pieces[bisect_left(self._cuts, t)]
 
     def breakpoints_in(self, t0, t1):
         return self._cuts[bisect_right(self._cuts, t0) : bisect_left(self._cuts, t1)]
+
+
+class ConstantInput(PiecewiseConstantInput):
+    """A step signal with no cuts: the read-only ``value`` at every time."""
+
+    def __init__(self, value):
+        super().__init__([], np.atleast_1d(np.asarray(value, dtype=float))[None])
+        self.value = self.values[0]
 
 
 class ConcatenatedInput(InputSignal):

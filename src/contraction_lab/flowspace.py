@@ -7,9 +7,10 @@ factors multiply to exp(lambda*(t2-t1)) exactly, and dyadic refinement of a
 continuous signal by schedules, under which the contraction property passes
 to the limit.
 
-On a field's flow, ``apply_each`` integrates all of its step signals in one
-lockstep run, under one step signal built once from theirs, and each other
-signal alone, where it keeps the 8(5,3) pair's long steps.
+On a field's flow, ``apply_each`` integrates all of its step signals
+(constant, piecewise or schedule, shared or per-row) in one lockstep run,
+under one step signal built once from theirs, and each other signal alone,
+where it keeps the 8(5,3) pair's long steps.
 
 Rate convention: ``lam`` is the distance-level exponential rate (distances
 shrink like exp(lam*t)).  Matrix-level certificates from the contraction
@@ -25,14 +26,7 @@ import math
 import numpy as np
 
 from .certificates import Certificate
-from .dynamics import (
-    ConstantInput,
-    IntegratorConfig,
-    InputSignal,
-    PiecewiseConstantInput,
-    VectorField,
-    integrate,
-)
+from .dynamics import IntegratorConfig, InputSignal, PiecewiseConstantInput, VectorField, integrate
 from .errors import ApproximationNotConvergingError, NonFiniteError
 from .linalg import vector_norms
 
@@ -64,7 +58,8 @@ class FlowMap:
     rows of a batch independently.  ``apply_each`` maps the points under
     each of a list of S signals to ``(S, *points.shape)``, in their order: one
     ``apply`` per signal, or on a field's flow (:func:`flow_from_field`) one
-    ``apply`` for all the step signals and one for each other signal.
+    ``apply`` for all the step signals, shared or per-row, and one for each
+    other signal.
     Satisfies the composition law numerically: applying over [t1, t2] and
     then [t2, t3] equals applying the concatenation at t2 over [t1, t3],
     within integrator tolerance.
@@ -87,22 +82,28 @@ class FlowMap:
 
 
 def _step_table(signals, rows: int) -> PiecewiseConstantInput:
-    """One step signal that holds signal j's value on row block j of ``rows`` rows, cut wherever any signal is."""
-    steps = [s if isinstance(s, PiecewiseConstantInput) else PiecewiseConstantInput([], [s.value]) for s in signals]
-    cuts = sorted(set().union(*(step.breakpoints.tolist() for step in steps)))
+    """One step signal that holds signal j's value on row block j of ``rows`` rows, cut wherever any signal
+    is: a shared value ``(m,)`` on every row of the block, a per-row value ``(rows, m)`` row by row."""
+    cuts = sorted(set().union(*(s.breakpoints.tolist() for s in signals)))
     starts = [-math.inf] + cuts
-    blocks = [step.values[np.searchsorted(step.breakpoints, starts, side="right")] for step in steps]
-    return PiecewiseConstantInput(cuts, np.repeat(np.stack(blocks, axis=1), rows, axis=1))
+    blocks = [s.values[np.searchsorted(s.breakpoints, starts, side="right")] for s in signals]
+    shape = (len(starts), rows, signals[0].dim)
+    return PiecewiseConstantInput(
+        cuts, np.concatenate([np.broadcast_to(b if b.ndim == 3 else b[:, None], shape) for b in blocks], axis=1)
+    )
 
 
 class _LockstepFlow(FlowMap):
     """The flow of a field with per-row inputs: ``apply_each`` maps the points
     under all its step signals in one ``apply``, tiled once per signal, and
-    under each other signal in an ``apply`` of its own."""
+    under each other signal in an ``apply`` of its own.  A per-row step signal
+    joins the lockstep run when it has one row per point; one that does not
+    gets an ``apply`` of its own, where the field refuses it."""
 
     def apply_each(self, signals: list, t1: float, t2: float, points) -> np.ndarray:
         points = np.atleast_1d(np.asarray(points, dtype=float))
-        steps = [signal for signal in signals if isinstance(signal, (ConstantInput, PiecewiseConstantInput))]
+        fits = ((), points.shape[:-1])
+        steps = [s for s in signals if isinstance(s, PiecewiseConstantInput) and s.values.shape[1:-1] in fits]
         stacked = iter(())
         if steps:
             rows = points.reshape(-1, points.shape[-1])

@@ -449,6 +449,24 @@ class TestInputSignals:
         for array in (signals[0].value, signals[1].values, signals[1].breakpoints, signals[2].values):
             assert not array.flags.writeable
 
+    def test_constant_is_a_step_signal_with_no_cuts(self):
+        sig = ConstantInput([0.5, -1.0])
+        assert isinstance(sig, PiecewiseConstantInput)
+        assert sig.dim == 2 and sig.breakpoints_in(-1e9, 1e9) == []
+        for t in (-1e9, 0.0, 3.5):
+            assert sig.eval(t).tolist() == sig.eval_left(t).tolist() == sig.value.tolist() == [0.5, -1.0]
+        assert not sig.value.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sig.value[0] = 2.0
+        # a per-row value: one input of dimension 1 for each of two states
+        assert ConstantInput([[1.0], [2.0]]).dim == 1
+        assert ConstantInput(0.25).value.tolist() == [0.25] and ConstantInput(()).dim == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_constant_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ConstantInput([bad])
+
     def test_piecewise_per_row_values(self):
         values = [[[1.0], [2.0], [3.0]], [[-1.0], [0.0], [0.5]]]
         sig = PiecewiseConstantInput([0.5], values)

@@ -472,6 +472,29 @@ class TestLimitLevelsInOneIntegration:
             assert images[j].tobytes() == alone[j].tobytes()
         assert np.max(np.abs(images - alone)) <= 1e-9
 
+    def test_apply_each_locksteps_a_per_row_step_signal(self, monkeypatch):
+        # A per-row step signal and a shared constant share one integration.
+        signals = [PiecewiseConstantInput([0.5], [[[1.0], [2.0]], [[0.0], [0.5]]]), ConstantInput([0.2])]
+        points = np.array([[0.1], [0.2]])
+        alone = [linear_flow().apply(signal, 0.0, 1.0, points) for signal in signals]
+        runs = self.counted_integrate(monkeypatch)
+        images = linear_flow().apply_each(signals, 0.0, 1.0, points)
+        assert len(runs) == 1 and runs[0].values.shape == (2, 2 * 2, 1)
+        assert images.shape == (2, 2, 1)
+        assert np.max(np.abs(images - alone)) <= 1e-9
+
+    def test_apply_each_refuses_a_per_row_signal_of_another_row_count(self):
+        # The field's own message, as for an apply of that signal alone.
+        wrong = PiecewiseConstantInput([0.5], [[[1.0], [2.0], [3.0]], [[0.0], [0.5], [1.0]]])
+        points = np.array([[0.1], [0.2]])
+        with pytest.raises(ValueError) as alone:
+            linear_flow().apply(wrong, 0.0, 1.0, points)
+        assert "input of shape (3, 1) for states of shape (2, 1)" in str(alone.value)
+        for signals in ([wrong], [ConstantInput([0.2]), wrong], [wrong, PeriodicInput(TWO_PI, lambda t: [0.0])]):
+            with pytest.raises(ValueError) as each:
+                linear_flow().apply_each(signals, 0.0, 1.0, points)
+            assert str(each.value) == str(alone.value)
+
     def test_undeclared_field_keeps_one_run_per_level(self, monkeypatch):
         shapes = []
 
@@ -546,6 +569,23 @@ class TestStepTable:
             for name in ("eval", "eval_left"):
                 got = getattr(table, name)(t)
                 want = np.repeat([getattr(member, name)(t) for member in members], self.ROWS, axis=0)
+                assert got.shape == (len(members) * self.ROWS, dim)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_per_row_members_fill_their_own_block(self, dim, rng):
+        members = [
+            *self.members(dim)[:2],
+            PiecewiseConstantInput([0.7, 2.0], rng.uniform(-1.0, 1.0, (3, self.ROWS, dim))),
+            ConstantInput(rng.uniform(-1.0, 1.0, (self.ROWS, dim))),
+        ]
+        table = flowspace._step_table(members, self.ROWS)
+        cuts = table.breakpoints_in(-1.0, 4.0)
+        assert cuts == [0.4, 0.7, 1.1, 2.0]
+        for t in [*cuts, *rng.uniform(-1.0, 4.0, size=50)]:
+            for name in ("eval", "eval_left"):
+                got = getattr(table, name)(t)
+                want = np.concatenate([np.broadcast_to(getattr(m, name)(t), (self.ROWS, dim)) for m in members])
                 assert got.shape == (len(members) * self.ROWS, dim)
                 assert got.tobytes() == want.tobytes()
 
